@@ -25,7 +25,7 @@ import numpy as np
 from . import io
 from .errors import IterationLimitError, SphereCovError
 from .fields import weight_value
-from .geometry import rotation_about, uniform_sample, unit_point
+from .geometry import log_map_coords, rotation_about, uniform_sample, unit_point, unit_points
 from .interpolation import (
     eval_H,
     fractional_anisotropy,
@@ -187,13 +187,7 @@ def cmd_test(args) -> int:
                 unpaired.d_test.statistic, unpaired.d_test.p_value]
         return row, paired, unpaired
 
-    if args.threads and args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, range(args.runs)))
-    else:
-        results = [one(i) for i in range(args.runs)]
-
+    results = [one(i) for i in range(args.runs)]
     rows = [r[0] for r in results]
     out = _out_dir(args)
     runs_path = io.write_table(out / "runs", _TEST_HEADER, rows, args.format)
@@ -250,7 +244,7 @@ def cmd_scan(args) -> int:
     s1, s2 = draw(rng)
     grid = uniform_sample(rng, args.grid)
     rows = observation_scan(s1, s2, grid, criterion=args.criterion,
-                            alpha=args.alpha, threads=args.threads)
+                            alpha=args.alpha)
     out = _out_dir(args)
     scan_path = io.write_table(out / "scan", _SCAN_HEADER,
                                [_scan_row_cells(r) for r in rows], args.format)
@@ -275,9 +269,11 @@ def cmd_profile(args) -> int:
     s1, s2 = draw(rng)
     if args.q_extreme is not None:
         grid = uniform_sample(rng, args.grid)
-        tr2 = np.array([
-            np.trace(projections_at(q, s1, s2).lhat) ** 2 for q in grid
-        ])
+        # the trace of the operator difference is the difference of the
+        # mean squared distances
+        _, d1 = log_map_coords(grid, unit_points(s1))
+        _, d2 = log_map_coords(grid, unit_points(s2))
+        tr2 = (np.mean(d1 ** 2, axis=1) - np.mean(d2 ** 2, axis=1)) ** 2
         idx = int(np.argmin(tr2)) if args.q_extreme == "min" else int(np.argmax(tr2))
         q = grid[idx]
     elif args.q is not None:
@@ -354,7 +350,7 @@ def cmd_interp(args) -> int:
         return 3
     solve_kw = dict(max_iter=solver["max_iter"], tol=solver["tol"],
                     restarts=solver["restarts"], seed=seed,
-                    gradient=args.gradient, threads=args.threads)
+                    gradient=args.gradient)
     out = _out_dir(args)
     outputs = []
     if args.alpha_steps is not None:
@@ -505,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="master seed; required for stochastic commands")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for runs/candidates/restarts")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="tabular output format")

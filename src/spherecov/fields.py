@@ -63,9 +63,11 @@ def weight_value(kind: str, t):
 def point_operators(q, points, weight: str = "unit", frame: TangentFrame | None = None):
     """Point operators at q for each row of points.
 
+    q is one base point (3,) or a batch (k, 3), as for log_map_coords.
+
     Returns:
-        (ops, dists): (n, 2, 2) operators in the frame at q and the (n,)
-        geodesic distances.
+        (ops, dists): (..., n, 2, 2) operators in the frame at q and the
+        (..., n) geodesic distances.
 
     Raises:
         AntipodalPointError: any point antipodal to q.
@@ -82,7 +84,7 @@ def point_operators(q, points, weight: str = "unit", frame: TangentFrame | None 
         w = weight_value("pihalf", d)
     else:
         w = np.ones_like(d)
-    ops = w[:, None, None] * np.einsum("ni,nj->nij", u, u)
+    ops = w[..., None, None] * np.einsum("...i,...j->...ij", u, u)
     return ops, d
 
 
@@ -129,10 +131,8 @@ def pmf_cov_field(f, domain, obs, weight: str = "unit") -> CovField:
         raise DimensionMismatchError(
             f"pmf length {len(f)} != domain size {len(domain)}"
         )
-    ops = np.empty((len(obs), 2, 2))
-    for j, q in enumerate(obs):
-        point_ops, _ = point_operators(q, domain, weight)
-        ops[j] = np.einsum("i,ijk->jk", f, point_ops)
+    point_ops, _ = point_operators(obs, domain, weight)
+    ops = np.einsum("i,jiab->jab", f, point_ops)
     return CovField(obs=obs, ops=ops)
 
 

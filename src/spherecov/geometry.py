@@ -19,7 +19,6 @@ from .errors import AntipodalPointError, FrameMismatchError
 
 __all__ = [
     "ANTIPODAL_EPS",
-    "COINCIDENT_CAP",
     "TangentFrame",
     "TangentVec",
     "unit_point",
@@ -38,11 +37,10 @@ __all__ = [
     "geographic_basis",
 ]
 
-# Inner-product cutoffs for the closed-form log map. Below -1 + ANTIPODAL_EPS
-# the denominator sqrt(1 - c^2) has lost all precision; above COINCIDENT_CAP
-# the map is numerically 0/0 and the limit (the zero vector) is returned.
+# Distances are atan2(|q x p|, <q, p>), accurate at every separation. The log
+# map is undefined at the antipode, so inner products at or below
+# -1 + ANTIPODAL_EPS are rejected.
 ANTIPODAL_EPS = 1e-9
-COINCIDENT_CAP = 1.0 - 1e-12
 
 
 def unit_point(p) -> np.ndarray:
@@ -108,6 +106,20 @@ class TangentVec:
         return self.frame.lift(self.u)
 
 
+def _unit_base(q) -> np.ndarray:
+    """One base point (3,) or a batch of them (k, 3), as unit vectors."""
+    q = np.asarray(q, dtype=float)
+    return unit_point(q) if q.ndim == 1 else unit_points(q)
+
+
+def _frame_axes(q):
+    """(e1, e2) of the deterministic frame at each unit base point in q."""
+    axis = (np.arange(3) == np.argmin(np.abs(q), axis=-1)[..., None]).astype(float)
+    e1 = axis - np.sum(axis * q, axis=-1, keepdims=True) * q
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    return e1, np.cross(q, e1)
+
+
 def tangent_frame(q) -> TangentFrame:
     """Deterministic orthonormal frame at q.
 
@@ -115,64 +127,70 @@ def tangent_frame(q) -> TangentFrame:
     and sets e2 = q x e1, giving a right-handed triple (e1, e2, q).
     """
     q = unit_point(q)
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(q)))] = 1.0
-    e1 = axis - np.dot(axis, q) * q
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(q, e1)
+    e1, e2 = _frame_axes(q)
     return TangentFrame(base=q, e1=e1, e2=e2)
 
 
-def geodesic_distance(q, p) -> float:
-    """Great-circle distance arccos(<q, p>), in [0, pi]."""
-    c = float(np.dot(unit_point(q), unit_point(p)))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+def _cross_dot(q, pts):
+    """q x p and <q, p> for every base point in q and every row p of pts."""
+    return np.cross(q[..., None, :], pts), q @ pts.T
 
 
 def geodesic_distances(q, points) -> np.ndarray:
-    """Distances from q to each row of points."""
-    q = unit_point(q)
-    pts = np.asarray(points, dtype=float)
-    return np.arccos(np.clip(pts @ q, -1.0, 1.0))
+    """Distances atan2(|q x p|, <q, p>) from q to each row of points.
+
+    q is one base point (3,) or a batch (k, 3); the result has shape (n,)
+    or (k, n).
+    """
+    cross, c = _cross_dot(_unit_base(q), np.asarray(points, dtype=float))
+    return np.arctan2(np.linalg.norm(cross, axis=-1), c)
+
+
+def geodesic_distance(q, p) -> float:
+    """Great-circle distance between q and p, in [0, pi]."""
+    return float(geodesic_distances(q, unit_point(p)[None, :])[0])
 
 
 def log_map_coords(q, points, frame: TangentFrame | None = None):
-    """Batched log map at q, returned as frame coordinates.
+    """Log map at one base point or a batch of them, as frame coordinates.
 
     Args:
-        q: base point.
+        q: base point (3,) or base points (k, 3).
         points: (n, 3) array of target points.
-        frame: frame at q; the deterministic frame is built when omitted.
+        frame: frame at a single base point; the deterministic frame is
+            built when omitted, and always for a batch.
 
     Returns:
-        (coords, dists): (n, 2) frame coordinates of log_q(p) and the (n,)
-        geodesic distances.
+        (coords, dists): (..., n, 2) frame coordinates of log_q(p) and the
+        (..., n) geodesic distances, where ... is empty or (k,).
 
     Raises:
-        AntipodalPointError: if any point is antipodal to q within tolerance.
+        AntipodalPointError: if any point is antipodal to its base point
+            within tolerance.
     """
-    q = unit_point(q)
+    q = _unit_base(q)
     if frame is None:
-        frame = tangent_frame(q)
-    pts = np.asarray(points, dtype=float)
-    c = np.clip(pts @ q, -1.0, 1.0)
+        e1, e2 = _frame_axes(q)
+    elif q.ndim == 1:
+        e1, e2 = frame.e1, frame.e2
+    else:
+        raise ValueError("a frame applies to a single base point only")
+    cross, c = _cross_dot(q, np.asarray(points, dtype=float))
     if np.any(c <= -1.0 + ANTIPODAL_EPS):
         raise AntipodalPointError("log map undefined at an antipodal point")
-    d = np.arccos(c)
-    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    # d/s -> 1 as p -> q; points beyond COINCIDENT_CAP get the exact zero vector.
-    near = c > COINCIDENT_CAP
-    safe_s = np.where(s > 0.0, s, 1.0)
-    scale = np.where(near, 0.0, d / safe_s)
-    ambient = scale[:, None] * (pts - c[:, None] * q)
-    return frame.coords(ambient), d
+    s = np.linalg.norm(cross, axis=-1)
+    d = np.arctan2(s, c)
+    # log_q p = (d/s)(p - c q), and p - c q = (q x p) x q has the frame
+    # coordinates (<q x p, e2>, -<q x p, e1>); d = 0 wherever s = 0.
+    scale = d / np.where(s > 0.0, s, 1.0)
+    return scale[..., None] * (cross @ np.stack([e2, -e1], axis=-1)), d
 
 
 def log_map(q, p, frame: TangentFrame | None = None) -> TangentVec:
     """Log map of a single point p at base q.
 
-    The closed form is arccos(c)/sqrt(1 - c^2) * (p - c q) with c = <p, q>.
-    Near-coincident pairs (c > COINCIDENT_CAP) return the zero vector.
+    The closed form is d/sin(d) (p - c q) with c = <p, q> and
+    d = atan2(|q x p|, c); coincident points map to the zero vector.
 
     Raises:
         AntipodalPointError: when c <= -1 + ANTIPODAL_EPS.

@@ -23,7 +23,6 @@ Y_j^s above, so logs and inverses stay symmetric in floating point.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .errors import (
 from .fields import point_operators, weight_value
 from .geometry import geodesic_distances, log_map_coords, rotation_about, unit_point, unit_points
 from .simplex import as_pmf, project_to_simplex, random_pmfs
-from .spd import DEFINITENESS_FLOOR, spd_inv_sqrt
+from .spd import DEFINITENESS_FLOOR
 
 __all__ = [
     "INVARIANT_KINDS",
@@ -135,9 +134,7 @@ def make_problem(domain, endpoints, alpha, invariant: str, obs=None,
             f"alpha length {len(alpha)} != number of endpoints {len(endpoints)}"
         )
     if weight == "pihalf":
-        min_sep = min(
-            geodesic_distances(q, domain).min() for q in obs
-        )
+        min_sep = geodesic_distances(obs, domain).min()
         if min_sep < MIN_SEPARATION:
             raise CoincidentPointError(
                 f"observation/domain separation {min_sep:.2e} below {MIN_SEPARATION:.0e}"
@@ -170,9 +167,8 @@ def precompute(problem: InterpProblem) -> PrecomputedKernels:
         NotPositiveDefiniteError: some endpoint operator C_j^s is singular
             (the endpoint pmf is inadmissible for trln2/lik).
     """
-    k = problem.k
     k_obs = len(problem.obs)
-    dists = np.stack([geodesic_distances(q, problem.domain) for q in problem.obs], axis=1)  # (k, k_obs)
+    dists = geodesic_distances(problem.obs, problem.domain).T  # (k, k_obs)
     a = dists ** 2
     b = (dists - np.pi / 2.0) ** 2
     kernel = a if problem.weight == "unit" else b
@@ -183,23 +179,18 @@ def precompute(problem: InterpProblem) -> PrecomputedKernels:
                                   c_tr=c_tr, Ut=None, trZ=None)
 
     w = weight_value(problem.weight, dists.T)  # (k_obs, k)
-    u = np.empty((k_obs, k, 2))
-    for j, q in enumerate(problem.obs):
-        u[j], _ = log_map_coords(q, problem.domain)
+    u, _ = log_map_coords(problem.obs, problem.domain)  # (k_obs, k, 2)
     raw = np.einsum("ji,jia,jib->jiab", w, u, u)  # (k_obs, k, 2, 2)
     c_ops = np.einsum("si,jiab->sjab", problem.endpoints, raw)  # (m, k_obs, 2, 2)
 
-    eig = np.linalg.eigvalsh(c_ops)
-    if eig.min() <= DEFINITENESS_FLOOR:
+    lam, vec = np.linalg.eigh(c_ops)
+    if lam.min() <= DEFINITENESS_FLOOR:
         raise NotPositiveDefiniteError(
             "an endpoint operator is singular; the endpoint pmf is "
             "inadmissible for this invariant"
         )
-    ut = np.empty((problem.m, k_obs, k, 2))
-    for s in range(problem.m):
-        for j in range(k_obs):
-            cis = spd_inv_sqrt(c_ops[s, j])
-            ut[s, j] = np.sqrt(w[j])[:, None] * (u[j] @ cis.T)
+    c_inv_sqrt = np.einsum("sjab,sjb,sjcb->sjac", vec, 1.0 / np.sqrt(lam), vec)
+    ut = np.sqrt(w)[None, :, :, None] * np.einsum("jia,sjba->sjib", u, c_inv_sqrt)
     tr_z = np.einsum("sjia,sjia->sji", ut, ut)
     return PrecomputedKernels(A=a, B=b, K=kernel, C=c_ops, c_tr=c_tr, Ut=ut, trZ=tr_z)
 
@@ -340,6 +331,7 @@ def _initial_step(problem, kernels, f0) -> float:
 
 _ARMIJO_C = 1e-4
 _MAX_HALVINGS = 50
+_ROUNDING_FACTOR = 4.0
 
 
 def _pgd(problem, kernels, f0, max_iter, tol, record_trace, gradient):
@@ -372,6 +364,11 @@ def _pgd(problem, kernels, f0, max_iter, tol, record_trace, gradient):
                 break
             eta *= 0.5
         if not accepted:
+            # No trial step decreased H. That is a stationary point when the
+            # decrease the first trial step predicts is below the rounding
+            # level of H, and a stalled search otherwise.
+            predicted = float(g @ (f - project_to_simplex(f - eta0 * g)))
+            converged = predicted <= _ROUNDING_FACTOR * np.finfo(float).eps * max(1.0, abs(obj))
             break
         step_inf = float(np.max(np.abs(f_new - f)))
         f, obj = f_new, obj_new
@@ -399,11 +396,13 @@ def _starts(problem, restarts, rng):
 def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
           max_iter: int = 500, tol: float = 1e-9, restarts: int | None = None,
           seed: int = 0, gradient: str = "chain", record_trace: bool = False,
-          f0=None, threads: int | None = None) -> InterpResult:
+          f0=None) -> InterpResult:
     """Minimize the objective over the simplex by projected gradient descent.
 
     Stops when the iterate change or the unit-step projected gradient drops
-    below tol; an exhausted iteration budget is reported through
+    below tol, or when the line search finds no decrease; the latter counts
+    as converged only if the decrease it predicted is below the rounding
+    level of H. An exhausted iteration budget is reported through
     converged=False (the best iterate is still returned). Multi-start
     (default 8 for trln2: linear, square-root and uniform starts plus
     seeded Dirichlet draws; 1 otherwise) merges by best objective with
@@ -428,13 +427,7 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
             # a degenerate start is skipped, not fatal
             return None
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, starts))
-    else:
-        outcomes = [run(s) for s in starts]
-
-    runs = [o for o in outcomes if o is not None]
+    runs = [r for r in map(run, starts) if r is not None]
     if not runs:
         raise NotPositiveDefiniteError("every start produced a singular operator")
     objectives = tuple(r[1] for r in runs)

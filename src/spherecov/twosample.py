@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .errors import SampleSizeMismatchError, TooFewPairsError
@@ -74,21 +72,23 @@ class ProjectionData:
         return TangentVec(frame=self.frame, u=self.eigvecs[:, s].copy())
 
 
-def projections_at(q, sample1, sample2, frame: TangentFrame | None = None) -> ProjectionData:
-    """Eigensystem of the sample-mean-operator difference and xi projections.
+def _log_images(q, sample1, sample2, frame: TangentFrame | None = None):
+    """Log coordinates and distances of both samples at q, one point or a batch."""
+    s1, s2 = unit_points(sample1), unit_points(sample2)
+    u, d = log_map_coords(q, np.concatenate([s1, s2]), frame)
+    m1 = len(s1)
+    return u[..., :m1, :], d[..., :m1], u[..., m1:, :], d[..., m1:]
 
-    For any i and l the projections satisfy xi_{i,1} + xi_{i,2} = d_i^2, and
-    the per-eigenvector means satisfy mean(xi_s^1) - mean(xi_s^2) = lambda_s
-    (for equal sample sizes).
-    """
-    q = unit_point(q)
-    if frame is None:
-        frame = tangent_frame(q)
-    s1 = unit_points(sample1)
-    s2 = unit_points(sample2)
-    u1, d1 = log_map_coords(q, s1, frame)
-    u2, d2 = log_map_coords(q, s2, frame)
-    lhat = (u1.T @ u1) / len(u1) - (u2.T @ u2) / len(u2)
+
+def _operator_difference(u1, u2) -> np.ndarray:
+    """Difference of the two sample mean operators, batched over leading axes."""
+    return (np.swapaxes(u1, -1, -2) @ u1) / u1.shape[-2] \
+        - (np.swapaxes(u2, -1, -2) @ u2) / u2.shape[-2]
+
+
+def _projections(frame: TangentFrame, u1, d1, u2, d2) -> ProjectionData:
+    """ProjectionData from the log images of both samples at one point."""
+    lhat = _operator_difference(u1, u2)
     w, v = _signed_eigh(lhat)
     return ProjectionData(
         frame=frame,
@@ -100,6 +100,19 @@ def projections_at(q, sample1, sample2, frame: TangentFrame | None = None) -> Pr
         dsq1=d1 ** 2,
         dsq2=d2 ** 2,
     )
+
+
+def projections_at(q, sample1, sample2, frame: TangentFrame | None = None) -> ProjectionData:
+    """Eigensystem of the sample-mean-operator difference and xi projections.
+
+    For any i and l the projections satisfy xi_{i,1} + xi_{i,2} = d_i^2, and
+    the per-eigenvector means satisfy mean(xi_s^1) - mean(xi_s^2) = lambda_s
+    (for equal sample sizes).
+    """
+    q = unit_point(q)
+    if frame is None:
+        frame = tangent_frame(q)
+    return _projections(frame, *_log_images(q, sample1, sample2, frame))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +136,30 @@ class ProcedureOutcome:
         return self.min_p < self.alpha / 2.0
 
 
+def _rank_procedure(proj: ProjectionData, paired: bool, alpha: float,
+                    min_n: int = 5) -> ProcedureOutcome:
+    """Rank tests of the xi projections along each eigenvector and of the
+    squared distances: paired signed-rank tests or unpaired rank-sum tests."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    if paired:
+        def test(a, b):
+            return signed_rank(a - b, min_pairs=min_n)
+    else:
+        def test(a, b):
+            return rank_sum(a, b, min_size=min_n)
+    comps = tuple(test(proj.xi1[:, s], proj.xi2[:, s]) for s in range(2))
+    return ProcedureOutcome(
+        kind="signed_rank" if paired else "rank_sum",
+        stat_xi=max(c.statistic for c in comps),
+        components=comps,
+        d_test=test(proj.dsq1, proj.dsq2),
+        eigvals=proj.eigvals,
+        projections=proj,
+        alpha=alpha,
+    )
+
+
 def test_procedure_1(sample1, sample2, q, alpha: float = 0.05,
                      frame: TangentFrame | None = None, min_pairs: int = 5) -> ProcedureOutcome:
     """Paired signed-rank procedure on xi projections at q.
@@ -134,27 +171,11 @@ def test_procedure_1(sample1, sample2, q, alpha: float = 0.05,
         SampleSizeMismatchError: samples of different sizes.
         TooFewPairsError: all paired differences vanish (degenerate input).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
     if len(sample1) != len(sample2):
         raise SampleSizeMismatchError(
             f"paired procedure needs equal sizes, got {len(sample1)} and {len(sample2)}"
         )
-    proj = projections_at(q, sample1, sample2, frame)
-    comps = tuple(
-        signed_rank(proj.xi1[:, s] - proj.xi2[:, s], min_pairs=min_pairs)
-        for s in range(2)
-    )
-    d_test = signed_rank(proj.dsq1 - proj.dsq2, min_pairs=min_pairs)
-    return ProcedureOutcome(
-        kind="signed_rank",
-        stat_xi=max(c.statistic for c in comps),
-        components=comps,
-        d_test=d_test,
-        eigvals=proj.eigvals,
-        projections=proj,
-        alpha=alpha,
-    )
+    return _rank_procedure(projections_at(q, sample1, sample2, frame), True, alpha, min_pairs)
 
 
 def test_procedure_2(sample1, sample2, q, alpha: float = 0.05,
@@ -164,22 +185,7 @@ def test_procedure_2(sample1, sample2, q, alpha: float = 0.05,
     Same pipeline as the paired procedure with rank-sum tests per
     eigenvector; sample sizes may differ.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    proj = projections_at(q, sample1, sample2, frame)
-    comps = tuple(
-        rank_sum(proj.xi1[:, s], proj.xi2[:, s], min_size=min_size) for s in range(2)
-    )
-    d_test = rank_sum(proj.dsq1, proj.dsq2, min_size=min_size)
-    return ProcedureOutcome(
-        kind="rank_sum",
-        stat_xi=max(c.statistic for c in comps),
-        components=comps,
-        d_test=d_test,
-        eigvals=proj.eigvals,
-        projections=proj,
-        alpha=alpha,
-    )
+    return _rank_procedure(projections_at(q, sample1, sample2, frame), False, alpha, min_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,34 +201,11 @@ class ScanRow:
     error: str | None
 
 
-def _scan_one(q, sample1, sample2, alpha) -> ScanRow:
-    proj = projections_at(q, sample1, sample2)
-    tr = float(np.trace(proj.lhat))
-    det = float(np.linalg.det(proj.lhat))
-    paired = unpaired = None
-    errors = []
-    # Degenerate candidates (for instance identical samples) keep their
-    # criterion columns; the affected test outcomes stay empty.
-    if len(sample1) == len(sample2):
-        try:
-            paired = test_procedure_1(sample1, sample2, q, alpha)
-        except TooFewPairsError as exc:
-            errors.append(str(exc))
-    try:
-        unpaired = test_procedure_2(sample1, sample2, q, alpha)
-    except TooFewPairsError as exc:
-        errors.append(str(exc))
-    error = "; ".join(errors) if errors else None
-    return ScanRow(
-        q=unit_point(q), tr2=tr * tr, det=det, eigvals=proj.eigvals,
-        paired=paired, unpaired=unpaired, error=error,
-    )
-
-
 def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
-                     alpha: float = 0.05, threads: int | None = None) -> list:
+                     alpha: float = 0.05) -> list:
     """Evaluate both procedures at each candidate point; sort by criterion.
 
+    The log images of both samples are computed once for all candidates.
     criterion "tr2" or "det" sorts rows in decreasing order of that column
     (stable, so input order breaks ties); "uniform" keeps the input order.
     """
@@ -231,11 +214,25 @@ def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
     cands = unit_points(candidates)
     if len(cands) == 0:
         raise ValueError("candidate list is empty")
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda c: _scan_one(c, sample1, sample2, alpha), cands))
-    else:
-        rows = [_scan_one(c, sample1, sample2, alpha) for c in cands]
+    u1, d1, u2, d2 = _log_images(cands, sample1, sample2)
+    kinds = (True, False) if len(sample1) == len(sample2) else (False,)
+    rows = []
+    for c, q in enumerate(cands):
+        proj = _projections(tangent_frame(q), u1[c], d1[c], u2[c], d2[c])
+        outcomes, errors = {}, []
+        # Degenerate candidates (for instance identical samples) keep their
+        # criterion columns; the affected test outcomes stay empty.
+        for paired in kinds:
+            try:
+                outcomes[paired] = _rank_procedure(proj, paired, alpha)
+            except TooFewPairsError as exc:
+                errors.append(str(exc))
+        tr = float(np.trace(proj.lhat))
+        rows.append(ScanRow(
+            q=unit_point(q), tr2=tr * tr, det=float(np.linalg.det(proj.lhat)),
+            eigvals=proj.eigvals, paired=outcomes.get(True),
+            unpaired=outcomes.get(False), error="; ".join(errors) or None,
+        ))
     if criterion == "uniform":
         return rows
     key = np.array([getattr(r, criterion) for r in rows])
@@ -249,11 +246,8 @@ def det_sign_areas(sample1, sample2, grid) -> tuple[float, float]:
     With a uniform grid these estimate the spherical area fractions of the
     two determinant-sign regions; the pair always sums to 1.
     """
-    grid = unit_points(grid)
-    dets = np.empty(len(grid))
-    for i, q in enumerate(grid):
-        dets[i] = np.linalg.det(projections_at(q, sample1, sample2).lhat)
-    pos = float(np.mean(dets > 0.0))
+    u1, _, u2, _ = _log_images(unit_points(grid), sample1, sample2)
+    pos = float(np.mean(np.linalg.det(_operator_difference(u1, u2)) > 0.0))
     return pos, 1.0 - pos
 
 

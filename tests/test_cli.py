@@ -319,6 +319,13 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+def test_threads_option_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--a1", "0.2", "--a2", "0.3", "--grid", "5", "--seed", "1",
+              "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_module_entry_point():
     import subprocess
     import sys

@@ -1,12 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecov import (
     CoincidentPointError,
     DimensionMismatchError,
     NotHemisphericError,
     ObservationMismatchError,
+    WEIGHT_KINDS,
     field_distance,
     geodesic_distance,
     geodesic_distances,
@@ -50,6 +53,23 @@ def test_point_operator_rank_one_trace():
     npt.assert_allclose(op_u, op_u.T, atol=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.floats(min_value=1e-7, max_value=3.0),
+    phi=st.floats(min_value=0.0, max_value=2.0 * np.pi),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pihalf_trace_identity_down_to_near_coincidence(t, phi, seed):
+    q = uniform_sample(np.random.default_rng(seed), 1)[0]
+    fr = tangent_frame(q)
+    p = np.cos(t) * q + np.sin(t) * (np.cos(phi) * fr.e1 + np.sin(phi) * fr.e2)
+    ops, d = point_operators(q, p[None, :], weight="pihalf")
+    # t^2 w(t) = (t - pi/2)^2 through the operator, not only the weight
+    assert np.trace(ops[0]) == pytest.approx((t - np.pi / 2) ** 2, rel=1e-6)
+    assert abs(d[0] / t - 1.0) <= 1e-8
+    assert abs(geodesic_distance(q, p) / t - 1.0) <= 1e-8
+
+
 def test_pihalf_coincident_raises():
     q = unit_point([0.0, 0.6, 0.8])
     with pytest.raises(CoincidentPointError):
@@ -77,6 +97,18 @@ def test_pmf_field_linear_in_masses():
     fb = pmf_cov_field(f2, domain, obs)
     fm = pmf_cov_field(0.5 * f1 + 0.5 * f2, domain, obs)
     npt.assert_allclose(fm.ops, 0.5 * fa.ops + 0.5 * fb.ops, atol=1e-14)
+
+
+def test_pmf_field_is_per_observation_sum():
+    domain = uniform_sample(rng, 7)
+    obs = uniform_sample(rng, 5)
+    f = np.array([0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1])
+    for weight in WEIGHT_KINDS:
+        field = pmf_cov_field(f, domain, obs, weight)
+        for j, q in enumerate(obs):
+            ops, _ = point_operators(q, domain, weight)
+            npt.assert_allclose(field.ops[j], np.einsum("i,iab->ab", f, ops),
+                                rtol=1e-13, atol=1e-15)
 
 
 def test_field_distance_requires_same_obs():

@@ -86,6 +86,20 @@ def test_log_map_coords_batch_matches_scalar():
         assert dists[i] == pytest.approx(geodesic_distance(q, p), abs=1e-14)
 
 
+def test_log_map_coords_batched_bases_match_single():
+    qs = uniform_sample(rng, 15)
+    pts = uniform_sample(rng, 40)
+    coords, dists = log_map_coords(qs, pts)
+    assert coords.shape == (15, 40, 2) and dists.shape == (15, 40)
+    for j, q in enumerate(qs):
+        c1, d1 = log_map_coords(q, pts)
+        npt.assert_allclose(coords[j], c1, rtol=0.0, atol=1e-14)
+        npt.assert_allclose(dists[j], d1, rtol=0.0, atol=1e-14)
+    npt.assert_array_equal(geodesic_distances(qs, pts), dists)
+    with pytest.raises(ValueError):
+        log_map_coords(qs, pts, tangent_frame(qs[0]))
+
+
 def test_log_coincident_is_zero():
     q = unit_point([0.2, 0.4, 0.89])
     coords, dists = log_map_coords(q, q[None, :])

@@ -16,6 +16,7 @@ from spherecov import (
     fractional_anisotropy,
     grad_H,
     hessian_H,
+    log_map_coords,
     linear_interp,
     make_problem,
     mse,
@@ -25,11 +26,14 @@ from spherecov import (
     rank_check,
     rotate_points,
     solve,
+    spd_inv_sqrt,
     sqroot_interp,
     uniform_sample,
     unit_point,
     unit_points,
+    weight_value,
 )
+from spherecov import interpolation
 from spherecov.io import load_problem
 
 FIXTURE =Path(__file__).resolve().parents[1] / "src" / "spherecov" / "fixtures" / "bimodal_k6.json"
@@ -235,13 +239,40 @@ def test_warm_start_prepended():
     assert warm.restarts_used == base.restarts_used + 1
 
 
-def test_threads_match_serial():
-    prob, solver = load_problem(FIXTURE)
-    serial = solve(prob, max_iter=solver["max_iter"], restarts=4, seed=11)
-    threaded = solve(prob, max_iter=solver["max_iter"], restarts=4, seed=11, threads=2)
-    npt.assert_array_equal(serial.f_hat, threaded.f_hat)
-    assert serial.objective == threaded.objective
-    npt.assert_array_equal(serial.restart_objectives, threaded.restart_objectives)
+def test_precompute_whitening_matches_spd_inv_sqrt():
+    prob = _admissible_problem(91, "trln2")
+    kernels = precompute(prob)
+    for s in range(prob.m):
+        for j, q in enumerate(prob.obs):
+            u, d = log_map_coords(q, prob.domain)
+            cis = spd_inv_sqrt(kernels.C[s, j])
+            ref = np.sqrt(weight_value(prob.weight, d))[:, None] * (u @ cis.T)
+            npt.assert_allclose(kernels.Ut[s, j], ref, rtol=1e-12, atol=1e-14)
+
+
+def test_exhausted_line_search_reports_stationarity(monkeypatch):
+    prob = _admissible_problem(71, "lik")
+    kernels = precompute(prob)
+    optimum = solve(prob, kernels, tol=1e-12, max_iter=5000).f_hat
+    exact = interpolation.eval_H
+
+    def run(f0):
+        # every evaluation after the start reads 1% high, so no trial step
+        # passes the Armijo test and the search is exhausted at once
+        calls = []
+
+        def inflated(f, problem, kern=None):
+            calls.append(None)
+            return exact(f, problem, kern) * (1.0 if len(calls) == 1 else 1.01)
+
+        monkeypatch.setattr(interpolation, "eval_H", inflated)
+        _, _, iterations, converged, _ = interpolation._pgd(
+            prob, kernels, f0, 100, 0.0, False, "chain")
+        assert iterations == 1
+        return converged
+
+    assert run(optimum)
+    assert not run(0.99 * optimum + 0.01 / prob.k)
 
 
 def test_iteration_cap_reports_not_raises():

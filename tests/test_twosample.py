@@ -130,22 +130,29 @@ def test_scan_orderings():
         observation_scan(S1, S2, np.empty((0, 3)))
 
 
-def test_scan_threads_match_serial():
+def test_scan_rows_match_procedures_at_each_candidate():
     cands = uniform_sample(np.random.default_rng(4), 10)
-    serial = observation_scan(S1, S2, cands, criterion="tr2")
-    threaded = observation_scan(S1, S2, cands, criterion="tr2", threads=4)
-    assert len(serial) == len(threaded)
-    for a, b in zip(serial, threaded):
-        npt.assert_array_equal(a.q, b.q)
-        assert a.tr2 == b.tr2
-        assert a.unpaired.min_p == b.unpaired.min_p
+    rows = observation_scan(S1, S2, cands, criterion="uniform")
+    for row, q in zip(rows, cands):
+        proj = projections_at(q, S1, S2)
+        assert row.tr2 == pytest.approx(np.trace(proj.lhat) ** 2, rel=1e-12)
+        assert row.det == pytest.approx(np.linalg.det(proj.lhat), rel=1e-10)
+        npt.assert_allclose(row.eigvals, proj.eigvals, rtol=0.0, atol=1e-14)
+        for got, ref in ((row.paired, procedure_1(S1, S2, q)),
+                         (row.unpaired, procedure_2(S1, S2, q))):
+            assert got.kind == ref.kind
+            assert got.stat_xi == pytest.approx(ref.stat_xi, rel=1e-12)
+            for a, b in zip(got.components + (got.d_test,), ref.components + (ref.d_test,)):
+                assert a.p_value == pytest.approx(b.p_value, rel=0.0, abs=1e-12)
 
 
 def test_det_sign_areas_partition():
     grid = uniform_sample(np.random.default_rng(5), 64)
     pos, neg = det_sign_areas(S1, S2, grid)
     assert pos + neg == pytest.approx(1.0, abs=1e-15)
-    assert 0.0 <= pos <= 1.0
+    dets = np.array([np.linalg.det(projections_at(q, S1, S2).lhat) for q in grid])
+    assert 0.0 < pos < 1.0
+    assert pos == np.mean(dets > 0.0)
 
 
 def test_profile_difference_matches_operator_profile():
