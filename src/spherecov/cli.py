@@ -25,7 +25,7 @@ import numpy as np
 from . import io
 from .errors import IterationLimitError, SphereCovError
 from .fields import weight_value
-from .geometry import log_map_coords, rotation_about, uniform_sample, unit_point, unit_points
+from .geometry import rotation_about, uniform_sample, unit_point
 from .interpolation import (
     eval_H,
     fractional_anisotropy,
@@ -49,6 +49,7 @@ from .twosample import (
     sample_profile,
     test_procedure_1,
     test_procedure_2,
+    tr2_scores,
 )
 
 __all__ = ["main", "build_parser"]
@@ -143,10 +144,10 @@ def _resolve_q(args, rng, s1, s2):
         return _parse_vec3(args.q)
     if args.q_mode == "uniform":
         return uniform_sample(rng, 1)[0]
-    # scan-best: highest squared-trace separation over a random grid
+    # scan-best: highest squared-trace separation over a random grid; the
+    # first maximum is the row a tr2 observation_scan would rank first
     grid = uniform_sample(rng, args.grid)
-    rows = observation_scan(s1, s2, grid, criterion="tr2", alpha=args.alpha)
-    return rows[0].q
+    return unit_point(grid[int(np.argmax(tr2_scores(s1, s2, grid)))])
 
 
 _TEST_HEADER = ["run", "qx", "qy", "qz", "T_xi", "p_xi", "T_d", "p_d",
@@ -269,11 +270,7 @@ def cmd_profile(args) -> int:
     s1, s2 = draw(rng)
     if args.q_extreme is not None:
         grid = uniform_sample(rng, args.grid)
-        # the trace of the operator difference is the difference of the
-        # mean squared distances
-        _, d1 = log_map_coords(grid, unit_points(s1))
-        _, d2 = log_map_coords(grid, unit_points(s2))
-        tr2 = (np.mean(d1 ** 2, axis=1) - np.mean(d2 ** 2, axis=1)) ** 2
+        tr2 = tr2_scores(s1, s2, grid)
         idx = int(np.argmin(tr2)) if args.q_extreme == "min" else int(np.argmax(tr2))
         q = grid[idx]
     elif args.q is not None:

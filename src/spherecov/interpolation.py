@@ -12,9 +12,14 @@ observation points q_j and h is one of
     trln2:  squared affine-invariant distance tr(ln^2(Y)), Y = field(f) C^-1
     lik:    tr(Y) - ln|Y| - 2
 
-The solver is projected gradient descent with an Armijo backtracking line
-search; trdif and lik are convex (trdif always, lik when the pihalf kernel
-matrix B has full rank), trln2 is not and runs multi-start.
+The solver is projected gradient descent with a monotone Armijo
+backtracking line search. Each search starts from the Barzilai-Borwein step
+s.s / s.y of the last accepted move (s the change of the iterate, y the
+change of the gradient; Barzilai & Borwein 1988, Birgin, Martinez & Raydan
+2000), clamped to [1e-10, 1e10]. The first search, and any search after a
+move with s.y <= 0, starts from 1 / (curvature estimate) instead. trdif and
+lik are convex (trdif always, lik when the pihalf kernel matrix B has full
+rank), trln2 is not and runs multi-start.
 
 Everything is evaluated through the symmetric matrices
 M_j^s = (C_j^s)^-1/2 field(f)_j (C_j^s)^-1/2, which are similar to the
@@ -201,6 +206,25 @@ def _whitened_fields(f, kernels: PrecomputedKernels) -> np.ndarray:
     return np.einsum("i,sjia,sjib->sjab", f, kernels.Ut, kernels.Ut)
 
 
+def _pd_eigvalsh(mats):
+    """Eigenvalues of symmetric 2x2 matrices that must be strictly positive.
+
+    Closed form, ascending along the last axis: lam_max = mean + hypot((a -
+    d)/2, b) and lam_min = det / lam_max. Both are accurate to rounding in
+    lam_max, however ill-conditioned the matrix.
+    """
+    a, b, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
+    lam_max = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.stack([(a * d - b * b) / lam_max, lam_max], axis=-1)
+    # a zero lam_max gives a NaN lam_min, which must raise as well
+    if not lam.min() > DEFINITENESS_FLOOR:
+        raise NotPositiveDefiniteError(
+            "a covariance operator of the iterate is singular"
+        )
+    return lam
+
+
 def _pd_eigh(mats):
     """Batched eigendecomposition that insists on strict positivity."""
     w, v = np.linalg.eigh(mats)
@@ -223,8 +247,7 @@ def eval_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None)
     if problem.invariant == "trdif":
         resid = kernels.K.T @ f - kernels.c_tr  # (m, k_obs) broadcast over s
         return float(problem.alpha @ (resid ** 2).sum(axis=1))
-    m = _whitened_fields(f, kernels)
-    lam, _ = _pd_eigh(m)
+    lam = _pd_eigvalsh(_whitened_fields(f, kernels))
     if problem.invariant == "trln2":
         per = (np.log(lam) ** 2).sum(axis=(1, 2))
     else:  # lik
@@ -332,18 +355,28 @@ def _initial_step(problem, kernels, f0) -> float:
 _ARMIJO_C = 1e-4
 _MAX_HALVINGS = 50
 _ROUNDING_FACTOR = 4.0
+_BB_MIN, _BB_MAX = 1e-10, 1e10
+
+
+def _bb_step(s, y, fallback) -> float:
+    """Barzilai-Borwein step s.s / s.y, clamped; fallback when s.y <= 0."""
+    sy = float(s @ y)
+    if sy <= 0.0:
+        return fallback
+    return min(max(float(s @ s) / sy, _BB_MIN), _BB_MAX)
 
 
 def _pgd(problem, kernels, f0, max_iter, tol, record_trace, gradient):
     f = project_to_simplex(np.asarray(f0, dtype=float))
     obj = eval_H(f, problem, kernels)
-    eta0 = _initial_step(problem, kernels, f)
+    g = grad_H(f, problem, kernels, form=gradient)
+    eta_lip = _initial_step(problem, kernels, f)
+    eta0 = eta_lip
     trace = [] if record_trace else None
     iterations = 0
     converged = False
     for it in range(1, max_iter + 1):
         iterations = it
-        g = grad_H(f, problem, kernels, form=gradient)
         pg = _projected_gradient_norm(f, g)
         if pg < tol:
             converged = True
@@ -371,12 +404,16 @@ def _pgd(problem, kernels, f0, max_iter, tol, record_trace, gradient):
             converged = predicted <= _ROUNDING_FACTOR * np.finfo(float).eps * max(1.0, abs(obj))
             break
         step_inf = float(np.max(np.abs(f_new - f)))
-        f, obj = f_new, obj_new
         if record_trace:
-            trace.append((it, obj, eta, pg))
+            trace.append((it, obj_new, eta, pg))
         if step_inf < tol:
+            f, obj = f_new, obj_new
             converged = True
             break
+        # the next search starts from the spectral step of this move
+        g_new = grad_H(f_new, problem, kernels, form=gradient)
+        eta0 = _bb_step(f_new - f, g_new - g, eta_lip)
+        f, obj, g = f_new, obj_new, g_new
     return f, obj, iterations, converged, trace
 
 
@@ -399,6 +436,10 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
           f0=None) -> InterpResult:
     """Minimize the objective over the simplex by projected gradient descent.
 
+    Each Armijo search halves a trial step until H decreases enough. The
+    first trial step is the Barzilai-Borwein step s.s / s.y of the previous
+    accepted move, or 1 / (curvature estimate) on the first iteration and
+    whenever s.y <= 0 (as can happen with the multiplicative direction).
     Stops when the iterate change or the unit-step projected gradient drops
     below tol, or when the line search finds no decrease; the latter counts
     as converged only if the decrease it predicted is below the rounding

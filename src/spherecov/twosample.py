@@ -31,6 +31,7 @@ __all__ = [
     "test_procedure_1",
     "test_procedure_2",
     "observation_scan",
+    "tr2_scores",
     "det_sign_areas",
     "sample_profile",
     "operator_profile",
@@ -86,9 +87,8 @@ def _operator_difference(u1, u2) -> np.ndarray:
         - (np.swapaxes(u2, -1, -2) @ u2) / u2.shape[-2]
 
 
-def _projections(frame: TangentFrame, u1, d1, u2, d2) -> ProjectionData:
-    """ProjectionData from the log images of both samples at one point."""
-    lhat = _operator_difference(u1, u2)
+def _projections(frame: TangentFrame, lhat, u1, d1, u2, d2) -> ProjectionData:
+    """ProjectionData from the operator difference and log images at one point."""
     w, v = _signed_eigh(lhat)
     return ProjectionData(
         frame=frame,
@@ -112,7 +112,8 @@ def projections_at(q, sample1, sample2, frame: TangentFrame | None = None) -> Pr
     q = unit_point(q)
     if frame is None:
         frame = tangent_frame(q)
-    return _projections(frame, *_log_images(q, sample1, sample2, frame))
+    u1, d1, u2, d2 = _log_images(q, sample1, sample2, frame)
+    return _projections(frame, _operator_difference(u1, u2), u1, d1, u2, d2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,20 +206,21 @@ def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
                      alpha: float = 0.05) -> list:
     """Evaluate both procedures at each candidate point; sort by criterion.
 
-    The log images of both samples are computed once for all candidates.
-    criterion "tr2" or "det" sorts rows in decreasing order of that column
-    (stable, so input order breaks ties); "uniform" keeps the input order.
+    The log images of both samples and the operator differences are computed
+    once for all candidates. criterion "tr2" or "det" sorts rows in
+    decreasing order of that column (stable, so input order breaks ties);
+    "uniform" keeps the input order.
     """
     if criterion not in ("tr2", "det", "uniform"):
         raise ValueError(f"unknown scan criterion: {criterion!r}")
-    cands = unit_points(candidates)
-    if len(cands) == 0:
-        raise ValueError("candidate list is empty")
+    cands = _candidates(candidates)
     u1, d1, u2, d2 = _log_images(cands, sample1, sample2)
+    lhats = _operator_difference(u1, u2)
+    tr2 = _tr2(lhats)
     kinds = (True, False) if len(sample1) == len(sample2) else (False,)
     rows = []
     for c, q in enumerate(cands):
-        proj = _projections(tangent_frame(q), u1[c], d1[c], u2[c], d2[c])
+        proj = _projections(tangent_frame(q), lhats[c], u1[c], d1[c], u2[c], d2[c])
         outcomes, errors = {}, []
         # Degenerate candidates (for instance identical samples) keep their
         # criterion columns; the affected test outcomes stay empty.
@@ -227,9 +229,8 @@ def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
                 outcomes[paired] = _rank_procedure(proj, paired, alpha)
             except TooFewPairsError as exc:
                 errors.append(str(exc))
-        tr = float(np.trace(proj.lhat))
         rows.append(ScanRow(
-            q=unit_point(q), tr2=tr * tr, det=float(np.linalg.det(proj.lhat)),
+            q=unit_point(q), tr2=float(tr2[c]), det=float(np.linalg.det(proj.lhat)),
             eigvals=proj.eigvals, paired=outcomes.get(True),
             unpaired=outcomes.get(False), error="; ".join(errors) or None,
         ))
@@ -238,6 +239,30 @@ def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
     key = np.array([getattr(r, criterion) for r in rows])
     order = np.argsort(-key, kind="stable")
     return [rows[i] for i in order]
+
+
+def _candidates(candidates) -> np.ndarray:
+    cands = unit_points(candidates)
+    if len(cands) == 0:
+        raise ValueError("candidate list is empty")
+    return cands
+
+
+def _tr2(lhats) -> np.ndarray:
+    tr = np.trace(lhats, axis1=-2, axis2=-1)
+    return tr * tr
+
+
+def tr2_scores(sample1, sample2, candidates) -> np.ndarray:
+    """Squared trace of the operator difference at each candidate point.
+
+    The same values as observation_scan's tr2 column, in input order, from
+    one batched operator difference and without any rank test; a stable
+    argmax picks the row observation_scan(..., criterion="tr2") ranks first.
+    """
+    cands = _candidates(candidates)
+    u1, _, u2, _ = _log_images(cands, sample1, sample2)
+    return _tr2(_operator_difference(u1, u2))
 
 
 def det_sign_areas(sample1, sample2, grid) -> tuple[float, float]:

@@ -5,7 +5,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spherecov import IterationLimitError, make_problem, random_pmfs, uniform_sample
+from spherecov import (
+    IterationLimitError,
+    make_problem,
+    observation_scan,
+    random_pmfs,
+    tr2_scores,
+    uniform_sample,
+    unit_point,
+    unit_points,
+)
+from spherecov import cli
 from spherecov.cli import main
 from spherecov.io import dump_problem, read_json, read_points, read_table
 
@@ -335,3 +345,18 @@ def test_module_entry_point():
     )
     assert res.returncode == 0
     assert "sample" in res.stdout and "interp" in res.stdout
+
+
+def test_scan_best_q_is_the_top_tr2_scan_row():
+    args = cli.build_parser().parse_args(
+        ["test", "--q-mode", "scan-best", "--grid", "40", "--seed", "0"])
+    for seed in range(6):
+        local = np.random.default_rng(seed)
+        s1 = unit_points(unit_point([0.0, 0.2, 1.0]) + 0.3 * local.normal(size=(25, 3)))
+        s2 = unit_points(unit_point([0.2, 0.0, 1.0]) + 0.4 * local.normal(size=(25, 3)))
+        got = cli._resolve_q(args, np.random.default_rng(100 + seed), s1, s2)
+        grid = uniform_sample(np.random.default_rng(100 + seed), 40)
+        rows = observation_scan(s1, s2, grid, criterion="tr2")
+        npt.assert_array_equal(got, rows[0].q)
+        in_order = observation_scan(s1, s2, grid, criterion="uniform")
+        npt.assert_array_equal(tr2_scores(s1, s2, grid), [r.tr2 for r in in_order])

@@ -9,6 +9,7 @@ from spherecov import (
     CoincidentPointError,
     DimensionMismatchError,
     IterationLimitError,
+    NotPositiveDefiniteError,
     consistency_sweep,
     convexity_probe,
     default_observation_points,
@@ -273,6 +274,79 @@ def test_exhausted_line_search_reports_stationarity(monkeypatch):
 
     assert run(optimum)
     assert not run(0.99 * optimum + 0.01 / prob.k)
+
+
+def test_closed_form_eigenvalues_match_eigvalsh():
+    local = np.random.default_rng(5)
+    n = 400
+    theta = local.uniform(0.0, np.pi, n)
+    rot = np.stack([np.stack([np.cos(theta), -np.sin(theta)], -1),
+                    np.stack([np.sin(theta), np.cos(theta)], -1)], -2)
+    top = 10.0 ** local.uniform(1.0, 3.0, n)
+    for cond in (10.0 ** local.uniform(0.0, 3.0, n),   # generic
+                 np.ones(n),                            # isotropic
+                 10.0 ** local.uniform(6.0, 12.0, n)):  # ill-conditioned
+        diag = np.stack([top / cond, top], -1)
+        mats = np.einsum("nab,nb,ncb->nac", rot, diag, rot)
+        lam = interpolation._pd_eigvalsh(mats)
+        ref = np.linalg.eigvalsh(mats)
+        assert np.all(np.abs(lam - ref) <= 1e-13 * ref[:, 1:])
+    iso = 3.0 * np.eye(2)
+    npt.assert_array_equal(interpolation._pd_eigvalsh(iso), [3.0, 3.0])
+    floor = interpolation.DEFINITENESS_FLOOR
+    for bad in (np.diag([1.0, floor]), np.diag([1.0, -1.0]), np.zeros((2, 2)),
+                -np.eye(2)):
+        with pytest.raises(NotPositiveDefiniteError):
+            interpolation._pd_eigvalsh(np.stack([np.eye(2), bad]))
+    interpolation._pd_eigvalsh(np.diag([1.0, 2.0 * floor]))
+
+
+def _k50_lik_problem():
+    return _admissible_problem(1, "lik", k=50)
+
+
+def test_k50_lik_solve_converges_to_certified_optimum():
+    prob = _k50_lik_problem()
+    kernels = precompute(prob)
+    # at the default tol=1e-9 the step-size stop can end the solve at a gap
+    # of about 2e-6, so the tolerance is tightened to let the gap decide
+    res = solve(prob, kernels, max_iter=2000, tol=1e-12)
+    assert res.converged
+    assert res.iterations < 2000
+    # for the convex lik objective the Frank-Wolfe gap bounds H(f) - min H
+    g = grad_H(res.f_hat, prob, kernels)
+    assert g @ res.f_hat - g.min() <= 1e-6 * max(1.0, abs(res.objective))
+
+
+@pytest.mark.parametrize("case", ["k50-lik", "fixture-trln2"])
+def test_solver_trace_never_increases(case):
+    if case == "k50-lik":
+        prob, kw = _k50_lik_problem(), dict(max_iter=2000)
+    else:
+        prob, solver = load_problem(FIXTURE)
+        kw = dict(max_iter=solver["max_iter"], seed=solver["seed"])
+    res = solve(prob, record_trace=True, **kw)
+    objs = [row[1] for row in res.trace]
+    assert len(objs) > 1
+    assert all(b <= a for a, b in zip(objs, objs[1:]))
+    assert objs[-1] == res.objective
+
+
+# Sweep objectives of the fixture at alpha = (1, 0), (0.5, 0.5), (0, 1),
+# computed with the fixed 1/L first trial step the solver used before the
+# Barzilai-Borwein step; any step rule must reach the same minima.
+FIXTURE_SWEEP_OBJECTIVES = (3.968956429393217e-30, 10.57905578333633, 2.0399449970949683e-29)
+
+
+def test_fixture_sweep_objectives_unchanged():
+    prob, solver = load_problem(FIXTURE)
+    path = [np.array([1.0 - t, t]) for t in (0.0, 0.5, 1.0)]
+    results, _, _ = consistency_sweep(
+        prob, path, max_iter=solver["max_iter"], tol=solver["tol"],
+        restarts=solver["restarts"], seed=solver["seed"])
+    for res, ref in zip(results, FIXTURE_SWEEP_OBJECTIVES):
+        assert res.converged
+        assert abs(res.objective - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_iteration_cap_reports_not_raises():

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from spherecov import TooFewPairsError
+from spherecov import TooFewPairsError, ranktests
 from spherecov.ranktests import (
     midranks,
     rank_sum,
@@ -18,6 +23,33 @@ def test_midranks_with_ties():
     npt.assert_array_equal(midranks([3, 1, 4, 1, 5]), [3.0, 1.5, 4.0, 1.5, 5.0])
     npt.assert_array_equal(midranks([2.0, 2.0, 2.0]), [2.0, 2.0, 2.0])
     npt.assert_array_equal(midranks([10.0]), [1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-4, max_value=4), max_size=60),
+       st.floats(min_value=0.1, max_value=10.0))
+def test_midranks_match_scipy_with_many_ties(values, scale):
+    x = scale * np.asarray(values, dtype=float)
+    npt.assert_array_equal(midranks(x), stats.rankdata(x, method="average"))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, spherecov.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_normal_tail_and_p_values_match_scipy():
+    for z in np.linspace(0.0, 12.0, 481):
+        assert abs(ranktests._norm_sf(z) - stats.norm.sf(z)) <= 1e-15
+    z = rng.normal(0.3, 1.0, size=60)
+    res = signed_rank(z)
+    assert res.method == "normal_approx"
+    ranks = midranks(np.abs(z))
+    var = 60 * 61 * 121 / 24.0 - ranktests._tie_term(ranks) / 48.0
+    zstat = max(abs(res.statistic - 60 * 61 / 4.0) - 0.5, 0.0) / np.sqrt(var)
+    assert abs(res.p_value - 2.0 * stats.norm.sf(zstat)) <= 1e-15
 
 
 def test_signed_rank_all_positive_small():
