@@ -17,9 +17,13 @@ backtracking line search. Each search starts from the Barzilai-Borwein step
 s.s / s.y of the last accepted move (s the change of the iterate, y the
 change of the gradient; Barzilai & Borwein 1988, Birgin, Martinez & Raydan
 2000), clamped to [1e-10, 1e10]. The first search, and any search after a
-move with s.y <= 0, starts from 1 / (curvature estimate) instead. trdif and
-lik are convex (trdif always, lik when the pihalf kernel matrix B has full
-rank), trln2 is not and runs multi-start.
+move with s.y <= 0, starts from 1 / (curvature estimate) instead. For lik,
+whose Hessian is analytic, the move is a projected Newton step instead: the
+search halves the way toward the minimizer over the simplex of the
+quadratic model of H, so k=50 solves take a handful of iterations where
+gradient steps took hundreds to thousands. trdif and lik are convex (trdif
+always, lik when the pihalf kernel matrix B has full rank), trln2 is not
+and runs multi-start.
 
 Everything is evaluated through the symmetric matrices
 M_j^s = (C_j^s)^-1/2 field(f)_j (C_j^s)^-1/2, which are similar to the
@@ -301,7 +305,11 @@ def hessian_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = No
     """Analytic Hessian for trdif (constant) and lik.
 
     trdif: 2 sum_j K_.j K_.j'. lik: sum_s alpha_s sum_j of squared whitened
-    cross projections, a Gram-like positive semidefinite form.
+    cross projections (w_i . w_l)^2 with w = Ut M^-1/2. Each square is the
+    inner product of the symmetric outer products w w', so the Hessian is
+    one Gram matrix P P' with rows (w_1^2, w_2^2, sqrt(2) w_1 w_2) per
+    (s, j), scaled by sqrt(alpha_s); it is positive semidefinite by
+    construction.
     """
     if kernels is None:
         kernels = precompute(problem)
@@ -312,9 +320,12 @@ def hessian_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = No
     f = np.asarray(f, dtype=float)
     m = _whitened_fields(f, kernels)
     lam, vec = _pd_eigh(m)
-    inv = np.einsum("sjab,sjb,sjcb->sjac", vec, 1.0 / lam, vec)
-    cross = np.einsum("sjia,sjab,sjlb->sjil", kernels.Ut, inv, kernels.Ut)
-    return np.einsum("s,sjil->il", problem.alpha, cross ** 2)
+    w = kernels.Ut @ (vec / np.sqrt(lam)[..., None, :])  # (m, k_obs, k, 2)
+    w1, w2 = w[..., 0], w[..., 1]
+    rows = np.stack([w1 * w1, w2 * w2, np.sqrt(2.0) * w1 * w2], axis=-1)
+    rows = rows * np.sqrt(problem.alpha)[:, None, None, None]
+    gram = np.moveaxis(rows, 2, 0).reshape(problem.k, -1)
+    return gram @ gram.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,12 +377,60 @@ def _bb_step(s, y, fallback) -> float:
     return min(max(float(s @ s) / sy, _BB_MIN), _BB_MAX)
 
 
+def _newton_target(f, g, hess):
+    """Minimizer over the simplex of the quadratic model of H around f.
+
+    Primal active-set method on g.(z - f) + (z - f).hess.(z - f) / 2,
+    started from the feasible z = f with its zero coordinates held at the
+    bound. Each pass solves the equality-constrained model on the free
+    coordinates; a negative coordinate blocks the move toward that solution
+    and is bound, and a bound coordinate whose multiplier is negative beyond
+    rounding is freed. Returns None when a reduced system is singular or the
+    pivots do not settle, and the caller takes a gradient step instead.
+    """
+    c = g - hess @ f  # the model's gradient at z is c + hess z
+    slack = 64.0 * np.finfo(float).eps * (np.abs(c).max() + np.abs(hess).max())
+    z = f.copy()
+    free = z > 0.0
+    for _ in range(2 * len(f) + 2):
+        idx = np.flatnonzero(free)
+        n = len(idx)
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = hess[np.ix_(idx, idx)]
+        kkt[:n, n] = kkt[n, :n] = 1.0
+        try:
+            sol = np.linalg.solve(kkt, np.append(-c[idx], 1.0))
+        except np.linalg.LinAlgError:
+            return None
+        target = sol[:n]
+        neg = np.flatnonzero(target < 0.0)
+        if len(neg):
+            # move toward the target until the first coordinate reaches 0
+            zf = z[idx]
+            ratios = zf[neg] / (zf[neg] - target[neg])
+            first = int(np.argmin(ratios))
+            z[idx] = zf + ratios[first] * (target - zf)
+            z[idx[neg[first]]] = 0.0
+            free[idx[neg[first]]] = False
+            continue
+        z = np.zeros_like(f)
+        z[idx] = target
+        mult = c + hess @ z + sol[n]  # bound multipliers, >= 0 at the minimizer
+        mult[idx] = np.inf
+        worst = int(np.argmin(mult))
+        if mult[worst] >= -slack:
+            return z
+        free[worst] = True
+    return None
+
+
 def _pgd(problem, kernels, f0, max_iter, tol, record_trace, gradient):
     f = project_to_simplex(np.asarray(f0, dtype=float))
     obj = eval_H(f, problem, kernels)
     g = grad_H(f, problem, kernels, form=gradient)
     eta_lip = _initial_step(problem, kernels, f)
     eta0 = eta_lip
+    newton = problem.invariant == "lik" and gradient == "chain"
     trace = [] if record_trace else None
     iterations = 0
     converged = False
@@ -382,16 +441,25 @@ def _pgd(problem, kernels, f0, max_iter, tol, record_trace, gradient):
             converged = True
             iterations = it - 1
             break
-        eta = eta0
+        target = _newton_target(f, g, hessian_H(f, problem, kernels)) if newton else None
+        if target is None:
+            def trial(eta, f=f, g=g):
+                return project_to_simplex(f - eta * g)
+            first = eta0
+        else:
+            def trial(eta, f=f, d=target - f):
+                return f + eta * d
+            first = 1.0
+        eta = first
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
-            f_new = project_to_simplex(f - eta * g)
+            f_new = trial(eta)
             try:
                 obj_new = eval_H(f_new, problem, kernels)
             except NotPositiveDefiniteError:
                 eta *= 0.5
                 continue
-            # Armijo sufficient decrease; g'(f - f_new) >= 0 by projection
+            # Armijo sufficient decrease; g'(f - f_new) >= 0 for both moves
             if obj_new <= obj - _ARMIJO_C * float(g @ (f - f_new)):
                 accepted = True
                 break
@@ -400,7 +468,7 @@ def _pgd(problem, kernels, f0, max_iter, tol, record_trace, gradient):
             # No trial step decreased H. That is a stationary point when the
             # decrease the first trial step predicts is below the rounding
             # level of H, and a stalled search otherwise.
-            predicted = float(g @ (f - project_to_simplex(f - eta0 * g)))
+            predicted = float(g @ (f - trial(first)))
             converged = predicted <= _ROUNDING_FACTOR * np.finfo(float).eps * max(1.0, abs(obj))
             break
         step_inf = float(np.max(np.abs(f_new - f)))
@@ -410,7 +478,7 @@ def _pgd(problem, kernels, f0, max_iter, tol, record_trace, gradient):
             f, obj = f_new, obj_new
             converged = True
             break
-        # the next search starts from the spectral step of this move
+        # a gradient search starts from the spectral step of this move
         g_new = grad_H(f_new, problem, kernels, form=gradient)
         eta0 = _bb_step(f_new - f, g_new - g, eta_lip)
         f, obj, g = f_new, obj_new, g_new
@@ -440,6 +508,9 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
     first trial step is the Barzilai-Borwein step s.s / s.y of the previous
     accepted move, or 1 / (curvature estimate) on the first iteration and
     whenever s.y <= 0 (as can happen with the multiplicative direction).
+    lik with the chain gradient moves toward the minimizer over the simplex
+    of the local quadratic model instead (a projected Newton step, full step
+    first), and falls back to the gradient step if that model is singular.
     Stops when the iterate change or the unit-step projected gradient drops
     below tol, or when the line search finds no decrease; the latter counts
     as converged only if the decrease it predicted is below the rounding
