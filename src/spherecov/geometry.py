@@ -24,6 +24,7 @@ __all__ = [
     "unit_point",
     "unit_points",
     "tangent_frame",
+    "tangent_frames",
     "log_map",
     "log_map_coords",
     "exp_map",
@@ -55,14 +56,14 @@ def unit_point(p) -> np.ndarray:
 
 
 def unit_points(points) -> np.ndarray:
-    """Return an (n, 3) array of unit rows, renormalizing each row."""
+    """Return an (n, 3) array, or a stack (..., n, 3), of unit rows, renormalizing each row."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
+    if pts.ndim < 2 or pts.shape[-1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {pts.shape}")
-    norms = np.linalg.norm(pts, axis=1)
+    norms = np.linalg.norm(pts, axis=-1)
     if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
         raise ValueError("cannot normalize zero or non-finite rows")
-    return pts / norms[:, None]
+    return pts / norms[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +107,18 @@ class TangentVec:
         return self.frame.lift(self.u)
 
 
-def _unit_base(q) -> np.ndarray:
-    """One base point (3,) or a batch of them (k, 3), as unit vectors."""
+def _unit_base(q, paired: bool = False) -> np.ndarray:
+    """One base point (3,) or a batch of them (k, 3), as unit vectors.
+
+    A paired batch normalizes each base point as unit_point does, so that its
+    rows equal single-point results bit for bit.
+    """
     q = np.asarray(q, dtype=float)
-    return unit_point(q) if q.ndim == 1 else unit_points(q)
+    if q.ndim == 1:
+        return unit_point(q)
+    if paired:
+        return np.stack([unit_point(p) for p in q])
+    return unit_points(q)
 
 
 def _frame_axes(q):
@@ -131,9 +140,24 @@ def tangent_frame(q) -> TangentFrame:
     return TangentFrame(base=q, e1=e1, e2=e2)
 
 
+def tangent_frames(qs) -> list:
+    """tangent_frame at each row of qs (k, 3), from one batched construction."""
+    qs = _unit_base(qs, paired=True)
+    e1, e2 = _frame_axes(qs)
+    return [TangentFrame(base=q, e1=a, e2=b) for q, a, b in zip(qs, e1, e2)]
+
+
 def _cross_dot(q, pts):
-    """q x p and <q, p> for every base point in q and every row p of pts."""
-    return np.cross(q[..., None, :], pts), q @ pts.T
+    """q x p and <q, p> for every base point in q and every row p of pts.
+
+    pts (n, 3) is shared by every base point; pts (k, n, 3) pairs its k-th
+    set with the k-th base point of q (k, 3).
+    """
+    if pts.ndim == 2:
+        c = q @ pts.T
+    else:
+        c = (q[..., None, :] @ np.swapaxes(pts, -1, -2))[..., 0, :]
+    return np.cross(q[..., None, :], pts), c
 
 
 def geodesic_distances(q, points) -> np.ndarray:
@@ -156,7 +180,9 @@ def log_map_coords(q, points, frame: TangentFrame | None = None):
 
     Args:
         q: base point (3,) or base points (k, 3).
-        points: (n, 3) array of target points.
+        points: (n, 3) array of target points, shared by every base point,
+            or (k, n, 3) with one set per base point (a paired batch, whose
+            k-th row equals the single-point call on q[k] and points[k]).
         frame: frame at a single base point; the deterministic frame is
             built when omitted, and always for a batch.
 
@@ -168,14 +194,15 @@ def log_map_coords(q, points, frame: TangentFrame | None = None):
         AntipodalPointError: if any point is antipodal to its base point
             within tolerance.
     """
-    q = _unit_base(q)
+    points = np.asarray(points, dtype=float)
+    q = _unit_base(q, paired=points.ndim == 3)
     if frame is None:
         e1, e2 = _frame_axes(q)
     elif q.ndim == 1:
         e1, e2 = frame.e1, frame.e2
     else:
         raise ValueError("a frame applies to a single base point only")
-    cross, c = _cross_dot(q, np.asarray(points, dtype=float))
+    cross, c = _cross_dot(q, points)
     if np.any(c <= -1.0 + ANTIPODAL_EPS):
         raise AntipodalPointError("log map undefined at an antipodal point")
     s = np.linalg.norm(cross, axis=-1)

@@ -1,16 +1,26 @@
-"""Wilcoxon signed-rank and rank-sum tests.
+"""Wilcoxon signed-rank and rank-sum tests, batched over leading axes.
 
-Both tests drop exact zeros, use midranks for ties, and report two-sided
-p-values. The signed-rank null distribution is computed exactly (by the
-subset-sum recursion over doubled ranks) up to 25 effective pairs and by a
-tie-corrected normal approximation with continuity correction beyond that.
-The rank-sum test always uses the normal approximation.
+Every test ranks along the last axis, so one call tests all rows of an
+(..., n) array; a 1-D input is a batch with no leading axes. Both tests use
+midranks for ties and report two-sided p-values, and the signed-rank test
+drops exact zeros. The signed-rank null distribution is computed exactly (by
+the subset-sum recursion over doubled ranks) up to 25 effective pairs and by
+a tie-corrected normal approximation with continuity correction beyond that.
+The exact null depends only on the multiset of doubled ranks, so it is cached
+on it: every tie-free row of the same size shares one recursion. The rank-sum
+test always uses the normal approximation.
+
+signed_rank_rows and rank_sum_rows flag rows with too few observations in a
+per-row mask; the scalar signed_rank and rank_sum test one row and raise
+TooFewPairsError for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,10 +29,13 @@ from .errors import TooFewPairsError
 __all__ = [
     "EXACT_LIMIT",
     "RankTestResult",
+    "RankTestBatch",
     "midranks",
     "signed_rank",
+    "signed_rank_rows",
     "signed_rank_exact_cdf",
     "rank_sum",
+    "rank_sum_rows",
 ]
 
 EXACT_LIMIT = 25
@@ -36,17 +49,78 @@ class RankTestResult:
     method: str  # "exact" or "normal_approx"
 
 
+class RankTestBatch(NamedTuple):
+    """Per-row results of one rank test; every array has the batch shape.
+
+    Rows flagged in too_few have no p-value (NaN); error() gives their
+    TooFewPairsError message.
+    """
+
+    statistic: np.ndarray
+    p_value: np.ndarray
+    n_effective: np.ndarray
+    exact: np.ndarray      # True where the exact null distribution was used
+    too_few: np.ndarray
+    message: str           # too-few message, formatted with n = n_effective
+
+    def error(self, idx=()) -> str | None:
+        """The too-few message of one row, or None when the row was tested."""
+        if not self.too_few[idx]:
+            return None
+        return self.message.format(n=int(self.n_effective[idx]))
+
+    def result(self, idx=()) -> RankTestResult:
+        """One row as a RankTestResult; () selects the only row of a 1-D test.
+
+        Raises:
+            TooFewPairsError: the row has too few observations.
+        """
+        err = self.error(idx)
+        if err is not None:
+            raise TooFewPairsError(err)
+        return RankTestResult(
+            float(self.statistic[idx]), float(self.p_value[idx]), int(self.n_effective[idx]),
+            "exact" if self.exact[idx] else "normal_approx",
+        )
+
+
 def midranks(x) -> np.ndarray:
-    """Ranks starting at 1, with tied values sharing their average rank."""
+    """Ranks along the last axis starting at 1, with tied values sharing their average rank.
+
+    One stable argsort per row; each sorted position's tie group runs from
+    the last group start at or before it (running max) to the first group
+    end at or after it (running min from the right).
+    """
     x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    # tie group g spans sorted positions starts[g] .. ends[g] - 1
-    starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
-    ends = np.append(starts[1:], len(x))
-    ranks = np.empty(len(x))
-    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    order = np.argsort(x, axis=-1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=-1)
+    n = x.shape[-1]
+    pos = np.arange(n)
+    starts = np.ones(x.shape, dtype=bool)
+    starts[..., 1:] = xs[..., 1:] != xs[..., :-1]
+    ends = np.ones(x.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=-1)
     return ranks
+
+
+def _tie_sum(ranks: np.ndarray, n):
+    """Sum of t^3 - t over tie groups (t = group size), from midranks 1..n along the last axis.
+
+    A tie group's squared ordinal ranks exceed its squared midranks by
+    t (t^2 - 1) / 12, and the ordinal ranks' squares sum to n(n+1)(2n+1)/6.
+    Midranks are half-integers, so the sums are exact.
+    """
+    return 2 * n * (n + 1) * (2 * n + 1) - 12.0 * np.sum(ranks * ranks, axis=-1)
+
+
+def _tie_term(values):
+    """Sum of t^3 - t over the tie groups of values along the last axis."""
+    values = np.asarray(values, dtype=float)
+    return _tie_sum(midranks(values), values.shape[-1])
 
 
 # Rational approximations of erf and erfc from the Cephes library (S. L.
@@ -95,92 +169,132 @@ def _norm_sf(z: float) -> float:
     return 0.5 * (math.exp(-x * x) * _horner(x, p) / _horner(x, q))
 
 
-def _tie_term(ranks: np.ndarray) -> float:
-    """Sum of t^3 - t over tie groups (t = group size)."""
-    _, counts = np.unique(ranks, return_counts=True)
-    return float(np.sum(counts.astype(float) ** 3 - counts))
+def _rows(mask: np.ndarray) -> list:
+    """Index tuples of the rows set in mask; [()] for a true 0-d mask."""
+    return [tuple(i) for i in np.argwhere(mask)]
 
 
-def _exact_t2_pmf(ranks: np.ndarray) -> np.ndarray:
-    """Null pmf of 2T over doubled ranks (doubled midranks are integers)."""
-    doubled = np.rint(2.0 * ranks).astype(int)
-    total = int(doubled.sum())
+def _two_sided_normal(stat, mean, var, normal) -> np.ndarray:
+    """Continuity-corrected two-sided normal p-values at the rows in mask normal.
+
+    Rows with var <= 0 (all observations tied) get p = 1; every other row
+    takes its tail from _norm_sf, so p-values equal scipy's bit for bit.
+    """
+    positive = var > 0.0
+    zstat = np.maximum(np.abs(stat - mean) - 0.5, 0.0) / np.sqrt(np.where(positive, var, 1.0))
+    p = np.where(normal, 1.0, np.nan)
+    for idx in _rows(normal & positive):
+        p[idx] = min(1.0, 2.0 * _norm_sf(float(zstat[idx])))
+    return p
+
+
+@functools.lru_cache(maxsize=256)
+def _exact_null(doubled: tuple):
+    """Null pmf and CDF of 2T for a sorted tuple of doubled ranks.
+
+    The recursion counts sign patterns in exact integers, so the result does
+    not depend on the order of the ranks. The arrays are shared; read-only.
+    """
+    total = sum(doubled)
     # counts[s] = number of sign patterns whose positive doubled-ranks sum to s
-    counts = np.zeros(total + 1)
-    counts[0] = 1.0
+    counts = np.zeros(total + 1, dtype=np.int64)
+    counts[0] = 1
     for r in doubled:
         counts[r:] += counts[: total + 1 - r].copy()
-    return counts / counts.sum()
+    pmf = counts / counts.sum()
+    cdf = np.cumsum(pmf)
+    pmf.flags.writeable = False
+    cdf.flags.writeable = False
+    return pmf, cdf
+
+
+def _doubled(ranks) -> np.ndarray:
+    """Doubled ranks sorted along the last axis: integers, as midranks are half-integers."""
+    return np.rint(2.0 * np.sort(ranks, axis=-1)).astype(int)
 
 
 def signed_rank_exact_cdf(ranks) -> tuple[np.ndarray, np.ndarray]:
     """Support (in statistic units) and exact null CDF of T for given ranks."""
-    ranks = np.asarray(ranks, dtype=float)
-    pmf = _exact_t2_pmf(ranks)
-    support = np.arange(len(pmf)) / 2.0
-    return support, np.cumsum(pmf)
+    pmf, cdf = _exact_null(tuple(_doubled(np.asarray(ranks, dtype=float)).tolist()))
+    return np.arange(len(pmf)) / 2.0, cdf.copy()
+
+
+# signed_rank and rank_sum call these kernels directly, not through the public
+# *_rows functions, so that a traced one-row test keeps midranks as its first
+# child span (perfbench/tracer.py).
+def _signed_rank_rows(z, min_pairs: int) -> RankTestBatch:
+    z = np.asarray(z, dtype=float)
+    nonzero = z != 0.0
+    zeros = z.shape[-1] - np.count_nonzero(nonzero, axis=-1)
+    n = z.shape[-1] - zeros
+    # Zeros rank first, so a nonzero value's midrank among the nonzero ones is
+    # its full midrank minus the row's zero count (exact for half-integers).
+    ranks = np.where(nonzero, midranks(np.abs(z)) - zeros[..., None], 0.0)
+    t = np.sum(np.where(z > 0.0, ranks, 0.0), axis=-1)
+    too_few = n < min_pairs
+    exact = (n <= EXACT_LIMIT) & ~too_few
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_sum(ranks, n) / 48.0
+    p = _two_sided_normal(t, n * (n + 1) / 4.0, var, ~exact & ~too_few)
+    doubled = _doubled(ranks)  # the zeros' ranks (0) sort first
+    for idx in _rows(exact):
+        pmf, cdf = _exact_null(tuple(doubled[idx][zeros[idx]:].tolist()))
+        t2 = int(round(2.0 * t[idx]))
+        p[idx] = min(1.0, 2.0 * min(float(cdf[t2]), float(pmf[t2:].sum())))
+    return RankTestBatch(t, p, n, exact, too_few,
+                         f"{{n}} nonzero differences, need at least {min_pairs}")
+
+
+def signed_rank_rows(z, min_pairs: int = 5) -> RankTestBatch:
+    """Signed-rank tests of median-zero differences, one per row of z (..., n).
+
+    T is the sum of the |z| ranks at positions where z > 0, after dropping
+    exact zeros. Two-sided p-value: exact when the row's effective sample size
+    is at most EXACT_LIMIT, normal approximation with tie correction and
+    continuity correction otherwise. Rows with fewer than min_pairs nonzero
+    differences are flagged in too_few.
+    """
+    return _signed_rank_rows(z, min_pairs)
 
 
 def signed_rank(z, min_pairs: int = 5) -> RankTestResult:
-    """Signed-rank test of median-zero differences.
-
-    T is the sum of the |z| ranks at positions where z > 0, after dropping
-    exact zeros. Two-sided p-value: exact when the effective sample size is
-    at most 25, normal approximation with tie correction and continuity
-    correction otherwise.
+    """Signed-rank test of one row of differences (see signed_rank_rows).
 
     Raises:
         TooFewPairsError: fewer than min_pairs nonzero differences.
     """
-    z = np.asarray(z, dtype=float)
-    z = z[z != 0.0]
-    n = len(z)
-    if n < min_pairs:
-        raise TooFewPairsError(
-            f"{n} nonzero differences, need at least {min_pairs}"
-        )
-    ranks = midranks(np.abs(z))
-    t = float(ranks[z > 0.0].sum())
-    if n <= EXACT_LIMIT:
-        pmf = _exact_t2_pmf(ranks)
-        t2 = int(round(2.0 * t))
-        cdf = np.cumsum(pmf)
-        p_le = float(cdf[t2])
-        p_ge = float(pmf[t2:].sum())
-        p = min(1.0, 2.0 * min(p_le, p_ge))
-        return RankTestResult(t, p, n, "exact")
-    mean = n * (n + 1) / 4.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(ranks) / 48.0
-    if var <= 0.0:
-        return RankTestResult(t, 1.0, n, "normal_approx")
-    zstat = max(abs(t - mean) - 0.5, 0.0) / np.sqrt(var)
-    p = min(1.0, 2.0 * _norm_sf(zstat))
-    return RankTestResult(t, p, n, "normal_approx")
+    return _signed_rank_rows(np.asarray(z, dtype=float).ravel(), min_pairs).result()
+
+
+def _rank_sum_rows(x, y, min_size: int) -> RankTestBatch:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    m, n = x.shape[-1], y.shape[-1]
+    big_n = m + n
+    ranks = midranks(np.concatenate([x, y], axis=-1))
+    w = np.sum(ranks[..., :m], axis=-1)
+    too_few = np.full(w.shape, m < min_size or n < min_size)
+    var = m * n / 12.0 * ((big_n + 1) - _tie_sum(ranks, big_n) / max(big_n * (big_n - 1), 1))
+    p = _two_sided_normal(w, m * (big_n + 1) / 2.0, var, ~too_few)
+    return RankTestBatch(w, p, np.full(w.shape, big_n), np.zeros(w.shape, dtype=bool), too_few,
+                         f"sample sizes ({m}, {n}), need at least {min_size} each")
+
+
+def rank_sum_rows(x, y, min_size: int = 5) -> RankTestBatch:
+    """Rank-sum tests, one per row pair of x (..., m) and y (..., n).
+
+    W is the sum of the ranks of x in the pooled sample. Two-sided p-value by
+    the normal approximation with tie-corrected variance and continuity
+    correction (used for every sample size). When either sample is smaller
+    than min_size, every row is flagged in too_few.
+    """
+    return _rank_sum_rows(x, y, min_size)
 
 
 def rank_sum(x, y, min_size: int = 5) -> RankTestResult:
-    """Rank-sum test: W = sum of the ranks of x in the pooled sample.
-
-    Two-sided p-value by the normal approximation with tie-corrected
-    variance and continuity correction (used for every sample size).
+    """Rank-sum test of one pair of samples (see rank_sum_rows).
 
     Raises:
         TooFewPairsError: either sample smaller than min_size.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m, n = len(x), len(y)
-    if m < min_size or n < min_size:
-        raise TooFewPairsError(
-            f"sample sizes ({m}, {n}), need at least {min_size} each"
-        )
-    big_n = m + n
-    ranks = midranks(np.concatenate([x, y]))
-    w = float(ranks[:m].sum())
-    mean = m * (big_n + 1) / 2.0
-    var = m * n / 12.0 * ((big_n + 1) - _tie_term(ranks) / (big_n * (big_n - 1)))
-    if var <= 0.0:
-        return RankTestResult(w, 1.0, m + n, "normal_approx")
-    zstat = max(abs(w - mean) - 0.5, 0.0) / np.sqrt(var)
-    p = min(1.0, 2.0 * _norm_sf(zstat))
-    return RankTestResult(w, p, m + n, "normal_approx")
+    return _rank_sum_rows(np.asarray(x, dtype=float).ravel(),
+                          np.asarray(y, dtype=float).ravel(), min_size).result()

@@ -6,10 +6,15 @@ import numpy.testing as npt
 import pytest
 
 from spherecov import (
+    AntipodalPointError,
     IterationLimitError,
+    RingDensity,
+    TooFewPairsError,
     make_problem,
     observation_scan,
     random_pmfs,
+    rejection_sample,
+    rotate_sample,
     tr2_scores,
     uniform_sample,
     unit_point,
@@ -17,7 +22,9 @@ from spherecov import (
 )
 from spherecov import cli
 from spherecov.cli import main
-from spherecov.io import dump_problem, read_json, read_points, read_table
+from spherecov import test_procedure_1 as procedure_1
+from spherecov import test_procedure_2 as procedure_2
+from spherecov.io import dump_problem, fmt_float, read_json, read_points, read_table
 
 FIXTURE = Path(__file__).resolve().parents[1] / "src" / "spherecov" / "fixtures" / "bimodal_k6.json"
 
@@ -166,7 +173,7 @@ def test_scan_identical_samples_records_errors(tmp_path):
     header, rows = read_table(out / "scan.csv")
     for row in rows:
         assert float(row[header.index("tr2")]) == pytest.approx(0.0, abs=1e-20)
-        assert row[header.index("error")] != ""
+        assert row[header.index("error")] == "0 nonzero differences, need at least 5"
         assert row[header.index("T_xi")] == ""
         assert float(row[header.index("pW_d")]) == 1.0
 
@@ -360,3 +367,148 @@ def test_scan_best_q_is_the_top_tr2_scan_row():
         npt.assert_array_equal(got, rows[0].q)
         in_order = observation_scan(s1, s2, grid, criterion="uniform")
         npt.assert_array_equal(tr2_scores(s1, s2, grid), [r.tr2 for r in in_order])
+
+
+# ---------------------------------------------- batched test replications ---
+
+def _expected_runs(argv):
+    """runs.csv rows rebuilt from per-run test_procedure_1/2 calls on the same draws."""
+    args = cli.build_parser().parse_args(argv)
+    if args.sample1 is not None:
+        pair = (read_points(args.sample1), read_points(args.sample2))
+        draw = lambda rng: pair  # noqa: E731
+    else:
+        p1 = RingDensity(a=args.a1, mu=unit_point([0.0, 0.0, 1.0]))
+        p2 = RingDensity(a=args.a2, mu=unit_point([0.0, 0.0, 1.0]))
+        m2 = args.m2 or args.m1
+        draw = lambda rng: (rejection_sample(p1, args.m1, rng),  # noqa: E731
+                            rejection_sample(p2, m2, rng))
+    stochastic = args.sample1 is None or args.q_mode != "fixed"
+    children = np.random.SeedSequence(args.seed).spawn(args.runs) if stochastic else None
+    rows = []
+    for idx in range(args.runs):
+        rng = np.random.default_rng(children[idx]) if stochastic else None
+        s1, s2 = draw(rng)
+        q = cli._resolve_q(args, rng, s1, s2)
+        if args.rotate2 is not None:
+            s2 = rotate_sample(s2, q, args.rotate2)
+        row = [str(idx)] + [fmt_float(v) for v in q]
+        outcomes = [procedure_1(s1, s2, q, alpha=args.alpha) if len(s1) == len(s2) else None,
+                    procedure_2(s1, s2, q, alpha=args.alpha)]
+        for o in outcomes:
+            values = [None] * 4 if o is None else \
+                [o.stat_xi, o.min_p, o.d_test.statistic, o.d_test.p_value]
+            row += ["" if v is None else fmt_float(v) for v in values]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("extra", [
+    ["--q", "0,0,1", "--runs", "130", "--seed", "2"],
+    ["--q-mode", "uniform", "--runs", "70", "--seed", "3"],
+    ["--q-mode", "scan-best", "--grid", "25", "--runs", "66", "--seed", "4"],
+    ["--q", "0.3,0.1,1", "--rotate2", "0.7", "--runs", "65", "--seed", "5"],
+    ["--m2", "13", "--q", "0,0,1", "--runs", "65", "--seed", "6"],
+])
+def test_test_runs_equal_per_run_procedures(tmp_path, extra):
+    argv = ["test", "--a1", "0.2", "--a2", "0.3", "--m1", "18"] + extra
+    out = tmp_path / "t"
+    assert main(argv + ["--out", str(out)]) == 0
+    header, rows = read_table(out / "runs.csv")
+    assert rows == _expected_runs(argv)
+    if "--m2" in extra:
+        assert all(r[header.index("T_xi")] == "" for r in rows)
+
+
+def test_test_file_mode_runs_equal_per_run_procedures(tmp_path):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert main(["sample", "--a", "0.2", "--n", "20", "--seed", "1", "--out", str(d1)]) == 0
+    assert main(["sample", "--a", "0.5", "--n", "20", "--seed", "2", "--out", str(d2)]) == 0
+    files = ["--sample1", str(d1 / "points.csv"), "--sample2", str(d2 / "points.csv")]
+    for extra in (["--q", "0,0,1", "--runs", "3"],
+                  ["--q-mode", "uniform", "--runs", "67", "--seed", "8"]):
+        out = tmp_path / "t"
+        assert main(["test"] + files + extra + ["--out", str(out)]) == 0
+        assert read_table(out / "runs.csv")[1] == _expected_runs(["test"] + files + extra)
+
+
+def test_test_identical_samples_exit_3_at_run_0(tmp_path, capsys):
+    d1 = tmp_path / "a"
+    assert main(["sample", "--a", "0.2", "--n", "20", "--seed", "1", "--out", str(d1)]) == 0
+    pts = str(d1 / "points.csv")
+    for extra in (["--q", "0,0,1", "--runs", "3"],
+                  ["--q-mode", "uniform", "--runs", "70", "--seed", "1"]):
+        code = main(["test", "--sample1", pts, "--sample2", pts] + extra
+                    + ["--out", str(tmp_path / "t")])
+        assert code == 3
+        assert "data error: run 0: 0 nonzero differences, need at least 5" in capsys.readouterr().err
+
+
+def test_test_block_names_the_first_failing_run():
+    local = np.random.default_rng(0)
+    q = unit_point([0.0, 0.0, 1.0])
+
+    def run():
+        return (unit_points(q + 0.3 * local.normal(size=(12, 3))),
+                unit_points(q + 0.4 * local.normal(size=(12, 3))), q)
+
+    drawn = [run() for _ in range(5)]
+    antipodal = drawn[3][0].copy()
+    antipodal[4] = -q
+    drawn[3] = (antipodal, drawn[3][1], q)
+    with pytest.raises(AntipodalPointError, match="^run 13: log map undefined"):
+        cli._test_block(10, drawn, 0.05)
+    # an earlier degenerate run is reported before the antipodal one
+    drawn[1] = (drawn[1][0], drawn[1][0], q)
+    with pytest.raises(TooFewPairsError, match="^run 11: 0 nonzero differences"):
+        cli._test_block(10, drawn, 0.05)
+
+
+def test_test_draw_failure_waits_for_earlier_runs(tmp_path, monkeypatch, capsys):
+    # run 1 fails while it is drawn, but run 0 of the same block fails first
+    d1 = tmp_path / "a"
+    assert main(["sample", "--a", "0.2", "--n", "20", "--seed", "1", "--out", str(d1)]) == 0
+    pts = str(d1 / "points.csv")
+    resolve = cli._resolve_q
+    calls = []
+
+    def failing_second_draw(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise AntipodalPointError("log map undefined at an antipodal point")
+        return resolve(*args)
+
+    monkeypatch.setattr(cli, "_resolve_q", failing_second_draw)
+    code = main(["test", "--sample1", pts, "--sample2", pts, "--q", "0,0,1", "--runs", "3",
+                 "--out", str(tmp_path / "t")])
+    assert code == 3
+    assert "run 0: 0 nonzero differences" in capsys.readouterr().err
+
+
+def test_test_and_scan_manifests_carry_stats(tmp_path):
+    out = tmp_path / "t"
+    assert main(["test", "--a1", "0.2", "--a2", "0.3", "--m1", "30", "--m2", "20",
+                 "--q", "0,0,1", "--runs", "70", "--seed", "1", "--out", str(out)]) == 0
+    stats = read_json(out / "run.json")["stats"]
+    # unequal sizes: three rank-sum tests per run, all by the normal approximation
+    assert stats["rank_tests"] == {"exact": 0, "normal_approx": 3 * 70}
+    assert stats["degenerate_rows"] == 0
+    assert stats["acceptance_rate"] == pytest.approx(70 * 50 / stats["proposals"])
+
+    out = tmp_path / "s"
+    assert main(["scan", "--a1", "0.2", "--a2", "0.3", "--m1", "15", "--grid", "30",
+                 "--seed", "2", "--out", str(out)]) == 0
+    stats = read_json(out / "run.json")["stats"]
+    # m = 15: the signed-rank tests are exact, the rank-sum tests normal
+    assert stats["rank_tests"] == {"exact": 3 * 30, "normal_approx": 3 * 30}
+    assert stats["degenerate_rows"] == 0
+    assert stats["acceptance_rate"] == pytest.approx(30 / stats["proposals"])
+
+    d1 = tmp_path / "pts"
+    assert main(["sample", "--a", "0.3", "--n", "15", "--seed", "8", "--out", str(d1)]) == 0
+    pts = str(d1 / "points.csv")
+    out = tmp_path / "s2"
+    assert main(["scan", "--sample1", pts, "--sample2", pts, "--grid", "4",
+                 "--seed", "2", "--out", str(out)]) == 0
+    stats = read_json(out / "run.json")["stats"]
+    assert stats == {"rank_tests": {"exact": 0, "normal_approx": 3 * 4}, "degenerate_rows": 4}

@@ -18,6 +18,7 @@ from spherecov import (
     rotate_points,
     rotation_about,
     tangent_frame,
+    tangent_frames,
     uniform_sample,
     unit_point,
     unit_points,
@@ -213,3 +214,22 @@ def test_quadratic_form_chart_invariance():
 def test_unit_points_batch():
     pts = unit_points([[2.0, 0.0, 0.0], [0.0, 0.0, -3.0]])
     npt.assert_allclose(pts, [[1, 0, 0], [0, 0, -1]], atol=1e-15)
+
+
+def test_paired_log_map_and_frames_equal_single_point_calls():
+    local = np.random.default_rng(12)
+    qs = local.normal(size=(6, 3)) * local.uniform(0.5, 3.0, size=(6, 1))
+    pts = local.normal(size=(6, 9, 3))
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    u, d = log_map_coords(qs, pts)
+    assert u.shape == (6, 9, 2) and d.shape == (6, 9)
+    for r, frame in enumerate(tangent_frames(qs)):
+        single = tangent_frame(qs[r])
+        for a, b in ((frame.base, single.base), (frame.e1, single.e1), (frame.e2, single.e2)):
+            assert np.array_equal(a, b)
+        u_r, d_r = log_map_coords(qs[r], pts[r])
+        assert np.array_equal(u[r], u_r) and np.array_equal(d[r], d_r)
+    # a stack of point sets normalizes row by row, as unit_points does per set
+    stack = unit_points(3.0 * pts)
+    for r in range(6):
+        assert np.array_equal(stack[r], unit_points(3.0 * pts[r]))

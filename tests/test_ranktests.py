@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from spherecov import TooFewPairsError, ranktests
@@ -186,3 +188,94 @@ def test_rank_sum_all_tied_gives_p_one():
 def test_rank_sum_too_small():
     with pytest.raises(TooFewPairsError):
         rank_sum([1.0, 2.0], [3.0, 4.0, 5.0])
+
+
+# ------------------------------------------------------- batched rank tests ---
+
+def _same_result(batch, idx, ref_call):
+    """A batch row equals the 1-D call bit for bit, or both report the same shortfall."""
+    try:
+        ref = ref_call()
+    except TooFewPairsError as exc:
+        assert batch.too_few[idx]
+        assert batch.error(idx) == str(exc)
+        with pytest.raises(TooFewPairsError, match=re.escape(str(exc))):
+            batch.result(idx)
+        return
+    got = batch.result(idx)
+    assert (got.statistic, got.p_value, got.n_effective, got.method) == \
+        (ref.statistic, ref.p_value, ref.n_effective, ref.method)
+    assert batch.error(idx) is None
+
+
+_ROW_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(float),   # heavy ties and exact zeros
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+def _rows(n_rows, n):
+    return arrays(np.float64, (n_rows, n), elements=_ROW_VALUES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=40),
+       st.data())
+def test_midranks_rows_equal_one_dimensional_calls(n_rows, n, data):
+    x = data.draw(_rows(n_rows, n))
+    ranks = midranks(x)
+    for r in range(n_rows):
+        assert np.array_equal(ranks[r], midranks(x[r]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=1, max_value=8), st.data())
+def test_signed_rank_rows_equal_one_dimensional_calls(n_rows, n, min_pairs, data):
+    z = data.draw(_rows(n_rows, n))
+    batch = ranktests.signed_rank_rows(z, min_pairs=min_pairs)
+    assert batch.statistic.shape == (n_rows,)
+    for r in range(n_rows):
+        _same_result(batch, r, lambda: signed_rank(z[r], min_pairs=min_pairs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=30),
+       st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=8),
+       st.data())
+def test_rank_sum_rows_equal_one_dimensional_calls(n_rows, m, n, min_size, data):
+    x, y = data.draw(_rows(n_rows, m)), data.draw(_rows(n_rows, n))
+    batch = ranktests.rank_sum_rows(x, y, min_size=min_size)
+    for r in range(n_rows):
+        _same_result(batch, r, lambda: rank_sum(x[r], y[r], min_size=min_size))
+
+
+def test_signed_rank_rows_cross_the_exact_limit():
+    # one batch: the zero count moves the effective size from 20 to 32 across
+    # rows, so the exact and the normal path run side by side
+    local = np.random.default_rng(5)
+    z = np.round(local.normal(0.2, 1.0, size=(13, 32)), 1)
+    z[z == 0.0] = 0.05
+    for r in range(13):
+        z[r, : 12 - r] = 0.0
+    batch = ranktests.signed_rank_rows(z)
+    n_eff = batch.n_effective
+    assert list(n_eff) == list(range(20, 33))
+    assert list(batch.exact) == [n <= ranktests.EXACT_LIMIT for n in n_eff]
+    for r in range(13):
+        _same_result(batch, r, lambda: signed_rank(z[r]))
+
+
+def test_exact_null_is_shared_by_tie_free_rows():
+    ranktests._exact_null.cache_clear()
+    z = rng.normal(size=(40, 18))
+    batch = ranktests.signed_rank_rows(z)
+    assert batch.exact.all()
+    info = ranktests._exact_null.cache_info()
+    assert (info.misses, info.hits) == (1, 39)
+    pmf, cdf = ranktests._exact_null(tuple(range(2, 37, 2)))
+    assert not pmf.flags.writeable and not cdf.flags.writeable
+    # the public CDF is a private copy of the cached one
+    support, public_cdf = signed_rank_exact_cdf(np.arange(1.0, 19.0))
+    public_cdf[0] = -1.0
+    assert cdf[0] > 0.0

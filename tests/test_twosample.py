@@ -3,12 +3,15 @@ import numpy.testing as npt
 import pytest
 
 from spherecov import (
+    AntipodalPointError,
     SampleSizeMismatchError,
     TooFewPairsError,
+    batch_procedures,
     det_sign_areas,
     log_map_coords,
     observation_scan,
     operator_profile,
+    paired_projections,
     projections_at,
     sample_profile,
     tangent_frame,
@@ -179,3 +182,88 @@ def test_single_point_profile_shape():
 def test_profile_direction_count_validation():
     with pytest.raises(ValueError):
         sample_profile(Q, S1, n_dirs=2)
+
+
+# --------------------------------------------------------------- batches ---
+
+_PROJECTION_FIELDS = ("lhat", "eigvals", "eigvecs", "xi1", "xi2", "dsq1", "dsq2")
+
+
+def _same_test(got, ref):
+    assert (got.statistic, got.p_value, got.n_effective, got.method) == \
+        (ref.statistic, ref.p_value, ref.n_effective, ref.method)
+
+
+def _same_outcome(got, ref):
+    assert got.kind == ref.kind
+    assert got.stat_xi == ref.stat_xi
+    for a, b in zip(got.components + (got.d_test,), ref.components + (ref.d_test,)):
+        _same_test(a, b)
+
+
+def _pair_stack(n_rows, m1, m2, seed):
+    local = np.random.default_rng(seed)
+    qs = local.normal(size=(n_rows, 3)) * local.uniform(0.5, 2.0, size=(n_rows, 1))
+    s1 = np.stack([_clustered([0.0, 0.2, 1.0], m1, 0.3, seed + 10 + r) for r in range(n_rows)])
+    s2 = np.stack([_clustered([0.2, 0.0, 1.0], m2, 0.4, seed + 50 + r) for r in range(n_rows)])
+    return qs, s1, s2
+
+
+def test_paired_projections_rows_equal_projections_at():
+    qs, s1, s2 = _pair_stack(9, 30, 24, 0)
+    batch = paired_projections(qs, s1, s2)
+    for r in range(9):
+        single = projections_at(qs[r], s1[r], s2[r])
+        for name in _PROJECTION_FIELDS:
+            assert np.array_equal(getattr(batch, name)[r], getattr(single, name)), name
+
+
+def test_batch_procedures_rows_equal_single_procedures():
+    for m1, m2 in ((20, 20), (40, 40), (30, 24)):
+        qs, s1, s2 = _pair_stack(7, m1, m2, m1 + m2)
+        paired, unpaired = batch_procedures(s1, s2, qs, alpha=0.1)
+        assert (paired is None) == (m1 != m2)
+        for r in range(7):
+            _same_outcome(unpaired.outcome(r, projections_at(qs[r], s1[r], s2[r])),
+                          procedure_2(s1[r], s2[r], qs[r], alpha=0.1))
+            assert unpaired.reject[r] == procedure_2(s1[r], s2[r], qs[r], alpha=0.1).reject
+            if paired is not None:
+                ref = procedure_1(s1[r], s2[r], qs[r], alpha=0.1)
+                _same_outcome(paired.outcome(r, projections_at(qs[r], s1[r], s2[r])), ref)
+                assert (paired.stat_xi[r], paired.min_p[r], paired.reject[r]) == \
+                    (ref.stat_xi, ref.min_p, ref.reject)
+
+
+def test_batch_procedures_flag_degenerate_rows():
+    qs, s1, s2 = _pair_stack(4, 15, 15, 3)
+    s2[2] = s1[2]
+    paired, unpaired = batch_procedures(s1, s2, qs)
+    assert list(paired.degenerate) == [False, False, True, False]
+    with pytest.raises(TooFewPairsError) as exc:
+        procedure_1(s1[2], s2[2], qs[2])
+    assert paired.error(2) == str(exc.value)
+    assert paired.error(1) is None
+    assert not unpaired.degenerate.any()
+    s1[3, 0] = -unit_point(qs[3])
+    with pytest.raises(AntipodalPointError):
+        batch_procedures(s1, s2, qs)
+
+
+def test_scan_with_some_degenerate_rows():
+    # Mirroring x -> -x keeps every distance to the pole bit for bit, so at the
+    # pole the paired distance differences all vanish; elsewhere they do not.
+    s2 = S1 * np.array([-1.0, 1.0, 1.0])
+    pole = np.array([0.0, 0.0, 1.0])
+    cands = np.vstack([uniform_sample(np.random.default_rng(8), 3), pole,
+                       uniform_sample(np.random.default_rng(9), 2)])
+    rows = observation_scan(S1, s2, cands, criterion="uniform")
+    with pytest.raises(TooFewPairsError) as exc:
+        procedure_1(S1, s2, pole)
+    assert [r.error for r in rows] == [None] * 3 + [str(exc.value)] + [None] * 2
+    assert rows[3].error == "0 nonzero differences, need at least 5"
+    assert rows[3].paired is None
+    _same_outcome(rows[3].unpaired, procedure_2(S1, s2, pole))
+    for row, q in zip(rows, cands):
+        if row.error is None:
+            _same_outcome(row.paired, procedure_1(S1, s2, q))
+            _same_outcome(row.unpaired, procedure_2(S1, s2, q))
