@@ -28,6 +28,7 @@ from .errors import IterationLimitError, SphereCovError, TooFewPairsError
 from .fields import weight_value
 from .geometry import rotation_about, uniform_sample, unit_point
 from .interpolation import (
+    STOP_REASONS,
     eval_H,
     fractional_anisotropy,
     grad_H,
@@ -389,6 +390,14 @@ def _interp_methods(problem, kernels, result):
     return entries
 
 
+def _solver_stats(results) -> dict:
+    reasons = [r for res in results for r in res.stop_reasons]
+    return {"starts": len(reasons), "starts_failed": reasons.count("singular_start"),
+            "stop_reasons": {r: reasons.count(r) for r in STOP_REASONS},
+            "loop_trips": sum(res.loop_trips for res in results),
+            "objective_rounds": sum(res.objective_rounds for res in results)}
+
+
 def cmd_interp(args) -> int:
     if args.problem is None:
         raise UsageError("--problem is required")
@@ -422,12 +431,12 @@ def cmd_interp(args) -> int:
         ts = np.linspace(0.0, 1.0, args.alpha_steps)
         header = (["alpha", "method", "objective", "mse", "fa", "converged",
                    "iterations"] + [f"f_{i}" for i in range(problem.k)])
-        rows = []
-        prev = None
+        rows, results, prev = [], [], None
         for t in ts:
             sub = problem.with_alpha(np.array([1.0 - t, t]))
             res = solve(sub, kernels, f0=prev, **solve_kw)
             prev = res.f_hat
+            results.append(res)
             for name, f, obj, conv, iters in _interp_methods(sub, kernels, res):
                 rows.append([t, name, obj,
                              mse(f, sub.endpoints, sub.alpha),
@@ -436,6 +445,7 @@ def cmd_interp(args) -> int:
         outputs.append(io.write_table(out / "interp", header, rows, args.format))
     else:
         res = solve(problem, kernels, record_trace=True, **solve_kw)
+        results = [res]
         outputs.append(io.write_result(
             out / "result.json", res,
             extra={"invariant": problem.invariant, "alpha": problem.alpha,
@@ -445,8 +455,8 @@ def cmd_interp(args) -> int:
         outputs.append(io.write_trace(out / "trace", res.trace, args.format))
     params = {"problem": args.problem, "alpha_steps": args.alpha_steps,
               "gradient": args.gradient, "solver": solver, "format": args.format}
-    io.write_run_manifest(out, "interp", params, seed,
-                          [p.name for p in outputs])
+    io.write_run_manifest(out, "interp", params, seed, [p.name for p in outputs],
+                          stats=_solver_stats(results))
     return 0
 
 

@@ -25,6 +25,9 @@ gradient steps took hundreds to thousands. trdif and lik are convex (trdif
 always, lik when the pihalf kernel matrix B has full rank), trln2 is not
 and runs multi-start.
 
+All starts of a solve run as one (R, k) iterate through one loop, by row
+kernels that evaluate every row at once and mask the rows they cannot.
+
 Everything is evaluated through the symmetric matrices
 M_j^s = (C_j^s)^-1/2 field(f)_j (C_j^s)^-1/2, which are similar to the
 Y_j^s above, so logs and inverses stay symmetric in floating point.
@@ -32,6 +35,7 @@ Y_j^s above, so logs and inverses stay symmetric in floating point.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,10 +167,7 @@ class PrecomputedKernels:
     c_tr: np.ndarray     # (m, k_obs) endpoint kernel traces K' f^s
     Ut: np.ndarray | None  # (m, k_obs, k, 2) whitened sqrt-weighted log coords
     trZ: np.ndarray | None  # (m, k_obs, k) traces of the Z matrices
-
-    @property
-    def needs_pd(self) -> bool:
-        return self.Ut is not None
+    UU: np.ndarray | None = None  # (k, m, k_obs, 3) products u0 u0, u0 u1, u1 u1 of Ut
 
 
 def precompute(problem: InterpProblem) -> PrecomputedKernels:
@@ -201,42 +202,107 @@ def precompute(problem: InterpProblem) -> PrecomputedKernels:
     c_inv_sqrt = np.einsum("sjab,sjb,sjcb->sjac", vec, 1.0 / np.sqrt(lam), vec)
     ut = np.sqrt(w)[None, :, :, None] * np.einsum("jia,sjba->sjib", u, c_inv_sqrt)
     tr_z = np.einsum("sjia,sjia->sji", ut, ut)
-    return PrecomputedKernels(A=a, B=b, K=kernel, C=c_ops, c_tr=c_tr, Ut=ut, trZ=tr_z)
+    u0, u1 = ut[..., 0], ut[..., 1]
+    uu = np.ascontiguousarray(np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-1).transpose(2, 0, 1, 3))
+    return PrecomputedKernels(A=a, B=b, K=kernel, C=c_ops, c_tr=c_tr, Ut=ut, trZ=tr_z, UU=uu)
 
 
-def _whitened_fields(f, kernels: PrecomputedKernels) -> np.ndarray:
-    """M_j^s = (C_j^s)^-1/2 field(f)_j (C_j^s)^-1/2, shape (m, k_obs, 2, 2)."""
-    f = np.asarray(f, dtype=float)
-    return np.einsum("i,sjia,sjib->sjab", f, kernels.Ut, kernels.Ut)
+def _field_rows(F, kernels: PrecomputedKernels) -> np.ndarray:
+    """Components (M00, M01, M11) of every M_j^s at each row of F: (n, m, k_obs, 3)."""
+    uu = kernels.UU
+    return (F @ uu.reshape(len(uu), -1)).reshape(len(F), *uu.shape[1:])
+
+
+def _eigvals2(comps):
+    """Closed-form eigenvalues (lam_min, lam_max) of symmetric 2x2 matrices
+    given by their components (a, b, d) on the last axis.
+
+    lam_max = mean + hypot((a - d)/2, b) and lam_min = det / lam_max are both
+    accurate to rounding in lam_max, however ill-conditioned the matrix. A
+    zero lam_max gives a NaN lam_min, which no positivity test passes.
+    """
+    a, b, d = comps[..., 0], comps[..., 1], comps[..., 2]
+    lam_max = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (a * d - b * b) / lam_max, lam_max
+
+
+def _require_pd(ok) -> None:
+    if not np.all(ok):
+        raise NotPositiveDefiniteError("a covariance operator of the iterate is singular")
 
 
 def _pd_eigvalsh(mats):
-    """Eigenvalues of symmetric 2x2 matrices that must be strictly positive.
-
-    Closed form, ascending along the last axis: lam_max = mean + hypot((a -
-    d)/2, b) and lam_min = det / lam_max. Both are accurate to rounding in
-    lam_max, however ill-conditioned the matrix.
-    """
-    a, b, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
-    lam_max = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.stack([(a * d - b * b) / lam_max, lam_max], axis=-1)
-    # a zero lam_max gives a NaN lam_min, which must raise as well
-    if not lam.min() > DEFINITENESS_FLOOR:
-        raise NotPositiveDefiniteError(
-            "a covariance operator of the iterate is singular"
-        )
+    """Ascending eigenvalues of symmetric 2x2 matrices that must be strictly positive."""
+    lam = np.stack(_eigvals2(np.stack([mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]], -1)), -1)
+    _require_pd(lam.min() > DEFINITENESS_FLOOR)
     return lam
 
 
-def _pd_eigh(mats):
-    """Batched eigendecomposition that insists on strict positivity."""
-    w, v = np.linalg.eigh(mats)
-    if w.min() <= DEFINITENESS_FLOOR:
-        raise NotPositiveDefiniteError(
-            "a covariance operator of the iterate is singular"
-        )
-    return w, v
+def _matrix_function(comps, phi):
+    """Components of phi(M) for the (n, m, k_obs) matrices M given by comps, zero
+    on rows where some M is not positive definite, and the mask of the other
+    rows. The top eigenvector lies at angle atan2(2 M01, M00 - M11) / 2."""
+    lam_min, lam_max = _eigvals2(comps)
+    theta = 0.5 * np.arctan2(comps[..., 1], 0.5 * (comps[..., 0] - comps[..., 2]))
+    c, s = np.cos(theta), np.sin(theta)
+    pd = (lam_min > DEFINITENESS_FLOOR).all(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top, low = phi(lam_max), phi(lam_min)
+        out = np.stack([top * c * c + low * s * s, (top - low) * c * s, top * s * s + low * c * c], -1)
+    return np.where(pd[:, None, None, None], out, 0.0), pd
+
+
+def _objective_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
+    """H at each row of F (n, k) and the mask of rows where it is defined."""
+    alpha = problem.alpha
+    if problem.invariant == "trdif":
+        resid = (F @ kernels.K)[:, None, :] - kernels.c_tr  # (n, m, k_obs)
+        return (resid ** 2).sum(axis=2) @ alpha, np.ones(len(F), dtype=bool)
+    lam = _eigvals2(_field_rows(F, kernels))
+    h = (lambda x: np.log(x) ** 2) if problem.invariant == "trln2" else (lambda x: x - np.log(x) - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per = h(lam[0]) + h(lam[1])
+        return per.sum(axis=2) @ alpha, (lam[0] > DEFINITENESS_FLOOR).all(axis=(1, 2))
+
+
+def _gradient_rows(F, problem: InterpProblem, kernels: PrecomputedKernels, form: str):
+    """grad_H at each row of F (n, k) and the mask of rows where it is defined.
+    d tr ln^2(M) = tr(2 ln(M) M^-1 dM), d (tr M - ln|M|) = tr((I - M^-1) dM)."""
+    if form not in ("chain", "multiplicative"):
+        raise ValueError(f"unknown gradient form: {form!r}")
+    alpha = problem.alpha
+    if problem.invariant == "trdif":
+        if form == "multiplicative":
+            raise ValueError("the multiplicative form applies to trln2/lik only")
+        resid = (F @ kernels.K)[:, None, :] - kernels.c_tr
+        return 2.0 * (alpha @ resid) @ kernels.K.T, np.ones(len(F), dtype=bool)
+    phi = {("trln2", "chain"): lambda x: 2.0 * np.log(x) / x,
+           ("lik", "chain"): lambda x: 1.0 - 1.0 / x,
+           ("trln2", "multiplicative"): np.log,
+           ("lik", "multiplicative"): lambda x: x - 1.0}[problem.invariant, form]
+    d, pd = _matrix_function(_field_rows(F, kernels), phi)
+    d = d * [1.0, 2.0, 1.0]  # u'Du counts D01 twice
+    if form == "chain":
+        return np.einsum("nsjc,isjc->ni", alpha[:, None, None] * d, kernels.UU), pd
+    num = np.einsum("nsjc,isjc->nsji", d, kernels.UU)
+    trz = kernels.trZ  # terms with tr(Z) = 0 contribute nothing
+    ratio = np.where(trz > 1e-300, num / np.where(trz > 1e-300, trz, 1.0), 0.0)
+    return F * np.einsum("s,nsji->ni", alpha, ratio), pd
+
+
+def _hessian_rows(F, alpha, kernels: PrecomputedKernels):
+    """lik Hessian at each row of F (n, k), shape (n, k, k), and the mask of
+    rows where it is defined: Gram matrices of the rows (w_1^2, w_2^2,
+    sqrt(2) w_1 w_2) sqrt(alpha_s) per (s, j), with w = M^-1/2 u_i."""
+    root, pd = _matrix_function(_field_rows(F, kernels), lambda x: 1.0 / np.sqrt(x))
+    root = root[..., None, :]  # (n, m, k_obs, 1, 3) against Ut's (m, k_obs, k)
+    u0, u1 = kernels.Ut[..., 0], kernels.Ut[..., 1]  # (m, k_obs, k)
+    w0 = u0 * root[..., 0] + u1 * root[..., 1]
+    w1 = u0 * root[..., 1] + u1 * root[..., 2]
+    rows = np.stack([w0 * w0, w1 * w1, np.sqrt(2.0) * w0 * w1], -1) * np.sqrt(alpha)[:, None, None, None]
+    gram = np.moveaxis(rows, 3, 1).reshape(*F.shape, kernels.UU[0].size)
+    return gram @ gram.transpose(0, 2, 1), pd
 
 
 def eval_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None) -> float:
@@ -247,16 +313,9 @@ def eval_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None)
     """
     if kernels is None:
         kernels = precompute(problem)
-    f = np.asarray(f, dtype=float)
-    if problem.invariant == "trdif":
-        resid = kernels.K.T @ f - kernels.c_tr  # (m, k_obs) broadcast over s
-        return float(problem.alpha @ (resid ** 2).sum(axis=1))
-    lam = _pd_eigvalsh(_whitened_fields(f, kernels))
-    if problem.invariant == "trln2":
-        per = (np.log(lam) ** 2).sum(axis=(1, 2))
-    else:  # lik
-        per = (lam - np.log(lam) - 1.0).sum(axis=(1, 2))
-    return float(problem.alpha @ per)
+    value, ok = _objective_rows(np.asarray(f, dtype=float)[None], problem, kernels)
+    _require_pd(ok)
+    return float(value[0])
 
 
 def grad_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None,
@@ -270,42 +329,16 @@ def grad_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None,
     """
     if kernels is None:
         kernels = precompute(problem)
-    if form not in ("chain", "multiplicative"):
-        raise ValueError(f"unknown gradient form: {form!r}")
-    f = np.asarray(f, dtype=float)
-    if problem.invariant == "trdif":
-        if form == "multiplicative":
-            raise ValueError("the multiplicative form applies to trln2/lik only")
-        resid = kernels.K.T @ f - kernels.c_tr
-        return 2.0 * kernels.K @ (problem.alpha @ resid)
-    m = _whitened_fields(f, kernels)
-    lam, vec = _pd_eigh(m)
-    if form == "chain":
-        if problem.invariant == "trln2":
-            # d tr(ln^2 M) = tr(2 ln(M) M^-1 dM)
-            d = np.einsum("sjab,sjb,sjcb->sjac", vec, 2.0 * np.log(lam) / lam, vec)
-        else:
-            # d (tr M - ln|M|) = tr((I - M^-1) dM)
-            d = np.einsum("sjab,sjb,sjcb->sjac", vec, 1.0 - 1.0 / lam, vec)
-        per = np.einsum("sjia,sjab,sjib->sji", kernels.Ut, d, kernels.Ut)
-        return np.einsum("s,sji->i", problem.alpha, per)
-    # multiplicative rescaling; terms with tr(Z) = 0 contribute nothing
-    if problem.invariant == "trln2":
-        core = np.einsum("sjab,sjb,sjcb->sjac", vec, np.log(lam), vec)
-    else:
-        shifted = lam - 1.0
-        core = np.einsum("sjab,sjb,sjcb->sjac", vec, shifted, vec)
-    num = np.einsum("sjia,sjab,sjib->sji", kernels.Ut, core, kernels.Ut)
-    safe = np.where(kernels.trZ > 1e-300, kernels.trZ, 1.0)
-    ratio = np.where(kernels.trZ > 1e-300, num / safe, 0.0)
-    return f * np.einsum("s,sji->i", problem.alpha, ratio)
+    g, ok = _gradient_rows(np.asarray(f, dtype=float)[None], problem, kernels, form)
+    _require_pd(ok)
+    return g[0]
 
 
 def hessian_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None) -> np.ndarray:
     """Analytic Hessian for trdif (constant) and lik.
 
     trdif: 2 sum_j K_.j K_.j'. lik: sum_s alpha_s sum_j of squared whitened
-    cross projections (w_i . w_l)^2 with w = Ut M^-1/2. Each square is the
+    cross projections (w_i . w_l)^2 with w = M^-1/2 u. Each square is the
     inner product of the symmetric outer products w w', so the Hessian is
     one Gram matrix P P' with rows (w_1^2, w_2^2, sqrt(2) w_1 w_2) per
     (s, j), scaled by sqrt(alpha_s); it is positive semidefinite by
@@ -317,15 +350,12 @@ def hessian_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = No
         return 2.0 * kernels.K @ kernels.K.T
     if problem.invariant != "lik":
         raise ValueError("analytic Hessian available for trdif and lik only")
-    f = np.asarray(f, dtype=float)
-    m = _whitened_fields(f, kernels)
-    lam, vec = _pd_eigh(m)
-    w = kernels.Ut @ (vec / np.sqrt(lam)[..., None, :])  # (m, k_obs, k, 2)
-    w1, w2 = w[..., 0], w[..., 1]
-    rows = np.stack([w1 * w1, w2 * w2, np.sqrt(2.0) * w1 * w2], axis=-1)
-    rows = rows * np.sqrt(problem.alpha)[:, None, None, None]
-    gram = np.moveaxis(rows, 2, 0).reshape(problem.k, -1)
-    return gram @ gram.T
+    h, ok = _hessian_rows(np.asarray(f, dtype=float)[None], problem.alpha, kernels)
+    _require_pd(ok)
+    return h[0]
+
+
+STOP_REASONS = ("pg_tol", "step_tol", "line_search", "max_iter", "singular_start")
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,44 +367,25 @@ class InterpResult:
     restarts_used: int
     restart_objectives: tuple
     trace: list | None  # rows (iteration, objective, step, grad_norm)
+    stop_reasons: tuple = ()   # one of STOP_REASONS per start, in start order
+    loop_trips: int = 0        # trips of the batched solver loop
+    objective_rounds: int = 0  # batched objective evaluations
 
 
-def _projected_gradient_norm(f, g) -> float:
-    return float(np.max(np.abs(f - project_to_simplex(f - g))))
-
-
-def _initial_step(problem, kernels, f0) -> float:
-    """1 / curvature estimate; the line search only ever shrinks it."""
-    try:
-        if problem.invariant == "trdif":
-            h = hessian_H(f0, problem, kernels)
-        else:
-            # lik Hessian shares the kernels and gives the right scale for
-            # trln2 as well
-            lik_like = InterpProblem(
-                domain=problem.domain, obs=problem.obs,
-                endpoints=problem.endpoints, alpha=problem.alpha,
-                invariant="lik", weight=problem.weight,
-            )
-            h = hessian_H(f0, lik_like, kernels)
-        top = float(np.linalg.eigvalsh(h).max())
-        return 1.0 / top if top > 0.0 else 1.0
-    except NotPositiveDefiniteError:
-        return 1.0
+def _initial_step(problem, kernels, f) -> np.ndarray:
+    """1 / curvature estimate at each row of f (one for all rows with trdif);
+    the line search only ever shrinks it. The lik Hessian shares the kernels
+    and gives the right scale for trln2 as well."""
+    trdif = problem.invariant == "trdif"
+    h = hessian_H(None, problem, kernels) if trdif else _hessian_rows(f, problem.alpha, kernels)[0]
+    top = np.linalg.eigvalsh(h)[..., -1]
+    return 1.0 / np.where(top > 0.0, top, 1.0)
 
 
 _ARMIJO_C = 1e-4
 _MAX_HALVINGS = 50
 _ROUNDING_FACTOR = 4.0
 _BB_MIN, _BB_MAX = 1e-10, 1e10
-
-
-def _bb_step(s, y, fallback) -> float:
-    """Barzilai-Borwein step s.s / s.y, clamped; fallback when s.y <= 0."""
-    sy = float(s @ y)
-    if sy <= 0.0:
-        return fallback
-    return min(max(float(s @ s) / sy, _BB_MIN), _BB_MAX)
 
 
 def _newton_target(f, g, hess):
@@ -424,65 +435,113 @@ def _newton_target(f, g, hess):
     return None
 
 
-def _pgd(problem, kernels, f0, max_iter, tol, record_trace, gradient):
-    f = project_to_simplex(np.asarray(f0, dtype=float))
-    obj = eval_H(f, problem, kernels)
-    g = grad_H(f, problem, kernels, form=gradient)
-    eta_lip = _initial_step(problem, kernels, f)
-    eta0 = eta_lip
-    newton = problem.invariant == "lik" and gradient == "chain"
-    trace = [] if record_trace else None
-    iterations = 0
-    converged = False
+def _armijo_search(evaluate, trial, f, g, obj, first, per_round=4):
+    """Monotone Armijo search of every row of f (n, k): row r takes the first
+    step first_r / 2^h, h = 0.._MAX_HALVINGS, whose trial(rows, etas) point is
+    defined and decreases H by at least _ARMIJO_C g.(f - trial). One
+    evaluate(points) -> (H, defined) call per round tests the next per_round
+    halvings of every row still searching, so each row accepts the step a
+    one-at-a-time search would. Returns (accepted, step, point, H, rounds)."""
+    found, eta, f_new, obj_new = np.zeros(len(f), dtype=bool), np.zeros(len(f)), f.copy(), obj.copy()
+    rows = np.arange(len(f))
+    for h0 in range(0, _MAX_HALVINGS + 1, per_round):
+        etas = first[rows, None] * 0.5 ** np.arange(h0, min(h0 + per_round, _MAX_HALVINGS + 1))
+        x = trial(np.repeat(rows, etas.shape[1]), etas.ravel())
+        vals, ok = (a.reshape(etas.shape) for a in evaluate(x))
+        x = x.reshape(*etas.shape, -1)
+        decrease = np.einsum("pk,phk->ph", g[rows], f[rows, None] - x)
+        passed = ok & (vals <= obj[rows, None] - _ARMIJO_C * decrease)
+        hit = passed.any(axis=1)
+        at = (np.flatnonzero(hit), passed.argmax(axis=1)[hit])
+        done = rows[hit]
+        found[done], eta[done], f_new[done], obj_new[done] = True, etas[at], x[at], vals[at]
+        rows = rows[~hit]
+        if not len(rows):
+            break
+    return found, eta, f_new, obj_new, h0 // per_round + 1
+
+
+# per start: last accepted iterate and objective, iterations, converged, an
+# entry of STOP_REASONS and the trace; per batch: loop trips and objective calls
+_Descent = namedtuple("_Descent", "f obj iterations converged reasons traces trips rounds")
+
+
+def _descend(problem, kernels, starts, max_iter, tol, record_trace, gradient) -> _Descent:
+    """Run every start (row of starts) by the rules of solve in one loop; a row
+    leaves it when it stops, or is dropped when it meets a singular operator."""
+    f = project_to_simplex(np.asarray(starts, dtype=float))
+    obj, live = _objective_rows(f, problem, kernels)
+    g, _ = _gradient_rows(f, problem, kernels, gradient)  # defined where obj is
+    eta_lip = np.ones(len(f))
+    eta_lip[live] = _initial_step(problem, kernels, f[live])
+    eta0 = eta_lip.copy()
+    iterations, converged = np.full(len(f), max_iter), np.zeros(len(f), dtype=bool)
+    reasons = np.where(live, "max_iter", "singular_start")
+    traces = [[] for _ in f] if record_trace else None
+    rounds, trips = 1, 0
+
+    def stop(rows, reason, conv, its):
+        reasons[rows], converged[rows], iterations[rows] = reason, conv, its
+
+    act = np.flatnonzero(live)
     for it in range(1, max_iter + 1):
-        iterations = it
-        pg = _projected_gradient_norm(f, g)
-        if pg < tol:
-            converged = True
-            iterations = it - 1
+        if not len(act):
             break
-        target = _newton_target(f, g, hessian_H(f, problem, kernels)) if newton else None
-        if target is None:
-            def trial(eta, f=f, g=g):
-                return project_to_simplex(f - eta * g)
-            first = eta0
-        else:
-            def trial(eta, f=f, d=target - f):
-                return f + eta * d
-            first = 1.0
-        eta = first
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            f_new = trial(eta)
-            try:
-                obj_new = eval_H(f_new, problem, kernels)
-            except NotPositiveDefiniteError:
-                eta *= 0.5
-                continue
-            # Armijo sufficient decrease; g'(f - f_new) >= 0 for both moves
-            if obj_new <= obj - _ARMIJO_C * float(g @ (f - f_new)):
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            # No trial step decreased H. That is a stationary point when the
-            # decrease the first trial step predicts is below the rounding
-            # level of H, and a stalled search otherwise.
-            predicted = float(g @ (f - trial(first)))
-            converged = predicted <= _ROUNDING_FACTOR * np.finfo(float).eps * max(1.0, abs(obj))
+        trips += 1
+        fa, ga, oa = f[act], g[act], obj[act]
+        pg = np.abs(fa - project_to_simplex(fa - ga)).max(axis=1)
+        stop(act[pg < tol], "pg_tol", True, it - 1)
+        keep = pg >= tol
+        act, fa, ga, oa, pg = act[keep], fa[keep], ga[keep], oa[keep], pg[keep]
+        if not len(act):
             break
-        step_inf = float(np.max(np.abs(f_new - f)))
+        first = eta0[act]
+        toward = np.full(len(act), False)
+        if problem.invariant == "lik" and gradient == "chain":
+            move = np.zeros_like(fa)
+            for r, hess in enumerate(_hessian_rows(fa, problem.alpha, kernels)[0]):
+                target = _newton_target(fa[r], ga[r], hess)
+                if target is not None:
+                    toward[r], move[r] = True, target - fa[r]
+            first = np.where(toward, 1.0, first)
+
+        def trial(rows, etas):
+            x = project_to_simplex(fa[rows] - etas[:, None] * ga[rows])
+            sel = toward[rows]
+            if sel.any():
+                x[sel] = fa[rows[sel]] + etas[sel, None] * move[rows[sel]]
+            return x
+
+        found, eta, f_new, obj_new, used = _armijo_search(
+            lambda x: _objective_rows(x, problem, kernels), trial, fa, ga, oa, first)
+        rounds += used
+        if not found.all():
+            # No step decreased H: stationary if the decrease the first trial
+            # step predicts is below the rounding level of H, stalled if not.
+            lost = np.flatnonzero(~found)
+            predicted = np.einsum("pk,pk->p", ga[lost], fa[lost] - trial(lost, first[lost]))
+            level = _ROUNDING_FACTOR * np.finfo(float).eps * np.maximum(1.0, np.abs(oa[lost]))
+            stop(act[lost], "line_search", predicted <= level, it)
+        acc = np.flatnonzero(found)
         if record_trace:
-            trace.append((it, obj_new, eta, pg))
-        if step_inf < tol:
-            f, obj = f_new, obj_new
-            converged = True
-            break
+            for r in acc:
+                traces[act[r]].append((it, float(obj_new[r]), float(eta[r]), float(pg[r])))
+        f[act[acc]], obj[act[acc]] = f_new[acc], obj_new[acc]
+        tiny = np.abs(f_new[acc] - fa[acc]).max(axis=1) < tol
+        stop(act[acc[tiny]], "step_tol", True, it)
+        acc = acc[~tiny]
         # a gradient search starts from the spectral step of this move
-        g_new = grad_H(f_new, problem, kernels, form=gradient)
-        eta0 = _bb_step(f_new - f, g_new - g, eta_lip)
-        f, obj, g = f_new, obj_new, g_new
-    return f, obj, iterations, converged, trace
+        g_new, ok = _gradient_rows(f_new[acc], problem, kernels, gradient)
+        stop(act[acc[~ok]], "singular_start", False, it)
+        acc, g_new = acc[ok], g_new[ok]
+        # Barzilai-Borwein step s.s / s.y, clamped; 1/L where s.y <= 0
+        s_, y = f_new[acc] - fa[acc], g_new - ga[acc]
+        sy = np.einsum("rk,rk->r", s_, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bb = np.clip(np.einsum("rk,rk->r", s_, s_) / sy, _BB_MIN, _BB_MAX)
+        act = act[acc]
+        g[act], eta0[act] = g_new, np.where(sy > 0.0, bb, eta_lip[act])
+    return _Descent(f, obj, iterations, converged, reasons, traces, trips, rounds)
 
 
 def _starts(problem, restarts, rng):
@@ -519,7 +578,8 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
     (default 8 for trln2: linear, square-root and uniform starts plus
     seeded Dirichlet draws; 1 otherwise) merges by best objective with
     start-index tie-breaking. An explicit f0 (a warm start) is prepended
-    to the start list.
+    to the start list. All starts run as one batch; a start that meets a
+    singular operator at its first point or at an accepted one is dropped.
     """
     if kernels is None:
         kernels = precompute(problem)
@@ -530,24 +590,18 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
     rng = np.random.default_rng(seed)
     starts = _starts(problem, restarts, rng)
     if f0 is not None:
-        starts.insert(0, project_to_simplex(np.asarray(f0, dtype=float)))
-
-    def run(start):
-        try:
-            return _pgd(problem, kernels, start, max_iter, tol, record_trace, gradient)
-        except NotPositiveDefiniteError:
-            # a degenerate start is skipped, not fatal
-            return None
-
-    runs = [r for r in map(run, starts) if r is not None]
-    if not runs:
+        starts.insert(0, f0)
+    run = _descend(problem, kernels, starts, max_iter, tol, record_trace, gradient)
+    kept = np.flatnonzero(run.reasons != "singular_start")
+    if not len(kept):
         raise NotPositiveDefiniteError("every start produced a singular operator")
-    objectives = tuple(r[1] for r in runs)
-    best = min(range(len(runs)), key=lambda i: (runs[i][1], i))
-    f_hat, obj, iters, converged, trace = runs[best]
+    best = kept[int(np.argmin(run.obj[kept]))]
     return InterpResult(
-        f_hat=f_hat, objective=obj, iterations=iters, converged=converged,
-        restarts_used=len(starts), restart_objectives=objectives, trace=trace,
+        f_hat=run.f[best], objective=float(run.obj[best]),
+        iterations=int(run.iterations[best]), converged=bool(run.converged[best]),
+        restarts_used=len(starts), restart_objectives=tuple(map(float, run.obj[kept])),
+        trace=run.traces[best] if record_trace else None, stop_reasons=tuple(run.reasons.tolist()),
+        loop_trips=run.trips, objective_rounds=run.rounds,
     )
 
 
@@ -690,29 +744,18 @@ def convexity_probe(problem: InterpProblem, n_points: int = 100,
         kernels = precompute(problem)
     if rng is None:
         rng = np.random.default_rng(0)
+    k, h = problem.k, 1e-5
     if problem.invariant == "trdif":
-        min_eig = float(np.linalg.eigvalsh(hessian_H(None, problem, kernels)).min())
-        return {"min_hessian_eig": min_eig, "convex_certificate": min_eig >= -1e-8}
-    points = random_pmfs(rng, problem.k, n_points)
-    min_eig = np.inf
-    if problem.invariant == "lik":
-        for f in points:
-            w = np.linalg.eigvalsh(hessian_H(f, problem, kernels))
-            min_eig = min(min_eig, float(w.min()))
+        hess, ok = hessian_H(None, problem, kernels), True
+    elif problem.invariant == "lik":
+        hess, ok = _hessian_rows(random_pmfs(rng, k, n_points), problem.alpha, kernels)
     else:
-        basis = _simplex_tangent_basis(problem.k)
-        h = 1e-5
-        for f in points:
-            k = problem.k
-            hess = np.empty((k, k))
-            for i in range(k):
-                e = np.zeros(k)
-                e[i] = h
-                gp = grad_H(f + e, problem, kernels)
-                gm = grad_H(f - e, problem, kernels)
-                hess[:, i] = (gp - gm) / (2.0 * h)
-            hess = 0.5 * (hess + hess.T)
-            proj = basis.T @ hess @ basis
-            w = np.linalg.eigvalsh(proj)
-            min_eig = min(min_eig, float(w.min()))
+        shifted = random_pmfs(rng, k, n_points)[:, None] + np.concatenate([np.eye(k), -np.eye(k)]) * h
+        g, ok = _gradient_rows(shifted.reshape(-1, k), problem, kernels, "chain")
+        g = g.reshape(n_points, 2, k, k)
+        hess = (g[:, 0] - g[:, 1]) / (2.0 * h)
+        basis = _simplex_tangent_basis(k)
+        hess = basis.T @ (0.5 * (hess + hess.transpose(0, 2, 1))) @ basis
+    _require_pd(ok)
+    min_eig = float(np.linalg.eigvalsh(hess).min())
     return {"min_hessian_eig": min_eig, "convex_certificate": min_eig >= -1e-8}

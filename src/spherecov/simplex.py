@@ -8,22 +8,19 @@ __all__ = ["project_to_simplex", "is_pmf", "as_pmf", "random_pmfs"]
 
 
 def project_to_simplex(v) -> np.ndarray:
-    """Euclidean projection of v onto {x : x >= 0, sum x = 1}.
+    """Euclidean projection of v onto {x : x >= 0, sum x = 1}, along the last axis.
 
     Sort-and-threshold algorithm: with u the coordinates sorted in
-    decreasing order, the threshold is tau = (sum of the top rho entries
-    minus 1) / rho, where rho is the largest index with u_rho > tau. The
-    projection is max(v - tau, 0), which sums to 1 by construction.
+    decreasing order, the projection is max(v - tau, 0) with the threshold
+    tau = max_j (u_1 + ... + u_j - 1) / j. The maximum sits at the largest j
+    with u_j > tau, so the projection sums to 1 by construction.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    valid = u - css / idx > 0.0
-    rho = int(idx[valid][-1])
-    tau = css[rho - 1] / rho
+    if v.ndim == 0:
+        raise ValueError("expected a vector or a stack of vectors")
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    tau = (css / np.arange(1, v.shape[-1] + 1)).max(axis=-1, keepdims=True)
     return np.maximum(v - tau, 0.0)
 
 

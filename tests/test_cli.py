@@ -282,6 +282,28 @@ def test_interp_fixture_problem(tmp_path):
     assert f_hat.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_interp_manifest_reports_solver_stats(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["interp", "--problem", str(FIXTURE), "--alpha-steps", "3",
+                 "--out", str(out)]) == 0
+    stats = read_json(out / "run.json")["stats"]
+    # 8 starts at the first alpha point, plus the warm start at the other two
+    assert stats["starts"] == 26
+    assert stats["starts_failed"] == stats["stop_reasons"]["singular_start"] == 0
+    assert sorted(stats["stop_reasons"]) == sorted(
+        ["pg_tol", "step_tol", "line_search", "max_iter", "singular_start"])
+    assert sum(stats["stop_reasons"].values()) == 26
+    # one objective round per start batch, then at least one per loop trip
+    assert stats["objective_rounds"] >= stats["loop_trips"] + 3 > 3
+    # the multiplicative direction runs through the same loop
+    single = tmp_path / "mult"
+    assert main(["interp", "--problem", str(FIXTURE), "--gradient", "multiplicative",
+                 "--restarts", "2", "--out", str(single)]) == 0
+    stats = read_json(single / "run.json")["stats"]
+    assert stats["starts"] == 2
+    assert read_json(single / "result.json")["restarts_used"] == 2
+
+
 def test_interp_gradient_form_mismatch_exits_2(tmp_path):
     ppath = tmp_path / "problem.json"
     _write_trdif_problem(ppath)

@@ -255,22 +255,23 @@ def test_exhausted_line_search_reports_stationarity(monkeypatch):
     prob = _admissible_problem(71, "lik")
     kernels = precompute(prob)
     optimum = solve(prob, kernels, tol=1e-12, max_iter=5000).f_hat
-    exact = interpolation.eval_H
+    exact = interpolation._objective_rows
 
     def run(f0):
         # every evaluation after the start reads 1% high, so no trial step
         # passes the Armijo test and the search is exhausted at once
         calls = []
 
-        def inflated(f, problem, kern=None):
+        def inflated(F, problem, kern):
             calls.append(None)
-            return exact(f, problem, kern) * (1.0 if len(calls) == 1 else 1.01)
+            values, ok = exact(F, problem, kern)
+            return values * (1.0 if len(calls) == 1 else 1.01), ok
 
-        monkeypatch.setattr(interpolation, "eval_H", inflated)
-        _, _, iterations, converged, _ = interpolation._pgd(
-            prob, kernels, f0, 100, 0.0, False, "chain")
-        assert iterations == 1
-        return converged
+        monkeypatch.setattr(interpolation, "_objective_rows", inflated)
+        out = interpolation._descend(prob, kernels, [f0], 100, 0.0, False, "chain")
+        assert out.iterations[0] == 1
+        assert out.reasons.tolist() == ["line_search"]
+        return out.converged[0]
 
     assert run(optimum)
     assert not run(0.99 * optimum + 0.01 / prob.k)
@@ -496,3 +497,101 @@ def test_objective_nonnegative_and_zero_at_endpoints():
         assert eval_H(f, prob) >= 0.0
         one_hot = prob.with_alpha(np.array([0.0, 1.0]))
         assert eval_H(prob.endpoints[1], one_hot) == pytest.approx(0.0, abs=1e-16)
+
+
+def test_singular_start_is_dropped_alone():
+    prob, solver = load_problem(FIXTURE)
+    kernels = precompute(prob)
+    kw = dict(max_iter=solver["max_iter"], tol=solver["tol"], seed=solver["seed"])
+    base = solve(prob, kernels, **kw)
+    point_mass = np.zeros(prob.k)
+    point_mass[0] = 1.0  # rank-1 fields at every observation point
+    res = solve(prob, kernels, f0=point_mass, **kw)
+    assert res.restarts_used == 9
+    assert len(res.restart_objectives) == 8
+    assert res.stop_reasons[0] == "singular_start"
+    assert "singular_start" not in res.stop_reasons[1:]
+    assert res.objective == pytest.approx(base.objective, rel=1e-12)
+    npt.assert_allclose(res.restart_objectives, base.restart_objectives, rtol=1e-12)
+
+
+def test_batch_of_singular_starts_raises(monkeypatch):
+    prob, _ = load_problem(FIXTURE)
+    monkeypatch.setattr(interpolation, "_starts", lambda problem, restarts, rng:
+                        list(np.eye(problem.k)[:restarts]))
+    with pytest.raises(NotPositiveDefiniteError):
+        solve(prob, restarts=3)
+
+
+@pytest.mark.parametrize("case", ["fixture-trln2", "lik-61"])
+def test_batching_leaves_each_start_unchanged(case):
+    if case == "fixture-trln2":
+        prob, solver = load_problem(FIXTURE)
+        kw = dict(max_iter=solver["max_iter"], tol=solver["tol"])
+        starts = interpolation._starts(prob, solver["restarts"],
+                                       np.random.default_rng(solver["seed"]))
+    else:
+        prob, kw = _admissible_problem(61, "lik"), dict(max_iter=500, tol=1e-9)
+        starts = interpolation._starts(prob, 3, np.random.default_rng(0))
+    kernels = precompute(prob)
+
+    def descend(rows):
+        return interpolation._descend(prob, kernels, rows, kw["max_iter"], kw["tol"],
+                                      False, "chain")
+
+    batch = descend(starts)
+    assert len(batch.obj) == len(starts) > 1
+    for i, start in enumerate(starts):
+        alone = descend([start])
+        assert alone.obj[0] == pytest.approx(batch.obj[i], rel=1e-12, abs=0.0)
+        assert alone.converged[0] == batch.converged[i]
+
+
+def test_rounds_of_halvings_accept_the_sequential_step():
+    # Row r's trial point is (r, eta); it passes at eta <= 2^-h_r, and row 4
+    # never does. Row 5 is singular above its step and passes at halving 5.
+    passing = np.array([0, 3, 5, 9, -1, 5])
+    threshold = np.where(passing >= 0, 0.5 ** passing, 0.0)
+    f = np.stack([np.arange(6.0), np.zeros(6)], axis=1)
+    g = np.tile([0.0, -1.0], (6, 1))
+    obj = np.zeros(6)
+
+    def trial(rows, etas):
+        return f[rows] - etas[:, None] * g[rows]
+
+    def evaluate(x):
+        row, eta = x[:, 0].astype(int), x[:, 1]
+        ok = (row != 5) | (eta <= threshold[5])
+        return np.where(eta <= threshold[row], -1.0, 1.0), ok
+
+    results = {n: interpolation._armijo_search(evaluate, trial, f, g, obj, np.ones(6), per_round=n)
+               for n in (1, 4)}
+    for found, eta, f_new, obj_new, _ in results.values():
+        npt.assert_array_equal(found, passing >= 0)
+        npt.assert_array_equal(eta[found], threshold[found])
+        npt.assert_array_equal(f_new[found], trial(np.flatnonzero(found), eta[found]))
+        npt.assert_array_equal(obj_new, np.where(found, -1.0, 0.0))
+    # the exhausted row tries every one of the 51 halvings, four per round
+    assert results[1][4] == interpolation._MAX_HALVINGS + 1
+    assert results[4][4] == 13
+
+
+def test_row_kernels_match_eigh_reference():
+    # the closed-form 2x2 matrix functions against the eigh construction
+    for invariant in ("trln2", "lik"):
+        prob = _admissible_problem(151, invariant)
+        kern = precompute(prob)
+        points = random_pmfs(np.random.default_rng(152), prob.k, 4)
+        grads, ok = interpolation._gradient_rows(points, prob, kern, "chain")
+        assert ok.all()
+        for f, got in zip(points, grads):
+            lam, vec = np.linalg.eigh(np.einsum("i,sjia,sjib->sjab", f, kern.Ut, kern.Ut))
+            phi = 2.0 * np.log(lam) / lam if invariant == "trln2" else 1.0 - 1.0 / lam
+            d = np.einsum("sjab,sjb,sjcb->sjac", vec, phi, vec)
+            ref = np.einsum("s,sjia,sjab,sjib->i", prob.alpha, kern.Ut, d, kern.Ut)
+            npt.assert_allclose(got, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+            if invariant == "lik":
+                w = kern.Ut @ (vec / np.sqrt(lam)[..., None, :])
+                cross = np.einsum("sjia,sjla->sjil", w, w) ** 2
+                ref_h = np.einsum("s,sjil->il", prob.alpha, cross)
+                npt.assert_allclose(hessian_H(f, prob, kern), ref_h, rtol=1e-10)

@@ -55,6 +55,15 @@ def test_projection_known_value():
                         [1.0, 0.0, 0.0], atol=1e-15)
 
 
+def test_projection_of_a_stack_matches_each_vector():
+    stack = rng.normal(scale=2.0, size=(4, 5, 7))
+    got = project_to_simplex(stack)
+    for idx in np.ndindex(stack.shape[:-1]):
+        npt.assert_array_equal(got[idx], project_to_simplex(stack[idx]))
+    with pytest.raises(ValueError):
+        project_to_simplex(1.0)
+
+
 def test_is_pmf():
     assert is_pmf([0.5, 0.5])
     assert not is_pmf([0.5, 0.6])
