@@ -29,6 +29,7 @@ from .fields import weight_value
 from .geometry import rotation_about, uniform_sample, unit_point
 from .interpolation import (
     STOP_REASONS,
+    consistency_sweep,
     eval_H,
     fractional_anisotropy,
     grad_H,
@@ -44,6 +45,7 @@ from .sampling import RingDensity, rejection_sample, rotate_sample
 from .simplex import random_pmfs
 from .spd import h_lik, h_lnpr, h_trdif, h_trln2
 from .twosample import (
+    _tr2,
     batch_procedures,
     det_sign_areas,
     observation_scan,
@@ -362,7 +364,7 @@ def cmd_profile(args) -> int:
                                rows, args.format)
     summary = {
         "q": q, "q_mode": args.q_extreme or "fixed", "dirs": args.dirs,
-        "tr2": float(np.trace(proj.lhat) ** 2),
+        "tr2": float(_tr2(proj.lhat)),
         "eigvals": proj.eigvals,
     }
     summary_path = io.write_json(out / "summary.json", summary)
@@ -419,8 +421,7 @@ def cmd_interp(args) -> int:
         )
         return 3
     solve_kw = dict(max_iter=solver["max_iter"], tol=solver["tol"],
-                    restarts=solver["restarts"], seed=seed,
-                    gradient=args.gradient)
+                    restarts=solver["restarts"], seed=seed)
     out = _out_dir(args)
     outputs = []
     if args.alpha_steps is not None:
@@ -431,12 +432,11 @@ def cmd_interp(args) -> int:
         ts = np.linspace(0.0, 1.0, args.alpha_steps)
         header = (["alpha", "method", "objective", "mse", "fa", "converged",
                    "iterations"] + [f"f_{i}" for i in range(problem.k)])
-        rows, results, prev = [], [], None
-        for t in ts:
-            sub = problem.with_alpha(np.array([1.0 - t, t]))
-            res = solve(sub, kernels, f0=prev, **solve_kw)
-            prev = res.f_hat
-            results.append(res)
+        path = [np.array([1.0 - t, t]) for t in ts]
+        results, _, _ = consistency_sweep(problem, path, kernels, **solve_kw)
+        rows = []
+        for t, alpha, res in zip(ts, path, results):
+            sub = problem.with_alpha(alpha)
             for name, f, obj, conv, iters in _interp_methods(sub, kernels, res):
                 rows.append([t, name, obj,
                              mse(f, sub.endpoints, sub.alpha),
@@ -454,7 +454,7 @@ def cmd_interp(args) -> int:
         ))
         outputs.append(io.write_trace(out / "trace", res.trace, args.format))
     params = {"problem": args.problem, "alpha_steps": args.alpha_steps,
-              "gradient": args.gradient, "solver": solver, "format": args.format}
+              "solver": solver, "format": args.format}
     io.write_run_manifest(out, "interp", params, seed, [p.name for p in outputs],
                           stats=_solver_stats(results))
     return 0
@@ -641,8 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, help="problem JSON path")
     p.add_argument("--alpha-steps", type=int, default=None,
                    help="sweep this many alpha values over [0, 1]")
-    p.add_argument("--gradient", choices=("chain", "multiplicative"),
-                   default="chain")
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--restarts", type=int, default=None)

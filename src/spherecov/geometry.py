@@ -49,10 +49,7 @@ def unit_point(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {p.shape}")
-    n = np.linalg.norm(p)
-    if n == 0.0 or not np.isfinite(n):
-        raise ValueError("cannot normalize a zero or non-finite vector")
-    return p / n
+    return unit_points(p[None, :])[0]
 
 
 def unit_points(points) -> np.ndarray:
@@ -107,18 +104,10 @@ class TangentVec:
         return self.frame.lift(self.u)
 
 
-def _unit_base(q, paired: bool = False) -> np.ndarray:
-    """One base point (3,) or a batch of them (k, 3), as unit vectors.
-
-    A paired batch normalizes each base point as unit_point does, so that its
-    rows equal single-point results bit for bit.
-    """
+def _unit_base(q) -> np.ndarray:
+    """One base point (3,) or a batch of them (k, 3), as unit vectors."""
     q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        return unit_point(q)
-    if paired:
-        return np.stack([unit_point(p) for p in q])
-    return unit_points(q)
+    return unit_point(q) if q.ndim == 1 else unit_points(q)
 
 
 def _frame_axes(q):
@@ -142,7 +131,7 @@ def tangent_frame(q) -> TangentFrame:
 
 def tangent_frames(qs) -> list:
     """tangent_frame at each row of qs (k, 3), from one batched construction."""
-    qs = _unit_base(qs, paired=True)
+    qs = unit_points(qs)
     e1, e2 = _frame_axes(qs)
     return [TangentFrame(base=q, e1=a, e2=b) for q, a, b in zip(qs, e1, e2)]
 
@@ -151,12 +140,11 @@ def _cross_dot(q, pts):
     """q x p and <q, p> for every base point in q and every row p of pts.
 
     pts (n, 3) is shared by every base point; pts (k, n, 3) pairs its k-th
-    set with the k-th base point of q (k, 3).
+    set with the k-th base point of q (k, 3). Each <q, p> row is its own
+    (1, 3) @ (3, n) product, which gives the bits of the single-point call;
+    one (k, 3) @ (3, n) product would round differently in some rows.
     """
-    if pts.ndim == 2:
-        c = q @ pts.T
-    else:
-        c = (q[..., None, :] @ np.swapaxes(pts, -1, -2))[..., 0, :]
+    c = (q[..., None, :] @ np.swapaxes(pts, -1, -2))[..., 0, :]
     return np.cross(q[..., None, :], pts), c
 
 
@@ -195,7 +183,7 @@ def log_map_coords(q, points, frame: TangentFrame | None = None):
             within tolerance.
     """
     points = np.asarray(points, dtype=float)
-    q = _unit_base(q, paired=points.ndim == 3)
+    q = _unit_base(q)
     if frame is None:
         e1, e2 = _frame_axes(q)
     elif q.ndim == 1:

@@ -12,8 +12,9 @@ observation points q_j and h is one of
     trln2:  squared affine-invariant distance tr(ln^2(Y)), Y = field(f) C^-1
     lik:    tr(Y) - ln|Y| - 2
 
-The solver is projected gradient descent with a monotone Armijo
-backtracking line search. Each search starts from the Barzilai-Borwein step
+The solver is projected gradient descent on the exact gradient of H (the
+chain rule through the fields, grad_H) with a monotone Armijo backtracking
+line search. Each search starts from the Barzilai-Borwein step
 s.s / s.y of the last accepted move (s the change of the iterate, y the
 change of the gradient; Barzilai & Borwein 1988, Birgin, Martinez & Raydan
 2000), clamped to [1e-10, 1e10]. The first search, and any search after a
@@ -166,7 +167,6 @@ class PrecomputedKernels:
     C: np.ndarray        # (m, k_obs, 2, 2) endpoint operators
     c_tr: np.ndarray     # (m, k_obs) endpoint kernel traces K' f^s
     Ut: np.ndarray | None  # (m, k_obs, k, 2) whitened sqrt-weighted log coords
-    trZ: np.ndarray | None  # (m, k_obs, k) traces of the Z matrices
     UU: np.ndarray | None = None  # (k, m, k_obs, 3) products u0 u0, u0 u1, u1 u1 of Ut
 
 
@@ -186,7 +186,7 @@ def precompute(problem: InterpProblem) -> PrecomputedKernels:
 
     if problem.invariant == "trdif":
         return PrecomputedKernels(A=a, B=b, K=kernel, C=np.empty((0, k_obs, 2, 2)),
-                                  c_tr=c_tr, Ut=None, trZ=None)
+                                  c_tr=c_tr, Ut=None)
 
     w = weight_value(problem.weight, dists.T)  # (k_obs, k)
     u, _ = log_map_coords(problem.obs, problem.domain)  # (k_obs, k, 2)
@@ -201,10 +201,9 @@ def precompute(problem: InterpProblem) -> PrecomputedKernels:
         )
     c_inv_sqrt = np.einsum("sjab,sjb,sjcb->sjac", vec, 1.0 / np.sqrt(lam), vec)
     ut = np.sqrt(w)[None, :, :, None] * np.einsum("jia,sjba->sjib", u, c_inv_sqrt)
-    tr_z = np.einsum("sjia,sjia->sji", ut, ut)
     u0, u1 = ut[..., 0], ut[..., 1]
     uu = np.ascontiguousarray(np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-1).transpose(2, 0, 1, 3))
-    return PrecomputedKernels(A=a, B=b, K=kernel, C=c_ops, c_tr=c_tr, Ut=ut, trZ=tr_z, UU=uu)
+    return PrecomputedKernels(A=a, B=b, K=kernel, C=c_ops, c_tr=c_tr, Ut=ut, UU=uu)
 
 
 def _field_rows(F, kernels: PrecomputedKernels) -> np.ndarray:
@@ -230,13 +229,6 @@ def _eigvals2(comps):
 def _require_pd(ok) -> None:
     if not np.all(ok):
         raise NotPositiveDefiniteError("a covariance operator of the iterate is singular")
-
-
-def _pd_eigvalsh(mats):
-    """Ascending eigenvalues of symmetric 2x2 matrices that must be strictly positive."""
-    lam = np.stack(_eigvals2(np.stack([mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]], -1)), -1)
-    _require_pd(lam.min() > DEFINITENESS_FLOOR)
-    return lam
 
 
 def _matrix_function(comps, phi):
@@ -266,29 +258,17 @@ def _objective_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
         return per.sum(axis=2) @ alpha, (lam[0] > DEFINITENESS_FLOOR).all(axis=(1, 2))
 
 
-def _gradient_rows(F, problem: InterpProblem, kernels: PrecomputedKernels, form: str):
+def _gradient_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
     """grad_H at each row of F (n, k) and the mask of rows where it is defined.
     d tr ln^2(M) = tr(2 ln(M) M^-1 dM), d (tr M - ln|M|) = tr((I - M^-1) dM)."""
-    if form not in ("chain", "multiplicative"):
-        raise ValueError(f"unknown gradient form: {form!r}")
     alpha = problem.alpha
     if problem.invariant == "trdif":
-        if form == "multiplicative":
-            raise ValueError("the multiplicative form applies to trln2/lik only")
         resid = (F @ kernels.K)[:, None, :] - kernels.c_tr
         return 2.0 * (alpha @ resid) @ kernels.K.T, np.ones(len(F), dtype=bool)
-    phi = {("trln2", "chain"): lambda x: 2.0 * np.log(x) / x,
-           ("lik", "chain"): lambda x: 1.0 - 1.0 / x,
-           ("trln2", "multiplicative"): np.log,
-           ("lik", "multiplicative"): lambda x: x - 1.0}[problem.invariant, form]
+    phi = (lambda x: 2.0 * np.log(x) / x) if problem.invariant == "trln2" else (lambda x: 1.0 - 1.0 / x)
     d, pd = _matrix_function(_field_rows(F, kernels), phi)
     d = d * [1.0, 2.0, 1.0]  # u'Du counts D01 twice
-    if form == "chain":
-        return np.einsum("nsjc,isjc->ni", alpha[:, None, None] * d, kernels.UU), pd
-    num = np.einsum("nsjc,isjc->nsji", d, kernels.UU)
-    trz = kernels.trZ  # terms with tr(Z) = 0 contribute nothing
-    ratio = np.where(trz > 1e-300, num / np.where(trz > 1e-300, trz, 1.0), 0.0)
-    return F * np.einsum("s,nsji->ni", alpha, ratio), pd
+    return np.einsum("nsjc,isjc->ni", alpha[:, None, None] * d, kernels.UU), pd
 
 
 def _hessian_rows(F, alpha, kernels: PrecomputedKernels):
@@ -318,18 +298,17 @@ def eval_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None)
     return float(value[0])
 
 
-def grad_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None,
-           form: str = "chain") -> np.ndarray:
-    """Gradient of the objective at f.
+def grad_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None) -> np.ndarray:
+    """Euclidean gradient of eval_H at f, by the chain rule through the
+    operator fields (the one checked against finite differences and used by
+    the solver).
 
-    form "chain" is the exact Euclidean gradient of eval_H (the one checked
-    against finite differences and used by the solver). form
-    "multiplicative" is the rescaled update direction with the extra f_i and
-    1/tr(Z) factors (trln2/lik only); it is not the derivative of eval_H.
+    Raises:
+        NotPositiveDefiniteError: trln2/lik with a singular operator at f.
     """
     if kernels is None:
         kernels = precompute(problem)
-    g, ok = _gradient_rows(np.asarray(f, dtype=float)[None], problem, kernels, form)
+    g, ok = _gradient_rows(np.asarray(f, dtype=float)[None], problem, kernels)
     _require_pd(ok)
     return g[0]
 
@@ -466,12 +445,12 @@ def _armijo_search(evaluate, trial, f, g, obj, first, per_round=4):
 _Descent = namedtuple("_Descent", "f obj iterations converged reasons traces trips rounds")
 
 
-def _descend(problem, kernels, starts, max_iter, tol, record_trace, gradient) -> _Descent:
+def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
     """Run every start (row of starts) by the rules of solve in one loop; a row
     leaves it when it stops, or is dropped when it meets a singular operator."""
     f = project_to_simplex(np.asarray(starts, dtype=float))
     obj, live = _objective_rows(f, problem, kernels)
-    g, _ = _gradient_rows(f, problem, kernels, gradient)  # defined where obj is
+    g, _ = _gradient_rows(f, problem, kernels)  # defined where obj is
     eta_lip = np.ones(len(f))
     eta_lip[live] = _initial_step(problem, kernels, f[live])
     eta0 = eta_lip.copy()
@@ -497,7 +476,7 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace, gradient) ->
             break
         first = eta0[act]
         toward = np.full(len(act), False)
-        if problem.invariant == "lik" and gradient == "chain":
+        if problem.invariant == "lik":
             move = np.zeros_like(fa)
             for r, hess in enumerate(_hessian_rows(fa, problem.alpha, kernels)[0]):
                 target = _newton_target(fa[r], ga[r], hess)
@@ -531,7 +510,7 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace, gradient) ->
         stop(act[acc[tiny]], "step_tol", True, it)
         acc = acc[~tiny]
         # a gradient search starts from the spectral step of this move
-        g_new, ok = _gradient_rows(f_new[acc], problem, kernels, gradient)
+        g_new, ok = _gradient_rows(f_new[acc], problem, kernels)
         stop(act[acc[~ok]], "singular_start", False, it)
         acc, g_new = acc[ok], g_new[ok]
         # Barzilai-Borwein step s.s / s.y, clamped; 1/L where s.y <= 0
@@ -559,15 +538,15 @@ def _starts(problem, restarts, rng):
 
 def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
           max_iter: int = 500, tol: float = 1e-9, restarts: int | None = None,
-          seed: int = 0, gradient: str = "chain", record_trace: bool = False,
+          seed: int = 0, record_trace: bool = False,
           f0=None) -> InterpResult:
     """Minimize the objective over the simplex by projected gradient descent.
 
     Each Armijo search halves a trial step until H decreases enough. The
     first trial step is the Barzilai-Borwein step s.s / s.y of the previous
     accepted move, or 1 / (curvature estimate) on the first iteration and
-    whenever s.y <= 0 (as can happen with the multiplicative direction).
-    lik with the chain gradient moves toward the minimizer over the simplex
+    whenever s.y <= 0 (a move without positive curvature, which the
+    nonconvex trln2 allows). lik moves toward the minimizer over the simplex
     of the local quadratic model instead (a projected Newton step, full step
     first), and falls back to the gradient step if that model is singular.
     Stops when the iterate change or the unit-step projected gradient drops
@@ -591,7 +570,7 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
     starts = _starts(problem, restarts, rng)
     if f0 is not None:
         starts.insert(0, f0)
-    run = _descend(problem, kernels, starts, max_iter, tol, record_trace, gradient)
+    run = _descend(problem, kernels, starts, max_iter, tol, record_trace)
     kept = np.flatnonzero(run.reasons != "singular_start")
     if not len(kept):
         raise NotPositiveDefiniteError("every start produced a singular operator")
@@ -751,7 +730,7 @@ def convexity_probe(problem: InterpProblem, n_points: int = 100,
         hess, ok = _hessian_rows(random_pmfs(rng, k, n_points), problem.alpha, kernels)
     else:
         shifted = random_pmfs(rng, k, n_points)[:, None] + np.concatenate([np.eye(k), -np.eye(k)]) * h
-        g, ok = _gradient_rows(shifted.reshape(-1, k), problem, kernels, "chain")
+        g, ok = _gradient_rows(shifted.reshape(-1, k), problem, kernels)
         g = g.reshape(n_points, 2, k, k)
         hess = (g[:, 0] - g[:, 1]) / (2.0 * h)
         basis = _simplex_tangent_basis(k)

@@ -195,8 +195,6 @@ def write_trace(base, trace, fmt: str = "csv") -> Path:
 
 def write_run_manifest(out_dir, command: str, params: dict, seed, outputs: list,
                        stats: dict | None = None) -> Path:
-    import scipy
-
     from . import __version__
 
     manifest = {
@@ -206,7 +204,6 @@ def write_run_manifest(out_dir, command: str, params: dict, seed, outputs: list,
         "versions": {
             "spherecov": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
         },
         "outputs": sorted(str(o) for o in outputs),

@@ -117,12 +117,6 @@ def _tie_sum(ranks: np.ndarray, n):
     return 2 * n * (n + 1) * (2 * n + 1) - 12.0 * np.sum(ranks * ranks, axis=-1)
 
 
-def _tie_term(values):
-    """Sum of t^3 - t over the tie groups of values along the last axis."""
-    values = np.asarray(values, dtype=float)
-    return _tie_sum(midranks(values), values.shape[-1])
-
-
 # Rational approximations of erf and erfc from the Cephes library (S. L.
 # Moshier, ndtr.c), the ones scipy.special.ndtr evaluates. The stdlib
 # math.erfc differs from them by up to 1.5e-16, and the rank tests promise

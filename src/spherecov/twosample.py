@@ -138,7 +138,7 @@ def paired_projections(qs, samples1, samples2) -> ProjectionData:
     samples1 (R, m1, 3) and samples2 (R, m2, 3) are stacks of samples; row r
     equals projections_at(qs[r], samples1[r], samples2[r]) bit for bit.
     """
-    qs = np.stack([unit_point(q) for q in np.asarray(qs, dtype=float)])
+    qs = unit_points(qs)
     u1, d1, u2, d2 = _log_images(qs, samples1, samples2)
     return ProjectionData(frame=None, **_project(_operator_difference(u1, u2), u1, d1, u2, d2))
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from spherecov import (
     unit_point,
     unit_points,
 )
+import spherecov
 from spherecov import cli
 from spherecov.cli import main
 from spherecov import test_procedure_1 as procedure_1
@@ -295,21 +299,16 @@ def test_interp_manifest_reports_solver_stats(tmp_path):
     assert sum(stats["stop_reasons"].values()) == 26
     # one objective round per start batch, then at least one per loop trip
     assert stats["objective_rounds"] >= stats["loop_trips"] + 3 > 3
-    # the multiplicative direction runs through the same loop
-    single = tmp_path / "mult"
-    assert main(["interp", "--problem", str(FIXTURE), "--gradient", "multiplicative",
-                 "--restarts", "2", "--out", str(single)]) == 0
-    stats = read_json(single / "run.json")["stats"]
-    assert stats["starts"] == 2
-    assert read_json(single / "result.json")["restarts_used"] == 2
 
 
 def test_interp_gradient_form_mismatch_exits_2(tmp_path):
+    # the --gradient option is gone; argparse rejects it with code 2
     ppath = tmp_path / "problem.json"
     _write_trdif_problem(ppath)
-    code = main(["interp", "--problem", str(ppath), "--gradient",
-                 "multiplicative", "--out", str(tmp_path / "o")])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["interp", "--problem", str(ppath), "--gradient",
+              "multiplicative", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
 
 
 def test_iteration_limit_maps_to_exit_4(tmp_path, monkeypatch, capsys):
@@ -534,3 +533,49 @@ def test_test_and_scan_manifests_carry_stats(tmp_path):
                  "--seed", "2", "--out", str(out)]) == 0
     stats = read_json(out / "run.json")["stats"]
     assert stats == {"rank_tests": {"exact": 0, "normal_approx": 3 * 4}, "degenerate_rows": 4}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_profile_prints_the_scan_tr2_at_each_top_row(tmp_path, seed):
+    # profile --q at a point printed by scan recomputes the same tr2 bits
+    sampler = ["--a1", "0.2", "--a2", "0.3", "--m1", "20", "--seed", str(seed)]
+    scan = tmp_path / "scan"
+    assert main(["scan", *sampler, "--grid", "100", "--out", str(scan)]) == 0
+    header, rows = read_table(scan / "scan.csv")
+    for r, row in enumerate(rows[:10]):
+        out = tmp_path / f"profile{r}"
+        q = ",".join(row[:3])
+        assert main(["profile", *sampler, f"--q={q}", "--dirs", "3", "--out", str(out)]) == 0
+        assert read_json(out / "summary.json")["tr2"] == float(row[header.index("tr2")]), q
+
+
+_NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from spherecov.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" and sys.modules[m] is not None)))
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    sampler = ["--a1", "0.2", "--a2", "0.3", "--m1", "10", "--seed", "1"]
+    commands = [
+        ["sample", "--a", "0.2", "--n", "20", "--seed", "1", "--out", "sample"],
+        ["test", *sampler, "--q", "0,0,1", "--runs", "3", "--out", "test"],
+        ["scan", *sampler, "--grid", "5", "--out", "scan"],
+        ["profile", *sampler, "--q", "0,0,1", "--dirs", "4", "--out", "profile"],
+        ["interp", "--problem", str(FIXTURE), "--restarts", "2", "--out", "interp"],
+        ["interp", "--problem", str(FIXTURE), "--alpha-steps", "2", "--out", "sweep"],
+        ["check", "--seed", "0", "--out", "check"],
+    ]
+    src = str(Path(spherecov.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(commands)],
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == []
+    for name in ("sample", "test", "scan", "profile", "interp", "sweep", "check"):
+        assert (tmp_path / name / "run.json").is_file()

@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 from spherecov import (
@@ -94,8 +97,8 @@ def test_log_map_coords_batched_bases_match_single():
     assert coords.shape == (15, 40, 2) and dists.shape == (15, 40)
     for j, q in enumerate(qs):
         c1, d1 = log_map_coords(q, pts)
-        npt.assert_allclose(coords[j], c1, rtol=0.0, atol=1e-14)
-        npt.assert_allclose(dists[j], d1, rtol=0.0, atol=1e-14)
+        npt.assert_array_equal(coords[j], c1)
+        npt.assert_array_equal(dists[j], d1)
     npt.assert_array_equal(geodesic_distances(qs, pts), dists)
     with pytest.raises(ValueError):
         log_map_coords(qs, pts, tangent_frame(qs[0]))
@@ -233,3 +236,42 @@ def test_paired_log_map_and_frames_equal_single_point_calls():
     stack = unit_points(3.0 * pts)
     for r in range(6):
         assert np.array_equal(stack[r], unit_points(3.0 * pts[r]))
+
+
+_coords = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, width=64)
+
+
+def _nonzero_rows(a):
+    return bool(np.all(np.linalg.norm(a, axis=-1) > 1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(qs=arrays(float, st.tuples(st.integers(1, 6), st.just(3)), elements=_coords)
+       .filter(_nonzero_rows),
+       n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_rows_equal_single_point_calls_bitwise(qs, n, seed):
+    # unnormalised base points; shared target points and one set per base point
+    local = np.random.default_rng(seed)
+    shared = unit_points(local.normal(size=(n, 3)))
+    paired = unit_points(local.normal(size=(len(qs), n, 3)))
+    # keep clear of the antipodes, where the log map raises
+    units = unit_points(qs)
+    assume(np.all(units @ shared.T > -1.0 + 1e-6))
+    assume(np.all(np.einsum("ka,kna->kn", units, paired) > -1.0 + 1e-6))
+    frames = tangent_frames(qs)
+    u_shared, d_shared = log_map_coords(qs, shared)
+    u_paired, d_paired = log_map_coords(qs, paired)
+    dist_shared = geodesic_distances(qs, shared)
+    for r, q in enumerate(qs):
+        single = tangent_frame(q)
+        for a, b in ((frames[r].base, single.base), (frames[r].e1, single.e1),
+                     (frames[r].e2, single.e2)):
+            npt.assert_array_equal(a, b)
+        npt.assert_array_equal(frames[r].base, unit_point(q))
+        u1, d1 = log_map_coords(q, shared)
+        npt.assert_array_equal(u_shared[r], u1)
+        npt.assert_array_equal(d_shared[r], d1)
+        npt.assert_array_equal(dist_shared[r], geodesic_distances(q, shared))
+        u2, d2 = log_map_coords(q, paired[r])
+        npt.assert_array_equal(u_paired[r], u2)
+        npt.assert_array_equal(d_paired[r], d2)

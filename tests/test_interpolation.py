@@ -138,36 +138,6 @@ def test_gradient_matches_finite_differences():
             assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-8), invariant
 
 
-def test_multiplicative_form_matches_direct_formula():
-    # the multiplicative direction is f_i times the trZ-normalized per-point
-    # quadratic forms; check against a plain loop with scipy matrix functions
-    from scipy.linalg import logm
-
-    for invariant in ("trln2", "lik"):
-        prob = _admissible_problem(21, invariant)
-        kern = precompute(prob)
-        f = random_pmfs(np.random.default_rng(22), prob.k, 1)[0]
-        got = grad_H(f, prob, kern, form="multiplicative")
-        expected = np.zeros(prob.k)
-        n_s, n_j = kern.Ut.shape[0], kern.Ut.shape[1]
-        for s in range(n_s):
-            for j in range(n_j):
-                u = kern.Ut[s, j]  # (k, 2)
-                M = np.einsum("i,ia,ib->ab", f, u, u)
-                core = logm(M).real if invariant == "trln2" else M - np.eye(2)
-                num = np.einsum("ia,ab,ib->i", u, core, u)
-                tz = kern.trZ[s, j]  # (k,) per domain point
-                ratio = np.where(tz > 1e-300, num / np.where(tz > 1e-300, tz, 1.0), 0.0)
-                expected += prob.alpha[s] * ratio
-        expected *= f
-        npt.assert_allclose(got, expected, rtol=1e-9, atol=1e-11)
-    prob = _admissible_problem(21, "trdif")
-    with pytest.raises(ValueError):
-        grad_H(np.full(prob.k, 1.0 / prob.k), prob, precompute(prob), form="multiplicative")
-    with pytest.raises(ValueError):
-        grad_H(np.full(prob.k, 1.0 / prob.k), prob, precompute(prob), form="direct")
-
-
 def test_hessians():
     prob = _admissible_problem(31, "trdif")
     kern = precompute(prob)
@@ -268,13 +238,19 @@ def test_exhausted_line_search_reports_stationarity(monkeypatch):
             return values * (1.0 if len(calls) == 1 else 1.01), ok
 
         monkeypatch.setattr(interpolation, "_objective_rows", inflated)
-        out = interpolation._descend(prob, kernels, [f0], 100, 0.0, False, "chain")
+        out = interpolation._descend(prob, kernels, [f0], 100, 0.0, False)
         assert out.iterations[0] == 1
         assert out.reasons.tolist() == ["line_search"]
         return out.converged[0]
 
     assert run(optimum)
     assert not run(0.99 * optimum + 0.01 / prob.k)
+
+
+def _closed_form_eigvals(mats):
+    """Ascending eigenvalues of symmetric 2x2 matrices from interpolation._eigvals2."""
+    comps = np.stack([mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]], -1)
+    return np.stack(interpolation._eigvals2(comps), -1)
 
 
 def test_closed_form_eigenvalues_match_eigvalsh():
@@ -289,17 +265,17 @@ def test_closed_form_eigenvalues_match_eigvalsh():
                  10.0 ** local.uniform(6.0, 12.0, n)):  # ill-conditioned
         diag = np.stack([top / cond, top], -1)
         mats = np.einsum("nab,nb,ncb->nac", rot, diag, rot)
-        lam = interpolation._pd_eigvalsh(mats)
+        lam = _closed_form_eigvals(mats)
         ref = np.linalg.eigvalsh(mats)
         assert np.all(np.abs(lam - ref) <= 1e-13 * ref[:, 1:])
+        assert np.all(lam[:, 0] > interpolation.DEFINITENESS_FLOOR)
     iso = 3.0 * np.eye(2)
-    npt.assert_array_equal(interpolation._pd_eigvalsh(iso), [3.0, 3.0])
+    npt.assert_array_equal(_closed_form_eigvals(iso), [3.0, 3.0])
+    # the positivity test every row kernel applies to lam_min
     floor = interpolation.DEFINITENESS_FLOOR
-    for bad in (np.diag([1.0, floor]), np.diag([1.0, -1.0]), np.zeros((2, 2)),
-                -np.eye(2)):
-        with pytest.raises(NotPositiveDefiniteError):
-            interpolation._pd_eigvalsh(np.stack([np.eye(2), bad]))
-    interpolation._pd_eigvalsh(np.diag([1.0, 2.0 * floor]))
+    bad = np.stack([np.diag([1.0, floor]), np.diag([1.0, -1.0]), np.zeros((2, 2)), -np.eye(2)])
+    npt.assert_array_equal(_closed_form_eigvals(bad)[:, 0] > floor, False)
+    assert _closed_form_eigvals(np.diag([1.0, 2.0 * floor]))[0] > floor
 
 
 def _k50_lik_problem():
@@ -536,8 +512,7 @@ def test_batching_leaves_each_start_unchanged(case):
     kernels = precompute(prob)
 
     def descend(rows):
-        return interpolation._descend(prob, kernels, rows, kw["max_iter"], kw["tol"],
-                                      False, "chain")
+        return interpolation._descend(prob, kernels, rows, kw["max_iter"], kw["tol"], False)
 
     batch = descend(starts)
     assert len(batch.obj) == len(starts) > 1
@@ -582,7 +557,7 @@ def test_row_kernels_match_eigh_reference():
         prob = _admissible_problem(151, invariant)
         kern = precompute(prob)
         points = random_pmfs(np.random.default_rng(152), prob.k, 4)
-        grads, ok = interpolation._gradient_rows(points, prob, kern, "chain")
+        grads, ok = interpolation._gradient_rows(points, prob, kern)
         assert ok.all()
         for f, got in zip(points, grads):
             lam, vec = np.linalg.eigh(np.einsum("i,sjia,sjib->sjab", f, kern.Ut, kern.Ut))

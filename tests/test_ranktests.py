@@ -49,7 +49,7 @@ def test_normal_tail_and_p_values_match_scipy():
     res = signed_rank(z)
     assert res.method == "normal_approx"
     ranks = midranks(np.abs(z))
-    var = 60 * 61 * 121 / 24.0 - ranktests._tie_term(ranks) / 48.0
+    var = 60 * 61 * 121 / 24.0 - ranktests._tie_sum(midranks(ranks), 60) / 48.0
     zstat = max(abs(res.statistic - 60 * 61 / 4.0) - 0.5, 0.0) / np.sqrt(var)
     assert abs(res.p_value - 2.0 * stats.norm.sf(zstat)) <= 1e-15
 
