@@ -397,6 +397,7 @@ def _solver_stats(results) -> dict:
     return {"starts": len(reasons), "starts_failed": reasons.count("singular_start"),
             "stop_reasons": {r: reasons.count(r) for r in STOP_REASONS},
             "loop_trips": sum(res.loop_trips for res in results),
+            "searched_trips": sum(res.searched_trips for res in results),
             "objective_rounds": sum(res.objective_rounds for res in results)}
 
 

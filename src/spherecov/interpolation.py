@@ -12,19 +12,18 @@ observation points q_j and h is one of
     trln2:  squared affine-invariant distance tr(ln^2(Y)), Y = field(f) C^-1
     lik:    tr(Y) - ln|Y| - 2
 
-The solver is projected gradient descent on the exact gradient of H (the
-chain rule through the fields, grad_H) with a monotone Armijo backtracking
-line search. Each search starts from the Barzilai-Borwein step
-s.s / s.y of the last accepted move (s the change of the iterate, y the
-change of the gradient; Barzilai & Borwein 1988, Birgin, Martinez & Raydan
-2000), clamped to [1e-10, 1e10]. The first search, and any search after a
-move with s.y <= 0, starts from 1 / (curvature estimate) instead. For lik,
-whose Hessian is analytic, the move is a projected Newton step instead: the
-search halves the way toward the minimizer over the simplex of the
-quadratic model of H, so k=50 solves take a handful of iterations where
-gradient steps took hundreds to thousands. trdif and lik are convex (trdif
-always, lik when the pihalf kernel matrix B has full rank), trln2 is not
-and runs multi-start.
+The solver takes projected Newton moves: around each iterate it models H by
+its exact gradient (the chain rule through the fields, grad_H) and a
+positive semidefinite matrix, and a monotone Armijo backtracking search
+halves the way toward the minimizer of that quadratic model over the
+simplex, full step first. The matrix is the Hessian for trdif (constant)
+and lik, and the Gauss-Newton matrix for trln2, which is a nonlinear least
+squares problem in the logs of the M_j^s below. Where the model's reduced
+system is singular, the move is a projected gradient step from
+1 / (largest model eigenvalue) instead. k=50 solves take a handful of
+iterations where gradient steps took hundreds to thousands. trdif and lik
+are convex (trdif always, lik when the pihalf kernel matrix B has full
+rank), trln2 is not and runs multi-start.
 
 All starts of a solve run as one (R, k) iterate through one loop, by row
 kernels that evaluate every row at once and mask the rows they cannot.
@@ -231,18 +230,32 @@ def _require_pd(ok) -> None:
         raise NotPositiveDefiniteError("a covariance operator of the iterate is singular")
 
 
+def _eigensystem(comps):
+    """Closed-form eigensystems of the (n, m, k_obs) matrices M given by comps:
+    lam_min, lam_max, the cosine and sine of the angle atan2(2 M01, M00 - M11) / 2
+    at which the top eigenvector lies, and the mask of rows where every M is
+    positive definite."""
+    lam_min, lam_max = _eigvals2(comps)
+    theta = 0.5 * np.arctan2(comps[..., 1], 0.5 * (comps[..., 0] - comps[..., 2]))
+    return lam_min, lam_max, np.cos(theta), np.sin(theta), (lam_min > DEFINITENESS_FLOOR).all(axis=(1, 2))
+
+
 def _matrix_function(comps, phi):
     """Components of phi(M) for the (n, m, k_obs) matrices M given by comps, zero
     on rows where some M is not positive definite, and the mask of the other
-    rows. The top eigenvector lies at angle atan2(2 M01, M00 - M11) / 2."""
-    lam_min, lam_max = _eigvals2(comps)
-    theta = 0.5 * np.arctan2(comps[..., 1], 0.5 * (comps[..., 0] - comps[..., 2]))
-    c, s = np.cos(theta), np.sin(theta)
-    pd = (lam_min > DEFINITENESS_FLOOR).all(axis=(1, 2))
+    rows."""
+    lam_min, lam_max, c, s, pd = _eigensystem(comps)
     with np.errstate(divide="ignore", invalid="ignore"):
         top, low = phi(lam_max), phi(lam_min)
         out = np.stack([top * c * c + low * s * s, (top - low) * c * s, top * s * s + low * c * c], -1)
     return np.where(pd[:, None, None, None], out, 0.0), pd
+
+
+def _log_divided_difference(low, gap):
+    """(ln(low + gap) - ln(low)) / gap for gap >= 0, as log1p(x) / x / low with
+    x = gap / low, which keeps full accuracy as gap -> 0 and is 1 / low at 0."""
+    x = gap / low
+    return np.where(x != 0.0, np.log1p(x) / np.where(x != 0.0, x, 1.0), 1.0) / low
 
 
 def _objective_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
@@ -271,16 +284,34 @@ def _gradient_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
     return np.einsum("nsjc,isjc->ni", alpha[:, None, None] * d, kernels.UU), pd
 
 
-def _hessian_rows(F, alpha, kernels: PrecomputedKernels):
-    """lik Hessian at each row of F (n, k), shape (n, k, k), and the mask of
-    rows where it is defined: Gram matrices of the rows (w_1^2, w_2^2,
-    sqrt(2) w_1 w_2) sqrt(alpha_s) per (s, j), with w = M^-1/2 u_i."""
-    root, pd = _matrix_function(_field_rows(F, kernels), lambda x: 1.0 / np.sqrt(x))
-    root = root[..., None, :]  # (n, m, k_obs, 1, 3) against Ut's (m, k_obs, k)
+def _model_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
+    """Matrix of the quadratic model of H at each row of F (n, k), shape
+    (n, k, k), and the mask of rows where it is defined.
+
+    trdif: its constant Hessian. lik and trln2: Gram matrices, PSD by
+    construction, of the rows (w_1^2 / lam_1, w_2^2 / lam_2, sqrt(2) w_1 w_2 d)
+    sqrt(c alpha_s) per (s, j), with w the whitened u_i in the eigenbasis of
+    M_j^s. For lik, d = 1 / sqrt(lam_1 lam_2) and c = 1: the Hessian, sum of
+    (u_i' M^-1 u_l)^2. For trln2, d = (ln lam_1 - ln lam_2) / (lam_1 - lam_2)
+    and c = 2: the Gauss-Newton matrix 2 sum <L_i, L_l> of the least-squares
+    form sum ||ln M||_F^2, where L_i, the Frechet derivative of ln at M
+    applied to u_i u_i', scales the components of w w' by these divided
+    differences (Daleckii-Krein; Higham, Functions of Matrices, 2008, ch. 3).
+    """
+    if problem.invariant == "trdif":
+        hess = hessian_H(None, problem, kernels)
+        return np.broadcast_to(hess, (len(F), *hess.shape)), np.ones(len(F), dtype=bool)
+    lam_min, lam_max, c, s, pd = _eigensystem(_field_rows(F, kernels))
+    lam_min, lam_max, c, s = (a[..., None] for a in (lam_min, lam_max, c, s))  # against Ut's k
     u0, u1 = kernels.Ut[..., 0], kernels.Ut[..., 1]  # (m, k_obs, k)
-    w0 = u0 * root[..., 0] + u1 * root[..., 1]
-    w1 = u0 * root[..., 1] + u1 * root[..., 2]
-    rows = np.stack([w0 * w0, w1 * w1, np.sqrt(2.0) * w0 * w1], -1) * np.sqrt(alpha)[:, None, None, None]
+    w_top, w_low = c * u0 + s * u1, c * u1 - s * u0  # (n, m, k_obs, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if problem.invariant == "trln2":
+            cross, scale = _log_divided_difference(lam_min, lam_max - lam_min), 2.0 * problem.alpha
+        else:
+            cross, scale = 1.0 / np.sqrt(lam_min * lam_max), problem.alpha
+        rows = np.stack([w_top * w_top / lam_max, w_low * w_low / lam_min,
+                         np.sqrt(2.0) * w_top * w_low * cross], -1) * np.sqrt(scale)[:, None, None, None]
     gram = np.moveaxis(rows, 3, 1).reshape(*F.shape, kernels.UU[0].size)
     return gram @ gram.transpose(0, 2, 1), pd
 
@@ -317,11 +348,9 @@ def hessian_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = No
     """Analytic Hessian for trdif (constant) and lik.
 
     trdif: 2 sum_j K_.j K_.j'. lik: sum_s alpha_s sum_j of squared whitened
-    cross projections (w_i . w_l)^2 with w = M^-1/2 u. Each square is the
-    inner product of the symmetric outer products w w', so the Hessian is
-    one Gram matrix P P' with rows (w_1^2, w_2^2, sqrt(2) w_1 w_2) per
-    (s, j), scaled by sqrt(alpha_s); it is positive semidefinite by
-    construction.
+    cross projections (u_i' M^-1 u_l)^2, one positive semidefinite Gram
+    matrix (see _model_rows). trln2 has no such form; the solver models it
+    by its Gauss-Newton matrix instead.
     """
     if kernels is None:
         kernels = precompute(problem)
@@ -329,7 +358,7 @@ def hessian_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = No
         return 2.0 * kernels.K @ kernels.K.T
     if problem.invariant != "lik":
         raise ValueError("analytic Hessian available for trdif and lik only")
-    h, ok = _hessian_rows(np.asarray(f, dtype=float)[None], problem.alpha, kernels)
+    h, ok = _model_rows(np.asarray(f, dtype=float)[None], problem, kernels)
     _require_pd(ok)
     return h[0]
 
@@ -349,22 +378,12 @@ class InterpResult:
     stop_reasons: tuple = ()   # one of STOP_REASONS per start, in start order
     loop_trips: int = 0        # trips of the batched solver loop
     objective_rounds: int = 0  # batched objective evaluations
-
-
-def _initial_step(problem, kernels, f) -> np.ndarray:
-    """1 / curvature estimate at each row of f (one for all rows with trdif);
-    the line search only ever shrinks it. The lik Hessian shares the kernels
-    and gives the right scale for trln2 as well."""
-    trdif = problem.invariant == "trdif"
-    h = hessian_H(None, problem, kernels) if trdif else _hessian_rows(f, problem.alpha, kernels)[0]
-    top = np.linalg.eigvalsh(h)[..., -1]
-    return 1.0 / np.where(top > 0.0, top, 1.0)
+    searched_trips: int = 0    # loop trips that ran a line search
 
 
 _ARMIJO_C = 1e-4
 _MAX_HALVINGS = 50
 _ROUNDING_FACTOR = 4.0
-_BB_MIN, _BB_MAX = 1e-10, 1e10
 
 
 def _newton_target(f, g, hess):
@@ -441,8 +460,9 @@ def _armijo_search(evaluate, trial, f, g, obj, first, per_round=4):
 
 
 # per start: last accepted iterate and objective, iterations, converged, an
-# entry of STOP_REASONS and the trace; per batch: loop trips and objective calls
-_Descent = namedtuple("_Descent", "f obj iterations converged reasons traces trips rounds")
+# entry of STOP_REASONS and the trace; per batch: loop trips, the trips that
+# ran a line search, and objective calls (one for the starts, one per round)
+_Descent = namedtuple("_Descent", "f obj iterations converged reasons traces trips searched rounds")
 
 
 def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
@@ -451,13 +471,10 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
     f = project_to_simplex(np.asarray(starts, dtype=float))
     obj, live = _objective_rows(f, problem, kernels)
     g, _ = _gradient_rows(f, problem, kernels)  # defined where obj is
-    eta_lip = np.ones(len(f))
-    eta_lip[live] = _initial_step(problem, kernels, f[live])
-    eta0 = eta_lip.copy()
     iterations, converged = np.full(len(f), max_iter), np.zeros(len(f), dtype=bool)
     reasons = np.where(live, "max_iter", "singular_start")
     traces = [[] for _ in f] if record_trace else None
-    rounds, trips = 1, 0
+    rounds, trips, searched = 1, 0, 0
 
     def stop(rows, reason, conv, its):
         reasons[rows], converged[rows], iterations[rows] = reason, conv, its
@@ -474,15 +491,17 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
         act, fa, ga, oa, pg = act[keep], fa[keep], ga[keep], oa[keep], pg[keep]
         if not len(act):
             break
-        first = eta0[act]
-        toward = np.full(len(act), False)
-        if problem.invariant == "lik":
-            move = np.zeros_like(fa)
-            for r, hess in enumerate(_hessian_rows(fa, problem.alpha, kernels)[0]):
-                target = _newton_target(fa[r], ga[r], hess)
-                if target is not None:
-                    toward[r], move[r] = True, target - fa[r]
-            first = np.where(toward, 1.0, first)
+        searched += 1
+        # the Newton move, full step first; where the model's reduced system
+        # is singular, a gradient step from 1 / (largest model eigenvalue)
+        first, toward, move = np.ones(len(act)), np.ones(len(act), dtype=bool), np.zeros_like(fa)
+        for r, hess in enumerate(_model_rows(fa, problem, kernels)[0]):
+            target = _newton_target(fa[r], ga[r], hess)
+            if target is None:
+                top = np.linalg.eigvalsh(hess)[-1]
+                toward[r], first[r] = False, 1.0 / top if top > 0.0 else 1.0
+            else:
+                move[r] = target - fa[r]
 
         def trial(rows, etas):
             x = project_to_simplex(fa[rows] - etas[:, None] * ga[rows])
@@ -509,18 +528,11 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
         tiny = np.abs(f_new[acc] - fa[acc]).max(axis=1) < tol
         stop(act[acc[tiny]], "step_tol", True, it)
         acc = acc[~tiny]
-        # a gradient search starts from the spectral step of this move
         g_new, ok = _gradient_rows(f_new[acc], problem, kernels)
         stop(act[acc[~ok]], "singular_start", False, it)
-        acc, g_new = acc[ok], g_new[ok]
-        # Barzilai-Borwein step s.s / s.y, clamped; 1/L where s.y <= 0
-        s_, y = f_new[acc] - fa[acc], g_new - ga[acc]
-        sy = np.einsum("rk,rk->r", s_, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bb = np.clip(np.einsum("rk,rk->r", s_, s_) / sy, _BB_MIN, _BB_MAX)
-        act = act[acc]
-        g[act], eta0[act] = g_new, np.where(sy > 0.0, bb, eta_lip[act])
-    return _Descent(f, obj, iterations, converged, reasons, traces, trips, rounds)
+        act = act[acc[ok]]
+        g[act] = g_new[ok]
+    return _Descent(f, obj, iterations, converged, reasons, traces, trips, searched, rounds)
 
 
 def _starts(problem, restarts, rng):
@@ -540,19 +552,17 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
           max_iter: int = 500, tol: float = 1e-9, restarts: int | None = None,
           seed: int = 0, record_trace: bool = False,
           f0=None) -> InterpResult:
-    """Minimize the objective over the simplex by projected gradient descent.
+    """Minimize the objective over the simplex by projected Newton moves.
 
-    Each Armijo search halves a trial step until H decreases enough. The
-    first trial step is the Barzilai-Borwein step s.s / s.y of the previous
-    accepted move, or 1 / (curvature estimate) on the first iteration and
-    whenever s.y <= 0 (a move without positive curvature, which the
-    nonconvex trln2 allows). lik moves toward the minimizer over the simplex
-    of the local quadratic model instead (a projected Newton step, full step
-    first), and falls back to the gradient step if that model is singular.
-    Stops when the iterate change or the unit-step projected gradient drops
-    below tol, or when the line search finds no decrease; the latter counts
-    as converged only if the decrease it predicted is below the rounding
-    level of H. An exhausted iteration budget is reported through
+    Each iteration moves toward the minimizer over the simplex of a local
+    quadratic model of H: the gradient with the Hessian (trdif, lik) or the
+    Gauss-Newton matrix (trln2). An Armijo search halves the move, full step
+    first, until H decreases enough. Where the model's reduced system is
+    singular, the move is a projected gradient step from 1 / (largest model
+    eigenvalue) instead. Stops when the iterate change or the unit-step
+    projected gradient drops below tol, or when the line search finds no
+    decrease; the latter counts as converged only if the decrease it
+    predicted is below the rounding level of H. An exhausted iteration budget is reported through
     converged=False (the best iterate is still returned). Multi-start
     (default 8 for trln2: linear, square-root and uniform starts plus
     seeded Dirichlet draws; 1 otherwise) merges by best objective with
@@ -580,7 +590,7 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
         iterations=int(run.iterations[best]), converged=bool(run.converged[best]),
         restarts_used=len(starts), restart_objectives=tuple(map(float, run.obj[kept])),
         trace=run.traces[best] if record_trace else None, stop_reasons=tuple(run.reasons.tolist()),
-        loop_trips=run.trips, objective_rounds=run.rounds,
+        loop_trips=run.trips, objective_rounds=run.rounds, searched_trips=run.searched,
     )
 
 
@@ -727,7 +737,7 @@ def convexity_probe(problem: InterpProblem, n_points: int = 100,
     if problem.invariant == "trdif":
         hess, ok = hessian_H(None, problem, kernels), True
     elif problem.invariant == "lik":
-        hess, ok = _hessian_rows(random_pmfs(rng, k, n_points), problem.alpha, kernels)
+        hess, ok = _model_rows(random_pmfs(rng, k, n_points), problem, kernels)
     else:
         shifted = random_pmfs(rng, k, n_points)[:, None] + np.concatenate([np.eye(k), -np.eye(k)]) * h
         g, ok = _gradient_rows(shifted.reshape(-1, k), problem, kernels)

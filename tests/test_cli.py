@@ -297,8 +297,10 @@ def test_interp_manifest_reports_solver_stats(tmp_path):
     assert sorted(stats["stop_reasons"]) == sorted(
         ["pg_tol", "step_tol", "line_search", "max_iter", "singular_start"])
     assert sum(stats["stop_reasons"].values()) == 26
-    # one objective round per start batch, then at least one per loop trip
-    assert stats["objective_rounds"] >= stats["loop_trips"] + 3 > 3
+    # one objective round per start batch, then at least one per line search;
+    # a trip whose every start stops at pg_tol runs no search
+    assert stats["objective_rounds"] >= stats["searched_trips"] + 3 > 3
+    assert 0 < stats["searched_trips"] <= stats["loop_trips"]
 
 
 def test_interp_gradient_form_mismatch_exits_2(tmp_path):

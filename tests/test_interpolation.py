@@ -1,9 +1,12 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecov import (
     CoincidentPointError,
@@ -160,6 +163,80 @@ def test_hessians():
         hessian_H(f, _admissible_problem(31, "trln2"))
 
 
+def _log_field_rows(F, kernels):
+    """ln M_j^s at each row of F by eigh: (n, m, k_obs, 2, 2)."""
+    lam, vec = np.linalg.eigh(np.einsum("ni,sjia,sjib->nsjab", F, kernels.Ut, kernels.Ut))
+    return np.einsum("...ab,...b,...cb->...ac", vec, np.log(lam), vec)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trln2_gauss_newton_matrix_matches_log_jacobian(seed):
+    # G = 2 sum_s alpha_s sum_j <J_i, J_l>, J_i the central difference of
+    # ln M_j^s along e_i
+    prob = _admissible_problem(161 + seed, "trln2")
+    prob = prob.with_alpha(np.array([0.3, 0.7]))
+    kern = precompute(prob)
+    h = 1e-5
+    for f in random_pmfs(np.random.default_rng(seed), prob.k, 3):
+        steps = h * np.eye(prob.k)
+        jac = (_log_field_rows(f + steps, kern) - _log_field_rows(f - steps, kern)) / (2 * h)
+        ref = 2.0 * np.einsum("s,isjab,lsjab->il", prob.alpha, jac, jac)
+        got, ok = interpolation._model_rows(f[None], prob, kern)
+        assert ok.all()
+        npt.assert_allclose(got[0], ref, rtol=1e-6, atol=1e-6 * np.abs(ref).max())
+
+
+def test_trln2_gauss_newton_matrix_is_the_hessian_at_zero_residual():
+    # at alpha = (1, 0), f = f^1 every M_j^1 = I, so ln M = 0 and the
+    # Gauss-Newton matrix is the exact Hessian of H
+    prob = _admissible_problem(171, "trln2").with_alpha(np.array([1.0, 0.0]))
+    kern = precompute(prob)
+    f = prob.endpoints[0]
+    assert eval_H(f, prob, kern) == pytest.approx(0.0, abs=1e-20)
+    h = 1e-5
+    steps = h * np.eye(prob.k)
+    g_plus, ok_plus = interpolation._gradient_rows(f + steps, prob, kern)
+    g_minus, ok_minus = interpolation._gradient_rows(f - steps, prob, kern)
+    assert ok_plus.all() and ok_minus.all()
+    fd = (g_plus - g_minus) / (2 * h)
+    got = interpolation._model_rows(f[None], prob, kern)[0][0]
+    npt.assert_allclose(got, 0.5 * (fd + fd.T), rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+
+@settings(max_examples=50, deadline=None)
+@given(weights=st.lists(st.floats(1e-3, 1.0), min_size=6, max_size=6),
+       a=st.floats(0.0, 1.0))
+def test_trln2_gauss_newton_matrix_is_symmetric_psd(weights, a):
+    prob, _ = load_problem(FIXTURE)
+    prob = prob.with_alpha(np.array([a, 1.0 - a]))
+    f = np.asarray(weights) / np.sum(weights)
+    got, ok = interpolation._model_rows(f[None], prob, precompute(prob))
+    assert ok.all()
+    gram = got[0]
+    scale = np.abs(gram).max()
+    npt.assert_allclose(gram, gram.T, rtol=0.0, atol=1e-14 * scale)
+    assert np.linalg.eigvalsh(gram).min() >= -1e-12 * scale
+
+
+def test_log_divided_difference_at_equal_and_near_equal_eigenvalues():
+    low = np.array([2.0, 2.0, 0.5, 3.0])
+    gap = np.array([0.0, 2.0e-12, 0.5e-12, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = interpolation._log_divided_difference(low, gap)
+    assert got[0] == 0.5  # the limit 1 / lam at lam_1 = lam_2
+    # (ln(lam + d) - ln(lam)) / d = (1 - x/2 + x^2/3 - ...) / lam, x = d / lam
+    x = gap[1:3] / low[1:3]
+    npt.assert_allclose(got[1:3], (1.0 - 0.5 * x) / low[1:3], rtol=2e-16)
+    assert got[3] == pytest.approx((np.log(4.5) - np.log(3.0)) / 1.5, rel=1e-15)
+    # the gap _model_rows passes for an isotropic M is exactly zero
+    lam_min, lam_max, _, _, pd = interpolation._eigensystem(np.array([[[[3.0, 0.0, 3.0]]]]))
+    assert pd.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert interpolation._log_divided_difference(lam_min, lam_max - lam_min) == 1.0 / 3.0
+
+
 def test_trdif_solution_is_linear_interpolant():
     # the trdif gradient vanishes exactly at the linear interpolant, so the
     # solver must return it whenever the kernel has full rank
@@ -307,6 +384,19 @@ def test_k50_lik_newton_solves_take_few_iterations(seed):
     assert g @ res.f_hat - g.min() <= 1e-6 * max(1.0, abs(res.objective))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_k50_trln2_gauss_newton_solves_converge(seed):
+    # the Gauss-Newton model makes the work per solve about the same for
+    # every problem; gradient steps alone hit the default max_iter=500 here
+    prob = _admissible_problem(seed, "trln2", k=50)
+    kernels = precompute(prob)
+    res = solve(prob, kernels)
+    assert res.converged
+    assert res.loop_trips <= 20
+    g = grad_H(res.f_hat, prob, kernels)
+    assert g @ res.f_hat - g.min() <= 1e-6 * max(1.0, abs(res.objective))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_newton_target_meets_kkt_conditions(seed):
     local = np.random.default_rng(seed)
@@ -348,7 +438,7 @@ def test_solver_trace_never_increases(case):
 FIXTURE_SWEEP_OBJECTIVES = (3.968956429393217e-30, 10.57905578333633, 2.0399449970949683e-29)
 
 
-def test_fixture_sweep_objectives_unchanged():
+def _check_fixture_sweep():
     prob, solver = load_problem(FIXTURE)
     path = [np.array([1.0 - t, t]) for t in (0.0, 0.5, 1.0)]
     results, _, _ = consistency_sweep(
@@ -357,6 +447,41 @@ def test_fixture_sweep_objectives_unchanged():
     for res, ref in zip(results, FIXTURE_SWEEP_OBJECTIVES):
         assert res.converged
         assert abs(res.objective - ref) <= 1e-9 * max(1.0, abs(ref))
+    return results
+
+
+def test_fixture_sweep_objectives_unchanged():
+    _check_fixture_sweep()
+
+
+def test_gradient_fallback_meets_fixture_sweep_objectives(monkeypatch):
+    # every model system reads singular, so each move is the 1/L gradient step
+    monkeypatch.setattr(interpolation, "_newton_target", lambda f, g, hess: None)
+    results = _check_fixture_sweep()
+    assert sum(res.loop_trips for res in results) > 1000
+
+
+def test_descend_counts_one_objective_round_per_search_round(monkeypatch):
+    prob, solver = load_problem(FIXTURE)
+    kernels = precompute(prob)
+    starts = interpolation._starts(prob, solver["restarts"], np.random.default_rng(solver["seed"]))
+    exact_objective, exact_search = interpolation._objective_rows, interpolation._armijo_search
+    objective_calls, search_rounds = [], []
+
+    def counted_objective(*args):
+        objective_calls.append(None)
+        return exact_objective(*args)
+
+    def counted_search(*args, **kw):
+        out = exact_search(*args, **kw)
+        search_rounds.append(out[-1])
+        return out
+
+    monkeypatch.setattr(interpolation, "_objective_rows", counted_objective)
+    monkeypatch.setattr(interpolation, "_armijo_search", counted_search)
+    run = interpolation._descend(prob, kernels, starts, solver["max_iter"], solver["tol"], False)
+    assert run.searched == len(search_rounds) <= run.trips
+    assert run.rounds == 1 + sum(search_rounds) == len(objective_calls)
 
 
 def test_iteration_cap_reports_not_raises():
