@@ -41,7 +41,7 @@ from .interpolation import (
     solve,
     sqroot_interp,
 )
-from .sampling import RingDensity, rejection_sample, rotate_sample
+from .sampling import RingDensity, rejection_sample, rejection_sample_rows, rotate_sample
 from .simplex import random_pmfs
 from .spd import h_lik, h_lnpr, h_trdif, h_trln2
 from .twosample import (
@@ -114,10 +114,13 @@ def cmd_sample(args) -> int:
 # ------------------------------------------------------------------ test ---
 
 def _sample_source(args):
-    """Returns (draw(rng) -> (s1, s2), stochastic, description dict, tally).
+    """Returns (draw, draw_rows, stochastic, description dict, tally).
 
-    In generator mode tally counts the points drawn and the sampler proposals
-    made for them; in file mode it is None.
+    draw(rng) gives one run's samples (s1, s2). draw_rows(rngs) gives one run
+    per generator as stacks (R, m1, 3) and (R, m2, 3); each generator makes
+    the draws that draw would make with it. In generator mode tally counts
+    the points drawn and the sampler proposals made for them; in file mode it
+    is None.
     """
     file_mode = args.sample1 is not None or args.sample2 is not None
     if file_mode:
@@ -126,7 +129,12 @@ def _sample_source(args):
         s1 = io.read_points(args.sample1)
         s2 = io.read_points(args.sample2)
         desc = {"sample1": args.sample1, "sample2": args.sample2}
-        return (lambda rng: (s1, s2)), False, desc, None
+
+        def draw_files(rngs):
+            return (np.broadcast_to(s1, (len(rngs),) + s1.shape),
+                    np.broadcast_to(s2, (len(rngs),) + s2.shape))
+
+        return (lambda rng: (s1, s2)), draw_files, False, desc, None
     if args.a1 is None or args.a2 is None:
         raise UsageError("give --sample1/--sample2 files or --a1/--a2 generator parameters")
     p1 = _ring_params(args.a1, args.mu1, args.concentration)
@@ -146,9 +154,16 @@ def _sample_source(args):
     def draw(rng):
         return sample(p1, m1, rng), sample(p2, m2, rng)
 
+    def draw_rows(rngs):
+        s1, n1 = rejection_sample_rows(p1, m1, rngs)
+        s2, n2 = rejection_sample_rows(p2, m2, rngs)
+        tally["points"] += len(rngs) * (m1 + m2)
+        tally["proposals"] += int(n1.sum() + n2.sum())
+        return s1, s2
+
     desc = {"a1": args.a1, "a2": args.a2, "mu1": args.mu1, "mu2": args.mu2,
             "m1": m1, "m2": m2, "concentration": args.concentration}
-    return draw, True, desc, tally
+    return draw, draw_rows, True, desc, tally
 
 
 def _sampler_stats(tally) -> dict:
@@ -158,11 +173,19 @@ def _sampler_stats(tally) -> dict:
             "proposals": tally["proposals"]}
 
 
-def _resolve_q(args, rng, s1, s2):
+def _fixed_q(args):
+    """The parsed --q in fixed q mode, None in the other modes."""
+    if args.q_mode != "fixed":
+        return None
+    if args.q is None:
+        raise UsageError("--q is required when --q-mode is fixed")
+    return _parse_vec3(args.q)
+
+
+def _resolve_q(args, rng, s1, s2, fixed=None):
+    """One run's observation point; fixed is _fixed_q(args), parsed here when not given."""
     if args.q_mode == "fixed":
-        if args.q is None:
-            raise UsageError("--q is required when --q-mode is fixed")
-        return _parse_vec3(args.q)
+        return _fixed_q(args) if fixed is None else fixed
     if args.q_mode == "uniform":
         return uniform_sample(rng, 1)[0]
     # scan-best: highest squared-trace separation over a random grid; the
@@ -178,15 +201,6 @@ _TEST_HEADER = ["run", "qx", "qy", "qz", "T_xi", "p_xi", "T_d", "p_d",
 # statistic). Blocks keep the batch arrays small: 500 runs of m = 50 in one
 # pass raise the peak memory of the command from 39 MB to 47 MB.
 _BLOCK_RUNS = 64
-
-
-def _draw_run(args, draw, rng):
-    """One replication's samples and observation point, drawn in run order."""
-    s1, s2 = draw(rng)
-    q = _resolve_q(args, rng, s1, s2)
-    if args.rotate2 is not None:
-        s2 = rotate_sample(s2, q, args.rotate2)
-    return s1, s2, q
 
 
 def _test_block(start: int, drawn: list, alpha: float):
@@ -229,27 +243,33 @@ def _block_rows(start: int, drawn: list, alpha: float, rejections: Counter,
 
 
 def cmd_test(args) -> int:
-    draw, stochastic, desc, tally = _sample_source(args)
+    _, draw_rows, stochastic, desc, tally = _sample_source(args)
     stochastic = stochastic or args.q_mode != "fixed"
     seed = _require_seed(args, "the run is stochastic") if stochastic else args.seed
     if args.runs <= 0:
         raise UsageError("--runs must be positive")
     if not 0.0 < args.alpha < 1.0:
         raise UsageError("--alpha must lie in (0, 1)")
+    fixed = _fixed_q(args)
     children = np.random.SeedSequence(seed).spawn(args.runs) if stochastic else [None] * args.runs
 
     rows = []
     rejections = Counter()
     methods = Counter(exact=0, normal_approx=0)
     for start in range(0, args.runs, _BLOCK_RUNS):
+        # every generator draws s1, then s2, then its q: the order of a run drawn alone
+        rngs = [None if c is None else np.random.default_rng(c)
+                for c in children[start:start + _BLOCK_RUNS]]
+        s1, s2 = draw_rows(rngs)
         drawn, failure = [], None
-        for idx in range(start, min(start + _BLOCK_RUNS, args.runs)):
-            rng = np.random.default_rng(children[idx]) if children[idx] is not None else None
+        for r, rng in enumerate(rngs):
             try:
-                drawn.append(_draw_run(args, draw, rng))
+                q = _resolve_q(args, rng, s1[r], s2[r], fixed)
+                s2r = s2[r] if args.rotate2 is None else rotate_sample(s2[r], q, args.rotate2)
+                drawn.append((s1[r], s2r, q))
             except SphereCovError as exc:
                 # raised after the earlier runs of the block are tested, as in run order
-                failure = (idx, exc)
+                failure = (start + r, exc)
                 break
         if drawn:
             rows += _block_rows(start, drawn, args.alpha, rejections, methods)
@@ -298,7 +318,7 @@ def _scan_row_cells(row):
 
 
 def cmd_scan(args) -> int:
-    draw, stochastic, desc, tally = _sample_source(args)
+    draw, _, stochastic, desc, tally = _sample_source(args)
     seed = _require_seed(args, "the candidate grid is random")
     if args.grid <= 0:
         raise UsageError("--grid must be positive")
@@ -330,7 +350,7 @@ def cmd_scan(args) -> int:
 # --------------------------------------------------------------- profile ---
 
 def cmd_profile(args) -> int:
-    draw, stochastic, desc, _ = _sample_source(args)
+    draw, _, stochastic, desc, _ = _sample_source(args)
     needs_rng = stochastic or args.q_extreme is not None
     seed = _require_seed(args, "the run is stochastic") if needs_rng else args.seed
     rng = np.random.default_rng(seed) if needs_rng else None

@@ -138,29 +138,34 @@ _ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970
 _SQRT_HALF = 7.07106781186547524401e-1
 
 
-def _horner(x: float, coefs) -> float:
-    """Polynomial with the given coefficients, highest degree first."""
+def _horner(x: np.ndarray, coefs) -> np.ndarray:
+    """Polynomial with the given coefficients, highest degree first, at each element of x."""
     acc = coefs[0]
     for c in coefs[1:]:
         acc = acc * x + c
     return acc
 
 
-def _erf_small(x: float) -> float:
-    """erf(x) for |x| <= 1."""
-    z = x * x
-    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+def _norm_sf(z) -> np.ndarray:
+    """Upper tails P(N(0, 1) > z) at each element of z >= 0, as scipy.stats.norm.sf gives them.
 
-
-def _norm_sf(z: float) -> float:
-    """Upper tail P(N(0, 1) > z) for z >= 0, as scipy.stats.norm.sf gives it."""
-    x = z * _SQRT_HALF
-    if x < _SQRT_HALF:
-        return 0.5 - 0.5 * _erf_small(x)
-    if x < 1.0:
-        return 0.5 * (1.0 - _erf_small(x))
-    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
-    return 0.5 * (math.exp(-x * x) * _horner(x, p) / _horner(x, q))
+    Above z = 37.677 scipy returns 0, and this keeps the subnormal tail. Each
+    ndtr branch runs over its elements in the scalar operation order.
+    exp is math.exp per element: np.exp may differ from libm by an ulp.
+    """
+    x = np.asarray(z, dtype=float) * _SQRT_HALF
+    sf = np.empty_like(x)
+    small = x < 1.0
+    xs = x[small]
+    zz = xs * xs
+    erf = xs * _horner(zz, _ERF_T) / _horner(zz, _ERF_U)
+    sf[small] = np.where(xs < _SQRT_HALF, 0.5 - 0.5 * erf, 0.5 * (1.0 - erf))
+    mid = x < 8.0
+    for sel, p, q in ((~small & mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
+        xt = x[sel]
+        e = np.fromiter(map(math.exp, (-xt * xt).tolist()), float, len(xt))
+        sf[sel] = 0.5 * (e * _horner(xt, p) / _horner(xt, q))
+    return sf
 
 
 def _rows(mask: np.ndarray) -> list:
@@ -177,8 +182,9 @@ def _two_sided_normal(stat, mean, var, normal) -> np.ndarray:
     positive = var > 0.0
     zstat = np.maximum(np.abs(stat - mean) - 0.5, 0.0) / np.sqrt(np.where(positive, var, 1.0))
     p = np.where(normal, 1.0, np.nan)
-    for idx in _rows(normal & positive):
-        p[idx] = min(1.0, 2.0 * _norm_sf(float(zstat[idx])))
+    tested = normal & positive
+    tail = 2.0 * _norm_sf(zstat[tested])
+    p[tested] = np.where(tail < 1.0, tail, 1.0)  # min(1.0, tail), NaN included
     return p
 
 

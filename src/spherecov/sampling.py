@@ -7,7 +7,10 @@ reading exp(-(d^2 - a)^2) is available as concentration="squared".
 
 Sampling is plain rejection from the uniform envelope: the unnormalized
 density is bounded by 1 exactly, so a uniform proposal p is accepted with
-probability equal to the density value.
+probability equal to the density value. rejection_sample_rows draws one
+sample per generator, batching the arithmetic of all generators while each
+one makes exactly the draws of a one-generator call; rejection_sample is its
+one-row call.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntipodalPointError
-from .geometry import ANTIPODAL_EPS, geodesic_distances, rotate_points, uniform_sample, unit_point
+from .geometry import ANTIPODAL_EPS, geodesic_distances, rotate_points, unit_point
 
 __all__ = [
     "RingDensity",
     "ring_density_unnormalized",
     "rejection_sample",
+    "rejection_sample_rows",
     "rotate_sample",
 ]
 
@@ -67,36 +71,67 @@ def ring_density_unnormalized(p, params: RingDensity) -> float:
     return float(_density_values(params, d)[0])
 
 
-def rejection_sample(params: RingDensity, n: int, rng: np.random.Generator,
-                     return_proposals: bool = False):
-    """n i.i.d. draws from the ring density by uniform-envelope rejection.
+def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """n i.i.d. draws from the ring density per generator, by uniform-envelope rejection.
 
-    Proposals are uniform sphere points, accepted with probability equal to
-    the unnormalized density. Antipodal proposals (measure zero up to the
-    antipodal tolerance) are always rejected. Deterministic given rng state.
+    Each round, every generator still short of n points draws a chunk of
+    max(4 (n - got), 64) proposals: standard_normal((chunk, 3)), normalized
+    to uniform sphere points, then random(chunk). A proposal is accepted
+    with probability equal to the unnormalized density; antipodal proposals
+    (measure zero up to the antipodal tolerance) are always rejected. The
+    first accepted points, in proposal order, fill the row. The draws go
+    straight into shared buffers and the arithmetic runs once per round for
+    all rows, so each row and each generator's state afterwards equal a
+    one-generator call bit for bit.
 
-    Returns the (n, 3) sample, or (sample, n_proposals) when
-    return_proposals is set.
+    Returns the (R, n, 3) samples and the (R,) proposal counts.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = np.empty((n, 3))
-    got = 0
-    proposals = 0
-    while got < n:
-        chunk = max(4 * (n - got), 64)
-        pts = uniform_sample(rng, chunk)
+    rows = len(rngs)
+    out = np.empty((rows, n, 3))
+    got = np.zeros(rows, dtype=np.int64)
+    proposals = np.zeros(rows, dtype=np.int64)
+    # the first round fills every buffer row to full width, so padding never holds unset values
+    z = np.empty((rows, max(4 * n, 64), 3))
+    u = np.empty(z.shape[:2])
+    pending = np.arange(rows)
+    while len(pending):
+        need = n - got[pending]
+        chunks = np.maximum(4 * need, 64)
+        for j, (r, chunk) in enumerate(zip(pending.tolist(), chunks.tolist())):
+            rngs[r].standard_normal(out=z[j, :chunk])
+            rngs[r].random(out=u[j, :chunk])
+        width = int(chunks.max())
+        zs = z[: len(pending), :width]
+        sq = zs * zs
+        # the summation order of np.linalg.norm, so the points equal uniform_sample's
+        pts = zs / np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None]
         cosines = pts @ params.mu
         dens = _density_values(params, np.arccos(np.clip(cosines, -1.0, 1.0)))
-        accept = (rng.random(chunk) < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
-        proposals += chunk
-        accepted = pts[accept]
-        take = min(n - got, len(accepted))
-        out[got : got + take] = accepted[:take]
-        got += take
+        accept = ((u[: len(pending), :width] < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
+                  & (np.arange(width) < chunks[:, None]))
+        rank = np.cumsum(accept, axis=1)
+        j, k = np.nonzero(accept & (rank <= need[:, None]))
+        r = pending[j]
+        out[r, got[r] + rank[j, k] - 1] = pts[j, k]
+        got[pending] += np.minimum(need, rank[:, -1])
+        proposals[pending] += chunks
+        pending = pending[got[pending] < n]
+    return out, proposals
+
+
+def rejection_sample(params: RingDensity, n: int, rng: np.random.Generator,
+                     return_proposals: bool = False):
+    """n i.i.d. draws from the ring density: the one-generator rejection_sample_rows.
+
+    Deterministic given rng state. Returns the (n, 3) sample, or
+    (sample, n_proposals) when return_proposals is set.
+    """
+    points, proposals = rejection_sample_rows(params, n, [rng])
     if return_proposals:
-        return out, proposals
-    return out
+        return points[0], int(proposals[0])
+    return points[0]
 
 
 def rotate_sample(points, axis, angle: float) -> np.ndarray:

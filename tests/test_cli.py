@@ -508,6 +508,27 @@ def test_test_draw_failure_waits_for_earlier_runs(tmp_path, monkeypatch, capsys)
     assert "run 0: 0 nonzero differences" in capsys.readouterr().err
 
 
+def test_test_bad_q_fails_before_sampling(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "rejection_sample_rows", lambda *a: pytest.fail("sampled"))
+    for q in ("1,2", "0,0,0"):
+        assert main(["test", "--a1", "0.2", "--a2", "0.3", "--q", q, "--runs", "3",
+                     "--seed", "1", "--out", str(tmp_path / "t")]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+
+def test_test_block_outputs_are_pinned(tmp_path):
+    # one full block of runs; the values were written by the per-run sampler loop
+    out = tmp_path / "t"
+    assert main(["test", "--a1", "0.2", "--a2", "0.3", "--m1", "50", "--q", "0,0,1",
+                 "--runs", "64", "--seed", "0", "--out", str(out)]) == 0
+    assert read_json(out / "run.json")["stats"]["proposals"] == 32328
+    header, rows = read_table(out / "runs.csv")
+    pinned = [(0, "p_xi", 0.29715485844530987), (32, "pW_xi", 0.23983620757666801),
+              (63, "pW_d", 0.78009157004985918)]
+    for run, column, value in pinned:
+        assert float(rows[run][header.index(column)]) == pytest.approx(value, rel=0.0, abs=1e-12)
+
+
 def test_test_and_scan_manifests_carry_stats(tmp_path):
     out = tmp_path / "t"
     assert main(["test", "--a1", "0.2", "--a2", "0.3", "--m1", "30", "--m2", "20",

@@ -54,6 +54,16 @@ def test_normal_tail_and_p_values_match_scipy():
     assert abs(res.p_value - 2.0 * stats.norm.sf(zstat)) <= 1e-15
 
 
+def test_vectorised_normal_tail_equals_scipy_bit_for_bit():
+    # every ndtr branch (x = z / sqrt(2) below 1/sqrt(2), below 1, below 8, beyond), up to
+    # the z where scipy flushes the tail to 0
+    z = np.concatenate([np.linspace(0.0, 37.0, 20001),
+                        np.random.default_rng(4).uniform(0.0, 3.0, 20000),
+                        [1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0)]])
+    npt.assert_array_equal(ranktests._norm_sf(z), stats.norm.sf(z))
+    assert ranktests._norm_sf(z[:0]).shape == (0,)
+
+
 def test_signed_rank_all_positive_small():
     res = signed_rank([0.3, 1.1, 0.7, 2.0, 0.5], min_pairs=1)
     assert res.statistic == 15.0

@@ -1,17 +1,23 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from spherecov import (
+    ANTIPODAL_EPS,
     AntipodalPointError,
     RingDensity,
     geodesic_distances,
     rejection_sample,
+    rejection_sample_rows,
     ring_density_unnormalized,
     rotate_sample,
+    uniform_sample,
     unit_point,
 )
+from spherecov.sampling import _density_values
 
 
 def test_ring_density_validation():
@@ -155,3 +161,56 @@ def test_rotate_sample_preserves_axis_distances():
     )
     # pairwise geometry preserved as well
     npt.assert_allclose(rotated @ rotated.T, sample @ sample.T, atol=1e-12)
+
+
+def _looped_sample(params, n, rng):
+    """The per-call rejection loop that rejection_sample_rows replaced, kept verbatim as an oracle."""
+    out = np.empty((n, 3))
+    got = 0
+    proposals = 0
+    while got < n:
+        chunk = max(4 * (n - got), 64)
+        pts = uniform_sample(rng, chunk)
+        cosines = pts @ params.mu
+        dens = _density_values(params, np.arccos(np.clip(cosines, -1.0, 1.0)))
+        accept = (rng.random(chunk) < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
+        proposals += chunk
+        accepted = pts[accept]
+        take = min(n - got, len(accepted))
+        out[got : got + take] = accepted[:take]
+        got += take
+    return out, proposals
+
+
+_finite = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.one_of(st.sampled_from([0.0, 0.2, 0.5, 2.0]), st.floats(0.0, 6.0)),
+       concentration=st.sampled_from(["quartic", "squared"]),
+       n=st.integers(1, 80), rows=st.integers(1, 70),
+       mu=st.tuples(_finite, _finite, _finite).filter(lambda v: np.linalg.norm(v) > 0.1),
+       seed=st.integers(0, 2**32 - 1))
+def test_rejection_sample_rows_equal_the_looped_sampler(a, concentration, n, rows, mu, seed):
+    params = RingDensity(a=a, mu=np.array(mu), concentration=concentration)
+    seeds = np.random.SeedSequence(seed).spawn(rows)
+    gens = [np.random.default_rng(s) for s in seeds]
+    points, proposals = rejection_sample_rows(params, n, gens)
+    assert points.shape == (rows, n, 3) and proposals.shape == (rows,)
+    for r, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        expected, count = _looped_sample(params, n, rng)
+        npt.assert_array_equal(points[r], expected)
+        assert proposals[r] == count
+        # the same next draw shows each generator was left in the same state
+        assert gens[r].random() == rng.random()
+
+
+def test_rejection_sample_is_the_one_row_call():
+    params = RingDensity(a=0.2, mu=[0.3, 0.0, 1.0])
+    points, proposals = rejection_sample(params, 33, np.random.default_rng(5), return_proposals=True)
+    expected, count = _looped_sample(params, 33, np.random.default_rng(5))
+    npt.assert_array_equal(points, expected)
+    assert type(proposals) is int and proposals == count
+    with pytest.raises(ValueError):
+        rejection_sample_rows(params, 0, [np.random.default_rng(0)])
