@@ -114,13 +114,12 @@ def cmd_sample(args) -> int:
 # ------------------------------------------------------------------ test ---
 
 def _sample_source(args):
-    """Returns (draw, draw_rows, stochastic, description dict, tally).
+    """Returns (draw_rows, stochastic, description dict, tally).
 
-    draw(rng) gives one run's samples (s1, s2). draw_rows(rngs) gives one run
-    per generator as stacks (R, m1, 3) and (R, m2, 3); each generator makes
-    the draws that draw would make with it. In generator mode tally counts
-    the points drawn and the sampler proposals made for them; in file mode it
-    is None.
+    draw_rows(rngs) gives one run per generator as stacks (R, m1, 3) and
+    (R, m2, 3); each generator draws s1, then s2. In generator mode tally
+    counts the points drawn and the sampler proposals made for them; in file
+    mode it is None.
     """
     file_mode = args.sample1 is not None or args.sample2 is not None
     if file_mode:
@@ -134,7 +133,7 @@ def _sample_source(args):
             return (np.broadcast_to(s1, (len(rngs),) + s1.shape),
                     np.broadcast_to(s2, (len(rngs),) + s2.shape))
 
-        return (lambda rng: (s1, s2)), draw_files, False, desc, None
+        return draw_files, False, desc, None
     if args.a1 is None or args.a2 is None:
         raise UsageError("give --sample1/--sample2 files or --a1/--a2 generator parameters")
     p1 = _ring_params(args.a1, args.mu1, args.concentration)
@@ -145,15 +144,6 @@ def _sample_source(args):
         raise UsageError("sample sizes must be positive")
     tally = {"points": 0, "proposals": 0}
 
-    def sample(params, m, rng):
-        points, proposals = rejection_sample(params, m, rng, return_proposals=True)
-        tally["points"] += m
-        tally["proposals"] += proposals
-        return points
-
-    def draw(rng):
-        return sample(p1, m1, rng), sample(p2, m2, rng)
-
     def draw_rows(rngs):
         s1, n1 = rejection_sample_rows(p1, m1, rngs)
         s2, n2 = rejection_sample_rows(p2, m2, rngs)
@@ -163,7 +153,7 @@ def _sample_source(args):
 
     desc = {"a1": args.a1, "a2": args.a2, "mu1": args.mu1, "mu2": args.mu2,
             "m1": m1, "m2": m2, "concentration": args.concentration}
-    return draw, draw_rows, True, desc, tally
+    return draw_rows, True, desc, tally
 
 
 def _sampler_stats(tally) -> dict:
@@ -182,10 +172,10 @@ def _fixed_q(args):
     return _parse_vec3(args.q)
 
 
-def _resolve_q(args, rng, s1, s2, fixed=None):
-    """One run's observation point; fixed is _fixed_q(args), parsed here when not given."""
+def _resolve_q(args, rng, s1, s2, fixed):
+    """One run's observation point; fixed is _fixed_q(args)."""
     if args.q_mode == "fixed":
-        return _fixed_q(args) if fixed is None else fixed
+        return fixed
     if args.q_mode == "uniform":
         return uniform_sample(rng, 1)[0]
     # scan-best: highest squared-trace separation over a random grid; the
@@ -243,7 +233,7 @@ def _block_rows(start: int, drawn: list, alpha: float, rejections: Counter,
 
 
 def cmd_test(args) -> int:
-    _, draw_rows, stochastic, desc, tally = _sample_source(args)
+    draw_rows, stochastic, desc, tally = _sample_source(args)
     stochastic = stochastic or args.q_mode != "fixed"
     seed = _require_seed(args, "the run is stochastic") if stochastic else args.seed
     if args.runs <= 0:
@@ -318,12 +308,12 @@ def _scan_row_cells(row):
 
 
 def cmd_scan(args) -> int:
-    draw, _, stochastic, desc, tally = _sample_source(args)
+    draw_rows, _, desc, tally = _sample_source(args)
     seed = _require_seed(args, "the candidate grid is random")
     if args.grid <= 0:
         raise UsageError("--grid must be positive")
     rng = np.random.default_rng(seed)
-    s1, s2 = draw(rng)
+    s1, s2 = (s[0] for s in draw_rows([rng]))
     grid = uniform_sample(rng, args.grid)
     rows = observation_scan(s1, s2, grid, criterion=args.criterion,
                             alpha=args.alpha)
@@ -350,11 +340,11 @@ def cmd_scan(args) -> int:
 # --------------------------------------------------------------- profile ---
 
 def cmd_profile(args) -> int:
-    draw, _, stochastic, desc, _ = _sample_source(args)
+    draw_rows, stochastic, desc, _ = _sample_source(args)
     needs_rng = stochastic or args.q_extreme is not None
     seed = _require_seed(args, "the run is stochastic") if needs_rng else args.seed
     rng = np.random.default_rng(seed) if needs_rng else None
-    s1, s2 = draw(rng)
+    s1, s2 = (s[0] for s in draw_rows([rng]))
     if args.q_extreme is not None:
         grid = uniform_sample(rng, args.grid)
         tr2 = tr2_scores(s1, s2, grid)

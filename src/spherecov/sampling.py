@@ -71,6 +71,11 @@ def ring_density_unnormalized(p, params: RingDensity) -> float:
     return float(_density_values(params, d)[0])
 
 
+# Proposals per round that one batched pass may hold; rows beyond it are drawn
+# in further passes, so the sampler's working memory does not grow with R * n.
+_ROUND_PROPOSALS = 1 << 14
+
+
 def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """n i.i.d. draws from the ring density per generator, by uniform-envelope rejection.
 
@@ -81,15 +86,28 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
     (measure zero up to the antipodal tolerance) are always rejected. The
     first accepted points, in proposal order, fill the row. The draws go
     straight into shared buffers and the arithmetic runs once per round for
-    all rows, so each row and each generator's state afterwards equal a
-    one-generator call bit for bit.
+    all rows of a pass, so each row and each generator's state afterwards
+    equal a one-generator call bit for bit. A pass takes as many rows as
+    keep a first round within _ROUND_PROPOSALS proposals (at least one), so
+    the working memory is about 0.1 KB per proposal of a round, not per
+    proposal of the whole call.
 
     Returns the (R, n, 3) samples and the (R,) proposal counts.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rows = len(rngs)
-    out = np.empty((rows, n, 3))
+    out = np.empty((len(rngs), n, 3))
+    proposals = np.zeros(len(rngs), dtype=np.int64)
+    rows = max(1, _ROUND_PROPOSALS // max(4 * n, 64))
+    for lo in range(0, len(rngs), rows):
+        hi = min(lo + rows, len(rngs))
+        proposals[lo:hi] = _fill_rows(params, rngs[lo:hi], out[lo:hi])
+    return out, proposals
+
+
+def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
+    """Fills out (R, n, 3) with one sample per generator; returns the proposal counts."""
+    rows, n = out.shape[:2]
     got = np.zeros(rows, dtype=np.int64)
     proposals = np.zeros(rows, dtype=np.int64)
     # the first round fills every buffer row to full width, so padding never holds unset values
@@ -104,9 +122,7 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
             rngs[r].random(out=u[j, :chunk])
         width = int(chunks.max())
         zs = z[: len(pending), :width]
-        sq = zs * zs
-        # the summation order of np.linalg.norm, so the points equal uniform_sample's
-        pts = zs / np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])[..., None]
+        pts = zs / np.linalg.norm(zs, axis=-1, keepdims=True)
         cosines = pts @ params.mu
         dens = _density_values(params, np.arccos(np.clip(cosines, -1.0, 1.0)))
         accept = ((u[: len(pending), :width] < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
@@ -118,7 +134,7 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
         got[pending] += np.minimum(need, rank[:, -1])
         proposals[pending] += chunks
         pending = pending[got[pending] < n]
-    return out, proposals
+    return proposals
 
 
 def rejection_sample(params: RingDensity, n: int, rng: np.random.Generator,

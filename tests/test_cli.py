@@ -384,7 +384,7 @@ def test_scan_best_q_is_the_top_tr2_scan_row():
         local = np.random.default_rng(seed)
         s1 = unit_points(unit_point([0.0, 0.2, 1.0]) + 0.3 * local.normal(size=(25, 3)))
         s2 = unit_points(unit_point([0.2, 0.0, 1.0]) + 0.4 * local.normal(size=(25, 3)))
-        got = cli._resolve_q(args, np.random.default_rng(100 + seed), s1, s2)
+        got = cli._resolve_q(args, np.random.default_rng(100 + seed), s1, s2, cli._fixed_q(args))
         grid = uniform_sample(np.random.default_rng(100 + seed), 40)
         rows = observation_scan(s1, s2, grid, criterion="tr2")
         npt.assert_array_equal(got, rows[0].q)
@@ -412,7 +412,7 @@ def _expected_runs(argv):
     for idx in range(args.runs):
         rng = np.random.default_rng(children[idx]) if stochastic else None
         s1, s2 = draw(rng)
-        q = cli._resolve_q(args, rng, s1, s2)
+        q = cli._resolve_q(args, rng, s1, s2, cli._fixed_q(args))
         if args.rotate2 is not None:
             s2 = rotate_sample(s2, q, args.rotate2)
         row = [str(idx)] + [fmt_float(v) for v in q]

@@ -17,6 +17,7 @@ from spherecov import (
     uniform_sample,
     unit_point,
 )
+from spherecov import sampling
 from spherecov.sampling import _density_values
 
 
@@ -204,6 +205,19 @@ def test_rejection_sample_rows_equal_the_looped_sampler(a, concentration, n, row
         assert proposals[r] == count
         # the same next draw shows each generator was left in the same state
         assert gens[r].random() == rng.random()
+
+
+@pytest.mark.parametrize("n", [1, 20, 60])
+def test_rejection_sample_rows_split_into_passes_equal_the_looped_sampler(monkeypatch, n):
+    # a small round budget gives several passes, down to one row per pass at n = 60
+    monkeypatch.setattr(sampling, "_ROUND_PROPOSALS", 200)
+    params = RingDensity(a=0.5, mu=[0.0, 0.4, 1.0], concentration="squared")
+    seeds = np.random.SeedSequence(9).spawn(9)
+    points, proposals = rejection_sample_rows(params, n, [np.random.default_rng(s) for s in seeds])
+    for r, s in enumerate(seeds):
+        expected, count = _looped_sample(params, n, np.random.default_rng(s))
+        npt.assert_array_equal(points[r], expected)
+        assert proposals[r] == count
 
 
 def test_rejection_sample_is_the_one_row_call():
