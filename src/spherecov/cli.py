@@ -26,7 +26,7 @@ import numpy as np
 from . import io
 from .errors import IterationLimitError, SphereCovError, TooFewPairsError
 from .fields import weight_value
-from .geometry import rotation_about, uniform_sample, unit_point
+from .geometry import uniform_sample, unit_point
 from .interpolation import (
     STOP_REASONS,
     consistency_sweep,
@@ -45,10 +45,9 @@ from .sampling import RingDensity, rejection_sample, rejection_sample_rows, rota
 from .simplex import random_pmfs
 from .spd import h_lik, h_lnpr, h_trdif, h_trln2
 from .twosample import (
+    _scan,
     _tr2,
     batch_procedures,
-    det_sign_areas,
-    observation_scan,
     operator_profile,
     projections_at,
     sample_profile,
@@ -214,22 +213,36 @@ def _test_block(start: int, drawn: list, alpha: float):
     return q, procedures
 
 
+def _procedure_columns(procedures, n: int) -> list:
+    """The T_*/W_* columns of (paired, unpaired) over n rows, None where absent or degenerate."""
+    cols = []
+    for p in procedures:
+        if p is None:
+            cols += [np.full(n, None)] * 4
+        else:
+            stats = np.stack([p.stat_xi, p.min_p, p.d_test.statistic, p.d_test.p_value])
+            cols += list(np.where(p.degenerate, None, stats))
+    return cols
+
+
+def _rank_test_counts(procedures) -> dict:
+    """Counts of exact and normal-approximation rank tests over the non-degenerate rows."""
+    tests = [(t.exact, ~p.degenerate) for p in procedures if p is not None for t in p.tests]
+    exact = sum(int(np.count_nonzero(e & ok)) for e, ok in tests)
+    tested = sum(int(np.count_nonzero(ok)) for _, ok in tests)
+    return {"exact": exact, "normal_approx": tested - exact}
+
+
 def _block_rows(start: int, drawn: list, alpha: float, rejections: Counter,
                 methods: Counter) -> list:
     """runs.csv rows of a block of runs; counts rejections and rank-test methods."""
     q, procedures = _test_block(start, drawn, alpha)
-    cols = [range(start, start + len(q)), q[:, 0], q[:, 1], q[:, 2]]
     for p, (xi_name, d_name) in zip(procedures, (("T_xi", "T_d"), ("W_xi", "W_d"))):
-        if p is None:
-            cols += [[None] * len(q)] * 4
-            continue
-        cols += [p.stat_xi, p.min_p, p.d_test.statistic, p.d_test.p_value]
-        rejections.update({xi_name: int(np.count_nonzero(p.reject)),
-                           d_name: int(np.count_nonzero(p.d_test.p_value < alpha))})
-        for t in p.tests:
-            exact = int(np.count_nonzero(t.exact))
-            methods.update(exact=exact, normal_approx=t.exact.size - exact)
-    return list(zip(*cols))
+        if p is not None:
+            rejections.update({xi_name: int(np.count_nonzero(p.reject)),
+                               d_name: int(np.count_nonzero(p.d_test.p_value < alpha))})
+    methods.update(_rank_test_counts(procedures))
+    return list(zip(range(start, start + len(q)), *q.T, *_procedure_columns(procedures, len(q))))
 
 
 def cmd_test(args) -> int:
@@ -290,23 +303,6 @@ _SCAN_HEADER = ["qx", "qy", "qz", "tr2", "det", "lambda1", "lambda2",
                 "error"]
 
 
-def _scan_row_cells(row):
-    cells = [row.q[0], row.q[1], row.q[2], row.tr2, row.det,
-             row.eigvals[0], row.eigvals[1]]
-    if row.paired is not None:
-        cells += [row.paired.stat_xi, row.paired.min_p,
-                  row.paired.d_test.statistic, row.paired.d_test.p_value]
-    else:
-        cells += [None, None, None, None]
-    if row.unpaired is not None:
-        cells += [row.unpaired.stat_xi, row.unpaired.min_p,
-                  row.unpaired.d_test.statistic, row.unpaired.d_test.p_value]
-    else:
-        cells += [None, None, None, None]
-    cells.append(row.error)
-    return cells
-
-
 def cmd_scan(args) -> int:
     draw_rows, _, desc, tally = _sample_source(args)
     seed = _require_seed(args, "the candidate grid is random")
@@ -315,21 +311,17 @@ def cmd_scan(args) -> int:
     rng = np.random.default_rng(seed)
     s1, s2 = (s[0] for s in draw_rows([rng]))
     grid = uniform_sample(rng, args.grid)
-    rows = observation_scan(s1, s2, grid, criterion=args.criterion,
-                            alpha=args.alpha)
+    q, proj, tr2, det, procedures, errors, order = _scan(s1, s2, grid, args.criterion, args.alpha)
+    cols = [*q.T, tr2, det, *proj.eigvals.T, *_procedure_columns(procedures, len(q)), errors]
     out = _out_dir(args)
     scan_path = io.write_table(out / "scan", _SCAN_HEADER,
-                               [_scan_row_cells(r) for r in rows], args.format)
-    area_pos, area_neg = det_sign_areas(s1, s2, grid)
+                               list(zip(*(c[order] for c in cols))), args.format)
+    area_pos = float(np.mean(det > 0.0))
     summary = {"criterion": args.criterion, "grid": args.grid,
-               "det_area_positive": area_pos, "det_area_negative": area_neg}
+               "det_area_positive": area_pos, "det_area_negative": 1.0 - area_pos}
     summary_path = io.write_json(out / "summary.json", summary)
-    outcomes = [o for r in rows for o in (r.paired, r.unpaired) if o is not None]
-    methods = [t.method for o in outcomes for t in (*o.components, o.d_test)]
-    stats = {"rank_tests": {"exact": methods.count("exact"),
-                            "normal_approx": methods.count("normal_approx")},
-             "degenerate_rows": sum(r.error is not None for r in rows),
-             **_sampler_stats(tally)}
+    stats = {"rank_tests": _rank_test_counts(procedures),
+             "degenerate_rows": sum(e is not None for e in errors), **_sampler_stats(tally)}
     params = dict(desc, grid=args.grid, criterion=args.criterion,
                   alpha=args.alpha, format=args.format)
     io.write_run_manifest(out, "scan", params, seed,
@@ -433,8 +425,6 @@ def cmd_interp(args) -> int:
         return 3
     solve_kw = dict(max_iter=solver["max_iter"], tol=solver["tol"],
                     restarts=solver["restarts"], seed=seed)
-    out = _out_dir(args)
-    outputs = []
     if args.alpha_steps is not None:
         if problem.m != 2:
             raise UsageError("--alpha-steps sweeps need exactly two endpoints")
@@ -453,17 +443,18 @@ def cmd_interp(args) -> int:
                              mse(f, sub.endpoints, sub.alpha),
                              fractional_anisotropy(f, sub.domain),
                              conv, iters] + list(f))
-        outputs.append(io.write_table(out / "interp", header, rows, args.format))
+        out = _out_dir(args)
+        outputs = [io.write_table(out / "interp", header, rows, args.format)]
     else:
         res = solve(problem, kernels, record_trace=True, **solve_kw)
         results = [res]
-        outputs.append(io.write_result(
+        out = _out_dir(args)
+        outputs = [io.write_result(
             out / "result.json", res,
             extra={"invariant": problem.invariant, "alpha": problem.alpha,
                    "mse": mse(res.f_hat, problem.endpoints, problem.alpha),
                    "fa": fractional_anisotropy(res.f_hat, problem.domain)},
-        ))
-        outputs.append(io.write_trace(out / "trace", res.trace, args.format))
+        ), io.write_trace(out / "trace", res.trace, args.format)]
     params = {"problem": args.problem, "alpha_steps": args.alpha_steps,
               "solver": solver, "format": args.format}
     io.write_run_manifest(out, "interp", params, seed, [p.name for p in outputs],

@@ -46,7 +46,7 @@ from .errors import (
     IterationLimitError,
     NotPositiveDefiniteError,
 )
-from .fields import point_operators, weight_value
+from .fields import weight_value
 from .geometry import geodesic_distances, log_map_coords, rotation_about, unit_point, unit_points
 from .simplex import as_pmf, project_to_simplex, random_pmfs
 from .spd import DEFINITENESS_FLOOR

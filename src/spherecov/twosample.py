@@ -15,9 +15,9 @@ The procedures run on batches (ProjectionData with a leading axis).
 observation_scan projects one sample pair at all candidate points at once,
 and paired_projections projects R sample pairs, each at its own point. Each
 procedure then makes one batched rank-test call per statistic over all rows
-(ranktests.signed_rank_rows / rank_sum_rows); batch_procedures does both for
-the replications of the `test` command. test_procedure_1/2 are the same code
-on a single point.
+(ranktests.signed_rank_rows / rank_sum_rows); `test` and `scan` write their
+tables from these per-row arrays, observation_scan materialises ScanRows for
+library callers, and test_procedure_1/2 are the same code on a single point.
 """
 
 from __future__ import annotations
@@ -275,7 +275,11 @@ def batch_procedures(samples1, samples2, qs, alpha: float = 0.05):
     Raises:
         AntipodalPointError: a sample point is antipodal to its row's point.
     """
-    proj = paired_projections(qs, samples1, samples2)
+    return _procedures(paired_projections(qs, samples1, samples2), alpha)
+
+
+def _procedures(proj: ProjectionData, alpha: float):
+    """(paired, unpaired) procedures over the rows of proj; paired is None for unequal sizes."""
     paired = proj.xi1.shape[-2] == proj.xi2.shape[-2]
     return (_rank_procedure(proj, True, alpha) if paired else None,
             _rank_procedure(proj, False, alpha))
@@ -294,6 +298,31 @@ class ScanRow:
     error: str | None
 
 
+def _scan(sample1, sample2, candidates, criterion: str, alpha: float):
+    """Columns of an observation scan in candidate order, and the order of its rows.
+
+    Returns (q, proj, tr2, det, procedures, errors, order). q holds the bases
+    tangent_frames gives the candidates (normalised once more, which moves the
+    last bit of some rows), proj the batched projections with their eigvals,
+    and errors the message of each degenerate row (None elsewhere).
+    """
+    if criterion not in ("tr2", "det", "uniform"):
+        raise ValueError(f"unknown scan criterion: {criterion!r}")
+    cands = _candidates(candidates)
+    u1, d1, u2, d2 = _log_images(cands, sample1, sample2)
+    lhats = _operator_difference(u1, u2)
+    proj = ProjectionData(None, **_project(lhats, u1, d1, u2, d2))
+    tr2, det = _tr2(lhats), np.linalg.det(lhats)
+    procedures = _procedures(proj, alpha)
+    errors = np.full(len(cands), None)
+    for c in np.flatnonzero(np.any([p.degenerate for p in procedures if p is not None], axis=0)):
+        errors[c] = "; ".join(filter(None, (p.error(c) for p in procedures if p is not None)))
+    # a stable sort on the constant "uniform" key keeps the input order
+    key = {"tr2": tr2, "det": det}.get(criterion, np.zeros(len(cands)))
+    order = np.argsort(-key, kind="stable")
+    return unit_points(cands), proj, tr2, det, procedures, errors, order
+
+
 def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
                      alpha: float = 0.05) -> list:
     """Evaluate both procedures at each candidate point; sort by criterion.
@@ -303,38 +332,18 @@ def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
     criterion "tr2" or "det" sorts rows in decreasing order of that column
     (stable, so input order breaks ties); "uniform" keeps the input order.
     """
-    if criterion not in ("tr2", "det", "uniform"):
-        raise ValueError(f"unknown scan criterion: {criterion!r}")
-    cands = _candidates(candidates)
-    u1, d1, u2, d2 = _log_images(cands, sample1, sample2)
-    lhats = _operator_difference(u1, u2)
-    batch = ProjectionData(None, **_project(lhats, u1, d1, u2, d2))
-    del u1, d1, u2, d2  # the rows below reuse their memory (1.5 MB less at 500 candidates)
-    tr2, det = _tr2(lhats), np.linalg.det(lhats)
-    kinds = (True, False) if len(sample1) == len(sample2) else (False,)
-    procedures = {paired: _rank_procedure(batch, paired, alpha) for paired in kinds}
+    _, batch, tr2, det, procs, errors, order = _scan(sample1, sample2, candidates, criterion, alpha)
+    frames = tangent_frames(_candidates(candidates))
     rows = []
-    for c, frame in enumerate(tangent_frames(cands)):
-        proj = batch.row(c, frame)
-        outcomes, errors = {}, []
+    for c in order:
+        proj = batch.row(c, frames[c])
         # Degenerate candidates (for instance identical samples) keep their
         # criterion columns; the affected test outcomes stay empty.
-        for paired, procedure in procedures.items():
-            err = procedure.error(c)
-            if err is None:
-                outcomes[paired] = procedure.outcome(c, proj)
-            else:
-                errors.append(err)
-        rows.append(ScanRow(
-            q=frame.base, tr2=float(tr2[c]), det=float(det[c]),
-            eigvals=proj.eigvals, paired=outcomes.get(True),
-            unpaired=outcomes.get(False), error="; ".join(errors) or None,
-        ))
-    if criterion == "uniform":
-        return rows
-    key = np.array([getattr(r, criterion) for r in rows])
-    order = np.argsort(-key, kind="stable")
-    return [rows[i] for i in order]
+        paired, unpaired = (None if p is None or p.error(c) else p.outcome(c, proj) for p in procs)
+        rows.append(ScanRow(q=frames[c].base, tr2=float(tr2[c]), det=float(det[c]),
+                            eigvals=proj.eigvals, paired=paired, unpaired=unpaired,
+                            error=errors[c]))
+    return rows
 
 
 def _candidates(candidates) -> np.ndarray:

@@ -11,8 +11,11 @@ import pytest
 from spherecov import (
     AntipodalPointError,
     IterationLimitError,
+    ProcedureBatch,
+    RankTestBatch,
     RingDensity,
     TooFewPairsError,
+    det_sign_areas,
     make_problem,
     observation_scan,
     random_pmfs,
@@ -24,7 +27,7 @@ from spherecov import (
     unit_points,
 )
 import spherecov
-from spherecov import cli
+from spherecov import cli, twosample
 from spherecov.cli import main
 from spherecov import test_procedure_1 as procedure_1
 from spherecov import test_procedure_2 as procedure_2
@@ -182,6 +185,101 @@ def test_scan_identical_samples_records_errors(tmp_path):
         assert float(row[header.index("pW_d")]) == 1.0
 
 
+def _expected_scan(argv):
+    """scan.csv rows, det_area_positive and rank-test counts rebuilt from observation_scan.
+
+    The draws follow the command: one generator draws s1, then s2, then the grid.
+    """
+    args = cli.build_parser().parse_args(argv)
+    rng = np.random.default_rng(args.seed)
+    if args.sample1 is not None:
+        s1, s2 = read_points(args.sample1), read_points(args.sample2)
+    else:
+        mu = unit_point([0.0, 0.0, 1.0])
+        s1 = rejection_sample(RingDensity(a=args.a1, mu=mu), args.m1, rng)
+        s2 = rejection_sample(RingDensity(a=args.a2, mu=mu), args.m2 or args.m1, rng)
+    grid = uniform_sample(rng, args.grid)
+    rows = observation_scan(s1, s2, grid, criterion=args.criterion, alpha=args.alpha)
+    cells = []
+    for r in rows:
+        row = [*r.q, r.tr2, r.det, *r.eigvals]
+        for o in (r.paired, r.unpaired):
+            row += [None] * 4 if o is None else \
+                [o.stat_xi, o.min_p, o.d_test.statistic, o.d_test.p_value]
+        cells.append(row + [r.error])
+    methods = [t.method for r in rows for o in (r.paired, r.unpaired) if o is not None
+               for t in (*o.components, o.d_test)]
+    counts = {"exact": methods.count("exact"), "normal_approx": methods.count("normal_approx")}
+    return cells, det_sign_areas(s1, s2, grid)[0], counts, sum(r.error is not None for r in rows)
+
+
+def _as_read(value, fmt):
+    """A table cell as read_table returns it from a CSV or a JSON table."""
+    if value is None:
+        return "" if fmt == "csv" else None
+    if isinstance(value, str):
+        return value
+    return fmt_float(value) if fmt == "csv" else float(value)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--a1", "0.2", "--a2", "0.5", "--m1", "15", "--grid", "60", "--seed", "4"],
+    ["--a1", "0.2", "--a2", "0.3", "--m1", "30", "--m2", "20", "--grid", "60",
+     "--criterion", "det", "--seed", "1"],
+    ["--a1", "0.2", "--a2", "0.3", "--m1", "20", "--grid", "60", "--criterion", "uniform",
+     "--format", "json", "--seed", "2"],
+    ["identical", "--grid", "30", "--criterion", "uniform", "--seed", "2"],
+    ["identical", "--grid", "30", "--criterion", "det", "--format", "json", "--seed", "3"],
+])
+def test_scan_table_equals_observation_scan_rows(tmp_path, extra):
+    identical = extra[0] == "identical"
+    if identical:
+        assert main(["sample", "--a", "0.3", "--n", "15", "--seed", "8",
+                     "--out", str(tmp_path / "pts")]) == 0
+        pts = str(tmp_path / "pts" / "points.csv")
+        extra = ["--sample1", pts, "--sample2", pts] + extra[1:]
+    argv = ["scan"] + extra
+    out = tmp_path / "sc"
+    assert main(argv + ["--out", str(out)]) == 0
+    fmt = "json" if "json" in extra else "csv"
+    header, rows = read_table(out / f"scan.{fmt}")
+    cells, area_pos, counts, degenerate = _expected_scan(argv)
+    columns = ["qx", "qy", "qz", "tr2", "det", "lambda1", "lambda2", "T_xi", "p_xi", "T_d",
+               "p_d", "W_xi", "pW_xi", "W_d", "pW_d", "error"]
+    assert header == (columns if fmt == "csv" else sorted(columns))
+    # JSON records come back with sorted keys, so compare every row by column name
+    assert [dict(zip(header, row)) for row in rows] == \
+        [{h: _as_read(v, fmt) for h, v in zip(columns, row)} for row in cells]
+    summary = read_json(out / "summary.json")
+    assert summary["det_area_positive"] == area_pos
+    assert summary["det_area_negative"] == 1.0 - area_pos
+    stats = read_json(out / "run.json")["stats"]
+    assert stats["rank_tests"] == counts
+    assert stats["degenerate_rows"] == degenerate
+    if identical or "--m2" in extra:
+        assert all(r[header.index("T_xi")] in ("", None) for r in rows)
+
+
+def test_scan_makes_one_projection_pass_and_no_row_objects(tmp_path, monkeypatch):
+    def per_candidate(*args, **kwargs):
+        raise AssertionError("scan built a per-candidate object")
+
+    monkeypatch.setattr(ProcedureBatch, "outcome", per_candidate)
+    monkeypatch.setattr(RankTestBatch, "result", per_candidate)
+    monkeypatch.setattr(twosample, "tangent_frames", per_candidate)
+    monkeypatch.setattr(twosample, "det_sign_areas", per_candidate)
+    log_images, calls = twosample._log_images, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return log_images(*args, **kwargs)
+
+    monkeypatch.setattr(twosample, "_log_images", counted)
+    assert main(["scan", "--a1", "0.2", "--a2", "0.3", "--m1", "20", "--grid", "50",
+                 "--seed", "1", "--out", str(tmp_path / "sc")]) == 0
+    assert len(calls) == 1
+
+
 def test_profile_fixed_q(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(["sample", "--a", "0.2", "--n", "8", "--seed", "1", "--out", str(d1)]) == 0
@@ -257,6 +355,13 @@ def test_interp_sweep_reproduces_endpoints(tmp_path):
     with_two = main(["interp", "--problem", str(ppath), "--alpha-steps", "1",
                      "--out", str(out)])
     assert with_two == 2
+
+
+@pytest.mark.parametrize("extra", [["--alpha-steps", "1"], ["--restarts", "0"]])
+def test_interp_usage_error_creates_no_output_dir(tmp_path, extra):
+    out = tmp_path / "never"
+    assert main(["interp", "--problem", str(FIXTURE)] + extra + ["--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_interp_inadmissible_problem_exits_3(tmp_path, capsys):
