@@ -26,7 +26,9 @@ are convex (trdif always, lik when the pihalf kernel matrix B has full
 rank), trln2 is not and runs multi-start.
 
 All starts of a solve run as one (R, k) iterate through one loop, by row
-kernels that evaluate every row at once and mask the rows they cannot.
+kernels that evaluate every row at once and mask the rows they cannot. The
+move targets of all starts come from one batched active-set pass, in which
+the starts that share their free coordinates share one stacked solve.
 
 Everything is evaluated through the symmetric matrices
 M_j^s = (C_j^s)^-1/2 field(f)_j (C_j^s)^-1/2, which are similar to the
@@ -386,51 +388,91 @@ _MAX_HALVINGS = 50
 _ROUNDING_FACTOR = 4.0
 
 
-def _newton_target(f, g, hess):
-    """Minimizer over the simplex of the quadratic model of H around f.
+def _solve_stack(kkt, rhs):
+    """np.linalg.solve over a stack of systems, and the mask of the ones that
+    are not singular; a singular one leaves its stack to be solved row by row."""
+    try:
+        return np.linalg.solve(kkt, rhs), np.ones(len(kkt), dtype=bool)
+    except np.linalg.LinAlgError:
+        sol, ok = np.zeros_like(rhs), np.ones(len(kkt), dtype=bool)
+        for r in range(len(kkt)):
+            try:
+                sol[r] = np.linalg.solve(kkt[r], rhs[r])
+            except np.linalg.LinAlgError:
+                ok[r] = False
+        return sol, ok
 
-    Primal active-set method on g.(z - f) + (z - f).hess.(z - f) / 2,
+
+def _newton_targets(F, G, hess):
+    """Minimizers over the simplex of the quadratic models of H around the
+    rows of F (n, k), with gradients G and model matrices hess (n, k, k).
+
+    Primal active-set method on g.(z - f) + (z - f).hess.(z - f) / 2 per row,
     started from the feasible z = f with its zero coordinates held at the
     bound. Each pass solves the equality-constrained model on the free
     coordinates; a negative coordinate blocks the move toward that solution
     and is bound, and a bound coordinate whose multiplier is negative beyond
-    rounding is freed. Returns None when a reduced system is singular or the
-    pivots do not settle, and the caller takes a gradient step instead.
+    rounding is freed. The rows of a pass that share their free coordinates
+    share one stacked solve. A row leaves when it settles, when its reduced system is singular, or
+    after 2k + 2 passes. Returns the targets and the mask of settled rows;
+    the caller takes a gradient step on the others, whose targets are f.
     """
-    c = g - hess @ f  # the model's gradient at z is c + hess z
-    slack = 64.0 * np.finfo(float).eps * (np.abs(c).max() + np.abs(hess).max())
-    z = f.copy()
-    free = z > 0.0
-    for _ in range(2 * len(f) + 2):
-        idx = np.flatnonzero(free)
-        n = len(idx)
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = hess[np.ix_(idx, idx)]
-        kkt[:n, n] = kkt[n, :n] = 1.0
-        try:
-            sol = np.linalg.solve(kkt, np.append(-c[idx], 1.0))
-        except np.linalg.LinAlgError:
-            return None
-        target = sol[:n]
-        neg = np.flatnonzero(target < 0.0)
-        if len(neg):
-            # move toward the target until the first coordinate reaches 0
-            zf = z[idx]
-            ratios = zf[neg] / (zf[neg] - target[neg])
-            first = int(np.argmin(ratios))
-            z[idx] = zf + ratios[first] * (target - zf)
-            z[idx[neg[first]]] = 0.0
-            free[idx[neg[first]]] = False
-            continue
-        z = np.zeros_like(f)
-        z[idx] = target
-        mult = c + hess @ z + sol[n]  # bound multipliers, >= 0 at the minimizer
-        mult[idx] = np.inf
-        worst = int(np.argmin(mult))
-        if mult[worst] >= -slack:
-            return z
-        free[worst] = True
-    return None
+    # Stacked @ and np.linalg.solve give each row the bits of its one-row
+    # product and solve (einsum does not), so every target is the one a
+    # row-by-row pass finds.
+    n, k = F.shape
+    C = G - (hess @ F[:, :, None])[:, :, 0]  # the model's gradient at z is c + hess z
+    slack = 64.0 * np.finfo(float).eps * (np.abs(C).max(axis=1) + np.abs(hess).max(axis=(1, 2)))
+    Z, targets, free = F.copy(), F.copy(), F > 0.0
+    settled = np.zeros(n, dtype=bool)
+    active = list(range(n))
+    for _ in range(2 * k + 2):
+        groups = {}
+        for r in active:
+            groups.setdefault(free[r].tobytes(), []).append(r)
+        active = []
+        for rows in groups.values():
+            rows = np.array(rows)
+            idx = np.flatnonzero(free[rows[0]])
+            m = len(idx)
+            kkt = np.ones((len(rows), m + 1, m + 1))
+            kkt[:, :m, :m] = hess[rows[:, None, None], idx[:, None], idx]
+            kkt[:, m, m] = 0.0
+            rhs = np.ones((len(rows), m + 1, 1))
+            rhs[:, :m, 0] = -C[rows[:, None], idx]
+            sol, ok = _solve_stack(kkt, rhs)
+            rows, sol = rows[ok], sol[ok, :, 0]
+            target = sol[:, :m]
+            neg = target < 0.0
+            blocked = neg.any(axis=1)
+            if blocked.any():
+                # move toward the target until the first coordinate reaches 0
+                b, tb, nb = rows[blocked], target[blocked], neg[blocked]
+                zf = Z[b[:, None], idx]
+                ratios = np.full(nb.shape, np.inf)
+                ratios[nb] = zf[nb] / (zf[nb] - tb[nb])
+                first = ratios.argmin(axis=1)
+                Z[b[:, None], idx] = zf + ratios[np.arange(len(b)), first, None] * (tb - zf)
+                Z[b, idx[first]] = 0.0
+                free[b, idx[first]] = False
+                active.extend(b.tolist())
+                rows, sol, target = rows[~blocked], sol[~blocked], target[~blocked]
+            if not len(rows):
+                continue
+            z = np.zeros((len(rows), k))
+            z[:, idx] = target
+            Z[rows] = z
+            # bound multipliers, >= 0 at the minimizer
+            mult = C[rows] + (hess[rows] @ z[:, :, None])[:, :, 0] + sol[:, m, None]
+            mult[:, idx] = np.inf
+            worst = mult.argmin(axis=1)
+            done = mult[np.arange(len(rows)), worst] >= -slack[rows]
+            targets[rows[done]], settled[rows[done]] = z[done], True
+            free[rows[~done], worst[~done]] = True
+            active.extend(rows[~done].tolist())
+        if not active:
+            break
+    return targets, settled
 
 
 def _armijo_search(evaluate, trial, f, g, obj, first, per_round=4):
@@ -494,14 +536,12 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
         searched += 1
         # the Newton move, full step first; where the model's reduced system
         # is singular, a gradient step from 1 / (largest model eigenvalue)
-        first, toward, move = np.ones(len(act)), np.ones(len(act), dtype=bool), np.zeros_like(fa)
-        for r, hess in enumerate(_model_rows(fa, problem, kernels)[0]):
-            target = _newton_target(fa[r], ga[r], hess)
-            if target is None:
-                top = np.linalg.eigvalsh(hess)[-1]
-                toward[r], first[r] = False, 1.0 / top if top > 0.0 else 1.0
-            else:
-                move[r] = target - fa[r]
+        hess = _model_rows(fa, problem, kernels)[0]
+        targets, toward = _newton_targets(fa, ga, hess)
+        move, first = targets - fa, np.ones(len(act))
+        if not toward.all():
+            top = np.linalg.eigvalsh(hess[~toward])[:, -1]
+            first[~toward] = np.divide(1.0, top, out=first[~toward], where=top > 0.0)
 
         def trial(rows, etas):
             x = project_to_simplex(fa[rows] - etas[:, None] * ga[rows])
@@ -567,8 +607,15 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
     (default 8 for trln2: linear, square-root and uniform starts plus
     seeded Dirichlet draws; 1 otherwise) merges by best objective with
     start-index tie-breaking. An explicit f0 (a warm start) is prepended
-    to the start list. All starts run as one batch; a start that meets a
-    singular operator at its first point or at an accepted one is dropped.
+    to the start list. All starts run as one batch, and one batched
+    active-set pass finds the move targets of all of them; a start that
+    meets a singular operator at its first point or at an accepted one is
+    dropped.
+
+    Raises:
+        ValueError: restarts below 1, max_iter below 0, or a tol that is
+            negative or not finite (no stop test could pass).
+        NotPositiveDefiniteError: every start meets a singular operator.
     """
     if kernels is None:
         kernels = precompute(problem)
@@ -576,6 +623,10 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
         restarts = 8 if problem.invariant == "trln2" else 1
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if max_iter < 0:
+        raise ValueError("max_iter must be at least 0")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be finite and at least 0")
     rng = np.random.default_rng(seed)
     starts = _starts(problem, restarts, rng)
     if f0 is not None:

@@ -31,7 +31,7 @@ from spherecov import cli, twosample
 from spherecov.cli import main
 from spherecov import test_procedure_1 as procedure_1
 from spherecov import test_procedure_2 as procedure_2
-from spherecov.io import dump_problem, fmt_float, read_json, read_points, read_table
+from spherecov.io import dump_problem, fmt_float, load_problem, read_json, read_points, read_table
 
 FIXTURE = Path(__file__).resolve().parents[1] / "src" / "spherecov" / "fixtures" / "bimodal_k6.json"
 
@@ -357,10 +357,24 @@ def test_interp_sweep_reproduces_endpoints(tmp_path):
     assert with_two == 2
 
 
-@pytest.mark.parametrize("extra", [["--alpha-steps", "1"], ["--restarts", "0"]])
+@pytest.mark.parametrize("extra", [
+    ["--alpha-steps", "1"], ["--restarts", "0"], ["--max-iter", "-1"], ["--tol", "-1"],
+    ["--tol", "nan"], ["--tol", "inf"], ["--alpha-steps", "3", "--tol", "nan"]])
 def test_interp_usage_error_creates_no_output_dir(tmp_path, extra):
     out = tmp_path / "never"
     assert main(["interp", "--problem", str(FIXTURE)] + extra + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [{"max_iter": -1}, {"tol": -1.0}, {"tol": float("nan")}])
+@pytest.mark.parametrize("alpha_steps", [[], ["--alpha-steps", "3"]])
+def test_interp_rejects_impossible_solver_block(tmp_path, capsys, setting, alpha_steps):
+    prob, solver = load_problem(FIXTURE)
+    ppath = tmp_path / "problem.json"
+    dump_problem(ppath, prob, dict(solver, **setting))
+    out = tmp_path / "never"
+    assert main(["interp", "--problem", str(ppath)] + alpha_steps + ["--out", str(out)]) == 2
+    assert next(iter(setting)) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -278,6 +278,21 @@ def test_multistart_bookkeeping():
         solve(prob, restarts=0)
 
 
+@pytest.mark.parametrize("setting", [dict(max_iter=-1), dict(tol=-1e-9), dict(tol=float("nan")),
+                                     dict(tol=float("inf"))])
+def test_solve_rejects_impossible_stopping_settings(setting):
+    prob, _ = load_problem(FIXTURE)
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        solve(prob, **setting)
+
+
+def test_solve_with_zero_budget_returns_the_best_start():
+    prob, _ = load_problem(FIXTURE)
+    res = solve(prob, max_iter=0, tol=0.0)
+    assert res.iterations == 0 and not res.converged
+    assert res.stop_reasons == ("max_iter",) * 8
+
+
 def test_warm_start_prepended():
     prob = _admissible_problem(61, "lik")
     base = solve(prob)
@@ -397,25 +412,109 @@ def test_k50_trln2_gauss_newton_solves_converge(seed):
     assert g @ res.f_hat - g.min() <= 1e-6 * max(1.0, abs(res.objective))
 
 
+def _newton_target_oracle(f, g, hess):
+    """The one-row active-set method the solver ran before its targets were
+    batched, kept verbatim: _newton_targets must give every row its bits."""
+    c = g - hess @ f  # the model's gradient at z is c + hess z
+    slack = 64.0 * np.finfo(float).eps * (np.abs(c).max() + np.abs(hess).max())
+    z = f.copy()
+    free = z > 0.0
+    for _ in range(2 * len(f) + 2):
+        idx = np.flatnonzero(free)
+        n = len(idx)
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = hess[np.ix_(idx, idx)]
+        kkt[:n, n] = kkt[n, :n] = 1.0
+        try:
+            sol = np.linalg.solve(kkt, np.append(-c[idx], 1.0))
+        except np.linalg.LinAlgError:
+            return None
+        target = sol[:n]
+        neg = np.flatnonzero(target < 0.0)
+        if len(neg):
+            # move toward the target until the first coordinate reaches 0
+            zf = z[idx]
+            ratios = zf[neg] / (zf[neg] - target[neg])
+            first = int(np.argmin(ratios))
+            z[idx] = zf + ratios[first] * (target - zf)
+            z[idx[neg[first]]] = 0.0
+            free[idx[neg[first]]] = False
+            continue
+        z = np.zeros_like(f)
+        z[idx] = target
+        mult = c + hess @ z + sol[n]  # bound multipliers, >= 0 at the minimizer
+        mult[idx] = np.inf
+        worst = int(np.argmin(mult))
+        if mult[worst] >= -slack:
+            return z
+        free[worst] = True
+    return None
+
+
+def _model_batch(local, n, k, kinds, spread, bound):
+    """n model rows: starts with `bound` coordinates at 0, gradients of the
+    given spread, and per row a PSD, rank-deficient or zero matrix."""
+    F = random_pmfs(local, k, n)
+    for f in F:
+        f[local.choice(k, min(bound, k - 1), replace=False)] = 0.0
+        f /= f.sum()
+    hess = np.zeros((n, k, k))
+    for r, kind in enumerate(kinds):
+        if kind == "psd":
+            root = local.standard_normal((k, k))
+            hess[r] = root @ root.T + 0.1 * np.eye(k)
+        elif kind == "rank-deficient":
+            root = local.standard_normal((k, local.integers(1, k)))
+            hess[r] = root @ root.T
+    return F, spread * local.standard_normal((n, k)), hess
+
+
+def _assert_matches_oracle(F, G, hess, rows=None):
+    targets, settled = interpolation._newton_targets(F, G, hess)
+    assert targets.shape == F.shape and settled.shape == (len(F),)
+    for r in range(len(F)) if rows is None else rows:
+        want = _newton_target_oracle(F[r], G[r], hess[r])
+        assert settled[r] == (want is not None)
+        npt.assert_array_equal(targets[r], F[r] if want is None else want)
+    return settled
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       k=st.one_of(st.integers(2, 12), st.just(50)),
+       kinds=st.lists(st.sampled_from(["psd", "rank-deficient", "zero"]), min_size=12, max_size=12),
+       spread=st.sampled_from([0.0, 0.1, 1.0, 10.0, 1e3]), bound=st.integers(0, 11))
+def test_batched_newton_targets_match_one_row_method(seed, n, k, kinds, spread, bound):
+    F, G, hess = _model_batch(np.random.default_rng(seed), n, k, kinds[:n], spread, bound)
+    _assert_matches_oracle(F, G, hess)
+
+
+def test_singular_row_of_a_shared_solve_is_the_only_unsettled_one():
+    # every row is interior, so the first pass solves them as one stack;
+    # row 2's model matrix is zero, so its reduced system is exactly singular
+    local = np.random.default_rng(5)
+    F, G, hess = _model_batch(local, 6, 7, ["psd"] * 6, 10.0, 0)
+    hess[2] = 0.0
+    settled = _assert_matches_oracle(F, G, hess)
+    npt.assert_array_equal(settled, np.arange(6) != 2)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_newton_target_meets_kkt_conditions(seed):
     local = np.random.default_rng(seed)
-    k = 8
-    root = local.standard_normal((k, k))
-    hess = root @ root.T + 0.1 * np.eye(k)
-    f = random_pmfs(local, k, 1)[0]
-    f[local.choice(k, 3, replace=False)] = 0.0  # start with bound coordinates
-    f /= f.sum()
-    g = 10.0 * local.standard_normal(k)  # a spread that binds several coordinates
-    z = interpolation._newton_target(f, g, hess)
-    assert z.min() >= 0.0
-    assert z.sum() == pytest.approx(1.0, abs=1e-14)
-    model_grad = g + hess @ (z - f)
-    support = z > 0.0
-    level = model_grad[support].mean()
-    scale = np.abs(model_grad).max()
-    npt.assert_allclose(model_grad[support], level, atol=1e-12 * scale)
-    assert np.all(model_grad[~support] >= level - 1e-12 * scale)
+    # a spread that binds several coordinates, from starts with bound ones
+    F, G, hess = _model_batch(local, 5, 8, ["psd"] * 5, 10.0, 3)
+    targets, settled = interpolation._newton_targets(F, G, hess)
+    assert settled.all()
+    for f, g, h, z in zip(F, G, hess, targets):
+        assert z.min() >= 0.0
+        assert z.sum() == pytest.approx(1.0, abs=1e-14)
+        model_grad = g + h @ (z - f)
+        support = z > 0.0
+        level = model_grad[support].mean()
+        scale = np.abs(model_grad).max()
+        npt.assert_allclose(model_grad[support], level, atol=1e-12 * scale)
+        assert np.all(model_grad[~support] >= level - 1e-12 * scale)
 
 
 @pytest.mark.parametrize("case", ["k50-lik", "fixture-trln2"])
@@ -456,7 +555,8 @@ def test_fixture_sweep_objectives_unchanged():
 
 def test_gradient_fallback_meets_fixture_sweep_objectives(monkeypatch):
     # every model system reads singular, so each move is the 1/L gradient step
-    monkeypatch.setattr(interpolation, "_newton_target", lambda f, g, hess: None)
+    monkeypatch.setattr(interpolation, "_newton_targets",
+                        lambda F, G, hess: (F.copy(), np.zeros(len(F), dtype=bool)))
     results = _check_fixture_sweep()
     assert sum(res.loop_trips for res in results) > 1000
 
