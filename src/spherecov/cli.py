@@ -83,6 +83,11 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _require_grid(args) -> None:
+    if args.grid <= 0:
+        raise UsageError("--grid must be positive")
+
+
 def _ring_params(a, mu, concentration) -> RingDensity:
     if a is None:
         raise UsageError("generator parameters required (--a missing)")
@@ -183,9 +188,6 @@ def _resolve_q(args, rng, s1, s2, fixed):
     return unit_point(grid[int(np.argmax(tr2_scores(s1, s2, grid)))])
 
 
-_TEST_HEADER = ["run", "qx", "qy", "qz", "T_xi", "p_xi", "T_d", "p_d",
-                "W_xi", "pW_xi", "W_d", "pW_d"]
-
 # Runs tested per batched pass (one projection pass, one rank-test call per
 # statistic). Blocks keep the batch arrays small: 500 runs of m = 50 in one
 # pass raise the peak memory of the command from 39 MB to 47 MB.
@@ -213,16 +215,16 @@ def _test_block(start: int, drawn: list, alpha: float):
     return q, procedures
 
 
-def _procedure_columns(procedures, n: int) -> list:
-    """The T_*/W_* columns of (paired, unpaired) over n rows, None where absent or degenerate."""
-    cols = []
-    for p in procedures:
-        if p is None:
-            cols += [np.full(n, None)] * 4
-        else:
-            stats = np.stack([p.stat_xi, p.min_p, p.d_test.statistic, p.d_test.p_value])
-            cols += list(np.where(p.degenerate, None, stats))
-    return cols
+_PROCEDURE_COLUMNS = ("T_xi", "p_xi", "T_d", "p_d", "W_xi", "pW_xi", "W_d", "pW_d")
+
+
+def _procedure_values(procedures, n: int):
+    """T_*/W_* values (8, n) of (paired, unpaired) and the mask of blanks: absent or degenerate."""
+    values = [np.zeros((4, n)) if p is None else
+              np.stack([p.stat_xi, p.min_p, p.d_test.statistic, p.d_test.p_value])
+              for p in procedures]
+    blank = [np.broadcast_to(True if p is None else p.degenerate, (4, n)) for p in procedures]
+    return np.concatenate(values), np.concatenate(blank)
 
 
 def _rank_test_counts(procedures) -> dict:
@@ -233,16 +235,16 @@ def _rank_test_counts(procedures) -> dict:
     return {"exact": exact, "normal_approx": tested - exact}
 
 
-def _block_rows(start: int, drawn: list, alpha: float, rejections: Counter,
-                methods: Counter) -> list:
-    """runs.csv rows of a block of runs; counts rejections and rank-test methods."""
+def _block_values(start: int, drawn: list, alpha: float, rejections: Counter,
+                  methods: Counter) -> tuple:
+    """q.T (3, n) and _procedure_values of a block of runs; tallies rejections and test methods."""
     q, procedures = _test_block(start, drawn, alpha)
     for p, (xi_name, d_name) in zip(procedures, (("T_xi", "T_d"), ("W_xi", "W_d"))):
         if p is not None:
             rejections.update({xi_name: int(np.count_nonzero(p.reject)),
                                d_name: int(np.count_nonzero(p.d_test.p_value < alpha))})
     methods.update(_rank_test_counts(procedures))
-    return list(zip(range(start, start + len(q)), *q.T, *_procedure_columns(procedures, len(q))))
+    return (q.T, *_procedure_values(procedures, len(q)))
 
 
 def cmd_test(args) -> int:
@@ -253,10 +255,12 @@ def cmd_test(args) -> int:
         raise UsageError("--runs must be positive")
     if not 0.0 < args.alpha < 1.0:
         raise UsageError("--alpha must lie in (0, 1)")
+    if args.q_mode == "scan-best":
+        _require_grid(args)
     fixed = _fixed_q(args)
     children = np.random.SeedSequence(seed).spawn(args.runs) if stochastic else [None] * args.runs
 
-    rows = []
+    blocks = []
     rejections = Counter()
     methods = Counter(exact=0, normal_approx=0)
     for start in range(0, args.runs, _BLOCK_RUNS):
@@ -275,13 +279,16 @@ def cmd_test(args) -> int:
                 failure = (start + r, exc)
                 break
         if drawn:
-            rows += _block_rows(start, drawn, args.alpha, rejections, methods)
+            blocks.append(_block_values(start, drawn, args.alpha, rejections, methods))
         if failure is not None:
             idx, exc = failure
             raise type(exc)(f"run {idx}: {exc}") from exc
 
     out = _out_dir(args)
-    runs_path = io.write_table(out / "runs", _TEST_HEADER, rows, args.format)
+    q, values, blank = (np.hstack(a) for a in zip(*blocks))
+    columns = {"run": np.arange(args.runs), **dict(zip(("qx", "qy", "qz"), q)),
+               **dict(zip(_PROCEDURE_COLUMNS, zip(values, blank)))}
+    runs_path = io.write_table(out / "runs", columns, args.format)
     rates = {name: n / args.runs for name, n in rejections.items()}
     summary = {"alpha": args.alpha, "runs": args.runs, "rejection_rates": rates}
     summary_path = io.write_json(out / "summary.json", summary)
@@ -298,24 +305,22 @@ def cmd_test(args) -> int:
 
 # ------------------------------------------------------------------ scan ---
 
-_SCAN_HEADER = ["qx", "qy", "qz", "tr2", "det", "lambda1", "lambda2",
-                "T_xi", "p_xi", "T_d", "p_d", "W_xi", "pW_xi", "W_d", "pW_d",
-                "error"]
-
-
 def cmd_scan(args) -> int:
     draw_rows, _, desc, tally = _sample_source(args)
     seed = _require_seed(args, "the candidate grid is random")
-    if args.grid <= 0:
-        raise UsageError("--grid must be positive")
+    _require_grid(args)
     rng = np.random.default_rng(seed)
     s1, s2 = (s[0] for s in draw_rows([rng]))
     grid = uniform_sample(rng, args.grid)
     q, proj, tr2, det, procedures, errors, order = _scan(s1, s2, grid, args.criterion, args.alpha)
-    cols = [*q.T, tr2, det, *proj.eigvals.T, *_procedure_columns(procedures, len(q)), errors]
+    values, blank = _procedure_values(procedures, len(q))
+    q, lam = q[order].T, proj.eigvals[order].T
+    columns = {**dict(zip(("qx", "qy", "qz"), q)), "tr2": tr2[order], "det": det[order],
+               "lambda1": lam[0], "lambda2": lam[1],
+               **dict(zip(_PROCEDURE_COLUMNS, zip(values[:, order], blank[:, order]))),
+               "error": errors[order]}
     out = _out_dir(args)
-    scan_path = io.write_table(out / "scan", _SCAN_HEADER,
-                               list(zip(*(c[order] for c in cols))), args.format)
+    scan_path = io.write_table(out / "scan", columns, args.format)
     area_pos = float(np.mean(det > 0.0))
     summary = {"criterion": args.criterion, "grid": args.grid,
                "det_area_positive": area_pos, "det_area_negative": 1.0 - area_pos}
@@ -335,6 +340,8 @@ def cmd_profile(args) -> int:
     draw_rows, stochastic, desc, _ = _sample_source(args)
     needs_rng = stochastic or args.q_extreme is not None
     seed = _require_seed(args, "the run is stochastic") if needs_rng else args.seed
+    if args.q_extreme is not None:
+        _require_grid(args)
     rng = np.random.default_rng(seed) if needs_rng else None
     s1, s2 = (s[0] for s in draw_rows([rng]))
     if args.q_extreme is not None:
@@ -352,18 +359,15 @@ def cmd_profile(args) -> int:
     proj = projections_at(q, s1, s2)
     diff = operator_profile(proj.lhat, n_dirs=args.dirs)
 
-    rows = []
-    for sid, prof in (("1", prof1), ("2", prof2)):
-        for i in range(prof.values.shape[0]):
-            for t, theta in enumerate(prof.thetas):
-                rows.append([theta, sid, i, prof.values[i, t]])
-    for t, theta in enumerate(prof1.thetas):
-        rows.append([theta, "diff", -1, diff[t]])
-
+    # one row per (point, direction) of each sample, then one per direction of diff
+    n1, n2, dirs = len(prof1.values), len(prof2.values), len(prof1.thetas)
+    columns = {"theta": np.tile(prof1.thetas, n1 + n2 + 1),
+               "sample_id": ["1"] * (n1 * dirs) + ["2"] * (n2 * dirs) + ["diff"] * dirs,
+               "point_id": np.concatenate([np.arange(n1).repeat(dirs),
+                                           np.arange(n2).repeat(dirs), [-1] * dirs]),
+               "xi": np.concatenate([prof1.values.ravel(), prof2.values.ravel(), diff])}
     out = _out_dir(args)
-    prof_path = io.write_table(out / "profile",
-                               ["theta", "sample_id", "point_id", "xi"],
-                               rows, args.format)
+    prof_path = io.write_table(out / "profile", columns, args.format)
     summary = {
         "q": q, "q_mode": args.q_extreme or "fixed", "dirs": args.dirs,
         "tr2": float(_tr2(proj.lhat)),
@@ -431,20 +435,21 @@ def cmd_interp(args) -> int:
         if args.alpha_steps < 2:
             raise UsageError("--alpha-steps must be at least 2")
         ts = np.linspace(0.0, 1.0, args.alpha_steps)
-        header = (["alpha", "method", "objective", "mse", "fa", "converged",
-                   "iterations"] + [f"f_{i}" for i in range(problem.k)])
         path = [np.array([1.0 - t, t]) for t in ts]
         results, _, _ = consistency_sweep(problem, path, kernels, **solve_kw)
         rows = []
         for t, alpha, res in zip(ts, path, results):
             sub = problem.with_alpha(alpha)
             for name, f, obj, conv, iters in _interp_methods(sub, kernels, res):
-                rows.append([t, name, obj,
+                rows.append((t, name, np.nan if obj is None else obj, obj is None,
                              mse(f, sub.endpoints, sub.alpha),
-                             fractional_anisotropy(f, sub.domain),
-                             conv, iters] + list(f))
+                             fractional_anisotropy(f, sub.domain), conv, iters, f))
+        t, name, obj, failed, err, fa, conv, iters, f = map(list, zip(*rows))
+        columns = {"alpha": t, "method": name, "objective": (obj, failed), "mse": err, "fa": fa,
+                   "converged": conv, "iterations": iters,
+                   **{f"f_{i}": col for i, col in enumerate(np.array(f).T)}}
         out = _out_dir(args)
-        outputs = [io.write_table(out / "interp", header, rows, args.format)]
+        outputs = [io.write_table(out / "interp", columns, args.format)]
     else:
         res = solve(problem, kernels, record_trace=True, **solve_kw)
         results = [res]

@@ -41,18 +41,6 @@ def fmt_float(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt_float(value)
-    return str(value)
-
-
 def _jsonable(value):
     if value is None or isinstance(value, str):
         return value
@@ -77,20 +65,40 @@ def table_path(base: Path, fmt: str) -> Path:
     return base.with_suffix(".csv" if fmt == "csv" else ".json")
 
 
-def write_table(base: Path, header: list, rows: list, fmt: str = "csv") -> Path:
-    """Write rows under the header as CSV or as a JSON array of records."""
+def _column(col) -> tuple[list, list]:
+    """One table column as (JSON values, CSV cells); see write_table."""
+    values, blank = col if isinstance(col, tuple) else (col, None)
+    kind = np.asarray(values).dtype.kind
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if kind == "f":
+        cells = [FLOAT_FMT % v for v in values]
+    elif kind == "b":
+        cells = ["1" if v else "0" for v in values]
+    else:
+        cells = ["" if v is None else str(v) for v in values]
+    if blank is not None:
+        for i in np.flatnonzero(blank).tolist():
+            values[i], cells[i] = None, ""
+    return values, cells
+
+
+def write_table(base: Path, columns: dict, fmt: str = "csv") -> Path:
+    """Write equal-length columns as CSV or as a JSON array of records.
+
+    columns maps each header name, in order, to one column: a float array
+    (every cell as fmt_float writes it), a bool array or list (1/0), a list
+    of str/int/None (None blank), or a (values, blank_mask) pair of one of
+    these whose masked cells are blank (null in JSON).
+    """
     path = table_path(Path(base), fmt)
+    values, cells = zip(*map(_column, columns.values()))
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerow(columns)
+            writer.writerows(zip(*cells))
     else:
-        records = [
-            {h: _jsonable(v) for h, v in zip(header, row)} for row in rows
-        ]
-        write_json(path, records)
+        write_json(path, [dict(zip(columns, rec)) for rec in zip(*values)])
     return path
 
 
@@ -110,8 +118,8 @@ def read_table(path) -> tuple:
 
 
 def write_points(base: Path, points: np.ndarray, fmt: str = "csv") -> Path:
-    points = np.asarray(points, dtype=float)
-    return write_table(base, ["x", "y", "z"], points.tolist(), fmt)
+    x, y, z = np.asarray(points, dtype=float).T
+    return write_table(base, {"x": x, "y": y, "z": z}, fmt)
 
 
 def read_points(path) -> np.ndarray:
@@ -189,8 +197,9 @@ def write_result(path, result, extra: dict | None = None) -> Path:
 
 
 def write_trace(base, trace, fmt: str = "csv") -> Path:
-    rows = list(trace or [])
-    return write_table(base, ["iter", "objective", "step", "grad_norm"], rows, fmt)
+    it, objective, step, grad_norm = np.array(trace or [], dtype=float).reshape(-1, 4).T
+    return write_table(base, {"iter": it.astype(int), "objective": objective, "step": step,
+                              "grad_norm": grad_norm}, fmt)
 
 
 def write_run_manifest(out_dir, command: str, params: dict, seed, outputs: list,

@@ -6,9 +6,10 @@ midranks for ties and report two-sided p-values, and the signed-rank test
 drops exact zeros. The signed-rank null distribution is computed exactly (by
 the subset-sum recursion over doubled ranks) up to 25 effective pairs and by
 a tie-corrected normal approximation with continuity correction beyond that.
-The exact null depends only on the multiset of doubled ranks, so it is cached
-on it: every tie-free row of the same size shares one recursion. The rank-sum
-test always uses the normal approximation.
+A call groups its exact rows by their null (zero count and doubled ranks),
+with one cached lookup and one gather of p-values per group: all tie-free rows
+of one size share one recursion and one lookup. The rank-sum test always uses
+the normal approximation.
 
 signed_rank_rows and rank_sum_rows flag rows with too few observations in a
 per-row mask; the scalar signed_rank and rank_sum test one row and raise
@@ -168,11 +169,6 @@ def _norm_sf(z) -> np.ndarray:
     return sf
 
 
-def _rows(mask: np.ndarray) -> list:
-    """Index tuples of the rows set in mask; [()] for a true 0-d mask."""
-    return [tuple(i) for i in np.argwhere(mask)]
-
-
 def _two_sided_normal(stat, mean, var, normal) -> np.ndarray:
     """Continuity-corrected two-sided normal p-values at the rows in mask normal.
 
@@ -190,10 +186,12 @@ def _two_sided_normal(stat, mean, var, normal) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _exact_null(doubled: tuple):
-    """Null pmf and CDF of 2T for a sorted tuple of doubled ranks.
+    """Rows P(2T <= s) and P(2T >= s) of the null of 2T for a sorted tuple of doubled ranks.
 
     The recursion counts sign patterns in exact integers, so the result does
-    not depend on the order of the ranks. The arrays are shared; read-only.
+    not depend on the order of the ranks. Partial sums of pmf = counts / 2^n
+    are exact for n <= 52, so the upper tail at s has the bits of
+    pmf[s:].sum(). The array is shared; read-only.
     """
     total = sum(doubled)
     # counts[s] = number of sign patterns whose positive doubled-ranks sum to s
@@ -202,10 +200,9 @@ def _exact_null(doubled: tuple):
     for r in doubled:
         counts[r:] += counts[: total + 1 - r].copy()
     pmf = counts / counts.sum()
-    cdf = np.cumsum(pmf)
-    pmf.flags.writeable = False
-    cdf.flags.writeable = False
-    return pmf, cdf
+    tails = np.stack([np.cumsum(pmf), np.cumsum(pmf[::-1])[::-1]])
+    tails.flags.writeable = False
+    return tails
 
 
 def _doubled(ranks) -> np.ndarray:
@@ -215,8 +212,8 @@ def _doubled(ranks) -> np.ndarray:
 
 def signed_rank_exact_cdf(ranks) -> tuple[np.ndarray, np.ndarray]:
     """Support (in statistic units) and exact null CDF of T for given ranks."""
-    pmf, cdf = _exact_null(tuple(_doubled(np.asarray(ranks, dtype=float)).tolist()))
-    return np.arange(len(pmf)) / 2.0, cdf.copy()
+    cdf = _exact_null(tuple(_doubled(np.asarray(ranks, dtype=float)).tolist()))[0]
+    return np.arange(len(cdf)) / 2.0, cdf.copy()
 
 
 # signed_rank and rank_sum call these kernels directly, not through the public
@@ -235,11 +232,18 @@ def _signed_rank_rows(z, min_pairs: int) -> RankTestBatch:
     exact = (n <= EXACT_LIMIT) & ~too_few
     var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_sum(ranks, n) / 48.0
     p = _two_sided_normal(t, n * (n + 1) / 4.0, var, ~exact & ~too_few)
-    doubled = _doubled(ranks)  # the zeros' ranks (0) sort first
-    for idx in _rows(exact):
-        pmf, cdf = _exact_null(tuple(doubled[idx][zeros[idx]:].tolist()))
-        t2 = int(round(2.0 * t[idx]))
-        p[idx] = min(1.0, 2.0 * min(float(cdf[t2]), float(pmf[t2:].sum())))
+    # One null per distinct key (zero count, sorted doubled ranks with the
+    # zeros' 0 first); a void view makes each key row one sortable scalar.
+    if exact.any():
+        keyed = np.column_stack([zeros[exact], _doubled(ranks[exact])])
+        row_keys = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel()
+        _, first, group = np.unique(row_keys, return_index=True, return_inverse=True)
+        t2 = np.rint(2.0 * t[exact]).astype(int)
+        tails = np.empty((2, len(t2)))
+        for g, key in enumerate(keyed[first].tolist()):
+            rows = group == g
+            tails[:, rows] = _exact_null(tuple(key[1 + key[0]:]))[:, t2[rows]]
+        p[exact] = np.minimum(1.0, 2.0 * tails.min(axis=0))
     return RankTestBatch(t, p, n, exact, too_few,
                          f"{{n}} nonzero differences, need at least {min_pairs}")
 

@@ -635,6 +635,30 @@ def test_test_bad_q_fails_before_sampling(tmp_path, monkeypatch, capsys):
         assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["test", "--q-mode", "scan-best", "--grid", "0"],
+    ["test", "--q-mode", "scan-best", "--grid", "-3"],
+    ["profile", "--q-extreme", "max", "--grid", "0"],
+    ["profile", "--q-extreme", "min", "--grid", "-1"],
+    ["scan", "--grid", "0"]])
+def test_bad_grid_is_a_named_usage_error_before_sampling(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "rejection_sample_rows", lambda *a: pytest.fail("sampled"))
+    out = tmp_path / "never"
+    assert main(argv + ["--a1", "0.2", "--a2", "0.3", "--seed", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: --grid must be positive\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--q", "0,0,1", "--runs", "2"],
+    ["test", "--q-mode", "uniform", "--runs", "2"],
+    ["profile", "--q", "0,0,1"]])
+def test_grid_is_ignored_where_unused(tmp_path, argv):
+    out = tmp_path / "t"
+    assert main(argv + ["--a1", "0.2", "--a2", "0.3", "--grid", "0", "--seed", "0",
+                        "--out", str(out)]) == 0
+
+
 def test_test_block_outputs_are_pinned(tmp_path):
     # one full block of runs; the values were written by the per-run sampler loop
     out = tmp_path / "t"

@@ -1,8 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecov import make_problem, random_pmfs, solve, uniform_sample
 from spherecov.io import (
@@ -38,9 +41,10 @@ def test_float_format_round_trips_exactly():
 
 
 def test_write_read_table_csv(tmp_path):
-    header = ["run", "value", "flag", "note"]
-    rows = [[0, 0.1 + 0.2, True, "ok"], [1, -1e-17, False, None]]
-    path = write_table(tmp_path / "t", header, rows, "csv")
+    columns = {"run": [0, 1], "value": np.array([0.1 + 0.2, -1e-17]), "flag": [True, False],
+               "note": ["ok", None]}
+    header = list(columns)
+    path = write_table(tmp_path / "t", columns, "csv")
     got_header, got_rows = read_table(path)
     assert got_header == header
     assert got_rows[0][0] == "0"
@@ -55,12 +59,99 @@ def test_write_read_table_csv(tmp_path):
 
 def test_write_read_table_json(tmp_path):
     header = ["a", "b"]
-    rows = [[1, 2.5], [3, None]]
-    path = write_table(tmp_path / "t", header, rows, "json")
+    columns = {"a": [1, 3], "b": (np.array([2.5, 0.0]), [False, True])}
+    path = write_table(tmp_path / "t", columns, "json")
     got_header, got_rows = read_table(path)
     assert got_header == header
     assert got_rows == [[1, 2.5], [3, None]]
     assert path.read_text().endswith("\n")
+
+
+def _cell_by_cell(value) -> str:
+    """The CSV text of one cell under the per-cell rule that columnar tables replaced."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return fmt_float(value)
+    return str(value)
+
+
+def _write_rows(path, header, rows, fmt):
+    """Row-at-a-time table writer, the reference the column writer must equal byte for byte."""
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_cell_by_cell(v) for v in row])
+    else:
+        write_json(path, [dict(zip(header, row)) for row in rows])
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, 0.1]))
+_INTS = st.integers(min_value=-2**63, max_value=2**63 - 1)
+_TEXT = st.one_of(st.none(), st.text(max_size=8),
+                  st.sampled_from(['a,b', 'say "hi"', '"', ",", "", "x\ny", "1e5"]))
+
+
+@st.composite
+def _column(draw, n):
+    """One column as write_table takes it, and its cells as the rows of the old API held them."""
+    kind = draw(st.sampled_from(["float", "float_list", "masked", "bool", "bool_list", "int",
+                                 "int_array", "masked_int", "text"]))
+    blank = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if kind in ("float", "float_list", "masked"):
+        values = np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float)
+        if kind == "float":
+            return values, list(values)
+        if kind == "float_list":
+            return values.tolist(), values.tolist()
+        return (values, np.array(blank)), [None if b else v for v, b in zip(values, blank)]
+    if kind in ("bool", "bool_list"):
+        flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if kind == "bool":
+            return np.array(flags), list(np.array(flags))
+        # Python and numpy bools mixed in one list
+        mixed = [np.bool_(f) if b else f for f, b in zip(flags, blank)]
+        return mixed, mixed
+    if kind in ("int", "int_array", "masked_int"):
+        ints = draw(st.lists(_INTS, min_size=n, max_size=n))
+        if kind == "int":
+            return ints, ints
+        arr = np.array(ints, dtype=np.int64)
+        if kind == "int_array":
+            return arr, list(arr)
+        return (arr, blank), [None if b else v for v, b in zip(arr, blank)]
+    text = draw(st.lists(_TEXT, min_size=n, max_size=n))
+    return text, text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_column_writer_equals_row_writer(tmp_path_factory, fmt, data):
+    n = data.draw(st.integers(min_value=0, max_value=6))
+    width = data.draw(st.integers(min_value=1, max_value=5))
+    drawn = [data.draw(_column(n)) for _ in range(width)]
+    header = [f"c{i}" for i in range(width)]
+    tmp = tmp_path_factory.mktemp("t")
+    got = write_table(tmp / "columns", dict(zip(header, (c for c, _ in drawn))), fmt)
+    ref = tmp / ("rows" + got.suffix)
+    _write_rows(ref, header, list(zip(*(cells for _, cells in drawn))), fmt)
+    assert got.read_bytes() == ref.read_bytes()
+
+
+def test_column_floats_are_written_as_fmt_float(tmp_path):
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1 + 0.2, 1e-17, 3.0])
+    path = write_table(tmp_path / "t", {"v": values}, "csv")
+    _, rows = read_table(path)
+    assert [r[0] for r in rows] == [fmt_float(v) for v in values]
+    assert [r[0] for r in rows][:4] == ["nan", "inf", "-inf", "-0"]
 
 
 def test_points_round_trip(tmp_path):

@@ -281,11 +281,66 @@ def test_exact_null_is_shared_by_tie_free_rows():
     z = rng.normal(size=(40, 18))
     batch = ranktests.signed_rank_rows(z)
     assert batch.exact.all()
+    # the 40 rows have one null: one recursion and one lookup serve them all
     info = ranktests._exact_null.cache_info()
-    assert (info.misses, info.hits) == (1, 39)
-    pmf, cdf = ranktests._exact_null(tuple(range(2, 37, 2)))
-    assert not pmf.flags.writeable and not cdf.flags.writeable
+    assert (info.misses, info.hits) == (1, 0)
+    cdf, upper = ranktests._exact_null(tuple(range(2, 37, 2)))
+    assert not cdf.flags.writeable and not upper.flags.writeable
     # the public CDF is a private copy of the cached one
     support, public_cdf = signed_rank_exact_cdf(np.arange(1.0, 19.0))
     public_cdf[0] = -1.0
     assert cdf[0] > 0.0
+
+
+def _null_pmf(doubled):
+    """Null pmf of 2T for doubled ranks, by the subset-sum recursion."""
+    total = sum(doubled)
+    counts = np.zeros(total + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in doubled:
+        counts[r:] += counts[: total + 1 - r].copy()
+    return counts / counts.sum()
+
+
+def _exact_p_oracle(z):
+    """(T, exact two-sided p) of one row, by the one-row lookup that batching replaced."""
+    z = z[z != 0.0]
+    ranks = midranks(np.abs(z))
+    t = float(np.sum(ranks[z > 0.0]))
+    pmf = _null_pmf(np.rint(2.0 * np.sort(ranks)).astype(int).tolist())
+    cdf = np.cumsum(pmf)
+    t2 = int(round(2.0 * t))
+    return t, min(1.0, 2.0 * min(float(cdf[t2]), float(pmf[t2:].sum())))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 20, 25])
+def test_cached_upper_tail_equals_each_suffix_sum(n):
+    # tie-free and tied doubled ranks; the suffix sums are the ones the
+    # one-row lookup took, at every support point
+    local = np.random.default_rng(n)
+    for values in (np.arange(1.0, n + 1), local.integers(1, 4, size=n)):
+        doubled = tuple(np.rint(2.0 * np.sort(midranks(np.abs(values)))).astype(int).tolist())
+        cdf, upper = ranktests._exact_null(doubled)
+        pmf = _null_pmf(doubled)
+        assert np.array_equal(upper, [pmf[s:].sum() for s in range(len(pmf))])
+        assert np.array_equal(cdf, np.cumsum(pmf))
+
+
+# few distinct values give ties and exact zeros; the sizes straddle EXACT_LIMIT
+_EXACT_VALUES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.5]),
+                          st.floats(min_value=-5.0, max_value=5.0, allow_nan=False,
+                                    allow_subnormal=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(), (7,), (2, 3)]), st.sampled_from([0, 3, 6, 20, 24, 25, 26, 27]),
+       st.integers(min_value=1, max_value=8), st.data())
+def test_batched_exact_rows_equal_scalar_test_and_per_row_lookup(lead, n, min_pairs, data):
+    z = data.draw(arrays(np.float64, lead + (n,), elements=_EXACT_VALUES))
+    batch = ranktests.signed_rank_rows(z, min_pairs=min_pairs)
+    assert batch.statistic.shape == lead
+    for idx in np.ndindex(*lead):
+        _same_result(batch, idx, lambda: signed_rank(z[idx], min_pairs=min_pairs))
+        if batch.exact[idx]:
+            t, p = _exact_p_oracle(z[idx])
+            assert (batch.statistic[idx], batch.p_value[idx]) == (t, p)
