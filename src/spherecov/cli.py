@@ -88,6 +88,11 @@ def _require_grid(args) -> None:
         raise UsageError("--grid must be positive")
 
 
+def _require_alpha(args) -> None:
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError("--alpha must lie in (0, 1)")
+
+
 def _ring_params(a, mu, concentration) -> RingDensity:
     if a is None:
         raise UsageError("generator parameters required (--a missing)")
@@ -253,8 +258,7 @@ def cmd_test(args) -> int:
     seed = _require_seed(args, "the run is stochastic") if stochastic else args.seed
     if args.runs <= 0:
         raise UsageError("--runs must be positive")
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError("--alpha must lie in (0, 1)")
+    _require_alpha(args)
     if args.q_mode == "scan-best":
         _require_grid(args)
     fixed = _fixed_q(args)
@@ -309,6 +313,7 @@ def cmd_scan(args) -> int:
     draw_rows, _, desc, tally = _sample_source(args)
     seed = _require_seed(args, "the candidate grid is random")
     _require_grid(args)
+    _require_alpha(args)
     rng = np.random.default_rng(seed)
     s1, s2 = (s[0] for s in draw_rows([rng]))
     grid = uniform_sample(rng, args.grid)
@@ -342,6 +347,8 @@ def cmd_profile(args) -> int:
     seed = _require_seed(args, "the run is stochastic") if needs_rng else args.seed
     if args.q_extreme is not None:
         _require_grid(args)
+    if args.dirs < 3:
+        raise UsageError("--dirs must be at least 3")
     rng = np.random.default_rng(seed) if needs_rng else None
     s1, s2 = (s[0] for s in draw_rows([rng]))
     if args.q_extreme is not None:

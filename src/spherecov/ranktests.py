@@ -88,24 +88,38 @@ class RankTestBatch(NamedTuple):
 def midranks(x) -> np.ndarray:
     """Ranks along the last axis starting at 1, with tied values sharing their average rank.
 
-    One stable argsort per row; each sorted position's tie group runs from
-    the last group start at or before it (running max) to the first group
-    end at or after it (running min from the right).
+    One argsort and one sort per row. Midranks do not depend on the order
+    within a tie group, so neither needs to be stable, and the sorted values
+    mark the same tie groups as the values taken in argsort order (equal
+    values compare equal, 0.0 and -0.0 included). A row without ties takes
+    its sorted positions + 1 directly; in a row with ties, each sorted
+    position's group runs from the last group start at or before it (running
+    max) to the first group end at or after it (running min from the right).
+    NaNs compare unequal to everything, so they take the top ranks, one
+    each, in an unspecified order.
     """
     x = np.asarray(x, dtype=float)
-    order = np.argsort(x, axis=-1, kind="stable")
-    xs = np.take_along_axis(x, order, axis=-1)
     n = x.shape[-1]
+    rows = x.reshape(math.prod(x.shape[:-1]), n)
+    order = np.argsort(rows, axis=-1)
+    xs = np.sort(rows, axis=-1)
     pos = np.arange(n)
-    starts = np.ones(x.shape, dtype=bool)
-    starts[..., 1:] = xs[..., 1:] != xs[..., :-1]
-    ends = np.ones(x.shape, dtype=bool)
-    ends[..., :-1] = starts[..., 1:]
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
-    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
-    ranks = np.empty(x.shape)
-    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=-1)
-    return ranks
+    starts = np.ones(rows.shape, dtype=bool)
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=starts[:, 1:])
+    values = pos + 1.0
+    tied = ~starts.all(axis=-1)
+    if tied.any():
+        starts = starts[tied]
+        ends = np.ones(starts.shape, dtype=bool)
+        ends[:, :-1] = starts[:, 1:]
+        first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+        last = np.minimum.accumulate(np.where(ends, pos, n)[:, ::-1], axis=-1)[:, ::-1]
+        # a one-element group has first == last == pos, and 0.5 * (2 pos) + 1.0 == pos + 1.0
+        values = np.tile(values, (len(rows), 1))
+        values[tied] = 0.5 * (first + last) + 1.0
+    ranks = np.empty(rows.shape)
+    ranks[np.arange(len(rows))[:, None], order] = values
+    return ranks.reshape(x.shape)
 
 
 def _tie_sum(ranks: np.ndarray, n):
@@ -139,8 +153,21 @@ _ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970
 _SQRT_HALF = 7.07106781186547524401e-1
 
 
-def _horner(x: np.ndarray, coefs) -> np.ndarray:
-    """Polynomial with the given coefficients, highest degree first, at each element of x."""
+def _pair(num, den) -> np.ndarray:
+    """Two coefficient lists, highest degree first, as one (k, 2, 1) array for _horner.
+
+    The shorter list gets leading zeros: 0 * x + c == c for finite x, so each
+    row of _horner's (2, len(x)) result has the bits of its polynomial alone.
+    """
+    k = max(len(num), len(den))
+    return np.array([(0.0,) * (k - len(c)) + c for c in (num, den)]).T[:, :, None]
+
+
+_ERF_TU, _ERFC_PQ, _ERFC_RS = _pair(_ERF_T, _ERF_U), _pair(_ERFC_P, _ERFC_Q), _pair(_ERFC_R, _ERFC_S)
+
+
+def _horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Polynomials with the given coefficients, highest degree first, at each element of x."""
     acc = coefs[0]
     for c in coefs[1:]:
         acc = acc * x + c
@@ -151,21 +178,26 @@ def _norm_sf(z) -> np.ndarray:
     """Upper tails P(N(0, 1) > z) at each element of z >= 0, as scipy.stats.norm.sf gives them.
 
     Above z = 37.677 scipy returns 0, and this keeps the subnormal tail. Each
-    ndtr branch runs over its elements in the scalar operation order.
+    ndtr branch runs over its elements in the scalar operation order, and
+    one that holds no element is skipped.
     exp is math.exp per element: np.exp may differ from libm by an ulp.
     """
     x = np.asarray(z, dtype=float) * _SQRT_HALF
     sf = np.empty_like(x)
     small = x < 1.0
     xs = x[small]
-    zz = xs * xs
-    erf = xs * _horner(zz, _ERF_T) / _horner(zz, _ERF_U)
-    sf[small] = np.where(xs < _SQRT_HALF, 0.5 - 0.5 * erf, 0.5 * (1.0 - erf))
+    if len(xs):
+        zz = xs * xs
+        num, den = _horner(zz, _ERF_TU)
+        erf = xs * num / den
+        sf[small] = np.where(xs < _SQRT_HALF, 0.5 - 0.5 * erf, 0.5 * (1.0 - erf))
     mid = x < 8.0
-    for sel, p, q in ((~small & mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
+    for sel, coefs in ((~small & mid, _ERFC_PQ), (~mid, _ERFC_RS)):
         xt = x[sel]
-        e = np.fromiter(map(math.exp, (-xt * xt).tolist()), float, len(xt))
-        sf[sel] = 0.5 * (e * _horner(xt, p) / _horner(xt, q))
+        if len(xt):
+            e = np.fromiter(map(math.exp, (-xt * xt).tolist()), float, len(xt))
+            num, den = _horner(xt, coefs)
+            sf[sel] = 0.5 * (e * num / den)
     return sf
 
 

@@ -52,10 +52,16 @@ class RingDensity:
         object.__setattr__(self, "mu", unit_point(self.mu))
 
 
-def _density_values(params: RingDensity, dists) -> np.ndarray:
-    d = np.asarray(dists, dtype=float)
-    power = 4.0 if params.concentration == "quartic" else 2.0
-    return np.exp(-((d ** power - params.a) ** 2))
+def _density_values(params: RingDensity, dists, out=None) -> np.ndarray:
+    """exp(-(d^4 - a)^2), or exp(-(d^2 - a)^2), at each distance; out may be dists itself."""
+    if params.concentration == "quartic":
+        d = np.power(dists, 4.0, out=out)
+    else:
+        d = np.square(dists, out=out)
+    d -= params.a
+    np.square(d, out=d)
+    np.negative(d, out=d)
+    return np.exp(d, out=d)
 
 
 def ring_density_unnormalized(p, params: RingDensity) -> float:
@@ -86,7 +92,9 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
     (measure zero up to the antipodal tolerance) are always rejected. The
     first accepted points, in proposal order, fill the row. The draws go
     straight into shared buffers and the arithmetic runs once per round for
-    all rows of a pass, so each row and each generator's state afterwards
+    all rows of a pass: the normal draws are normalized in place (squares
+    summed in the order np.linalg.norm sums them) and the density overwrites
+    the clipped cosines. So each row and each generator's state afterwards
     equal a one-generator call bit for bit. A pass takes as many rows as
     keep a first round within _ROUND_PROPOSALS proposals (at least one), so
     the working memory is about 0.1 KB per proposal of a round, not per
@@ -121,12 +129,18 @@ def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
             rngs[r].standard_normal(out=z[j, :chunk])
             rngs[r].random(out=u[j, :chunk])
         width = int(chunks.max())
-        zs = z[: len(pending), :width]
-        pts = zs / np.linalg.norm(zs, axis=-1, keepdims=True)
+        pts = z[: len(pending), :width]
+        # |z| summed left to right, as np.linalg.norm sums it, and normalized in place
+        norms = pts[..., 0] * pts[..., 0]
+        norms += pts[..., 1] * pts[..., 1]
+        norms += pts[..., 2] * pts[..., 2]
+        pts /= np.sqrt(norms, out=norms)[..., None]
         cosines = pts @ params.mu
-        dens = _density_values(params, np.arccos(np.clip(cosines, -1.0, 1.0)))
-        accept = ((u[: len(pending), :width] < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
-                  & (np.arange(width) < chunks[:, None]))
+        dens = np.clip(cosines, -1.0, 1.0)
+        dens = _density_values(params, np.arccos(dens, out=dens), out=dens)
+        accept = (u[: len(pending), :width] < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
+        if chunks.min() < width:
+            accept &= np.arange(width) < chunks[:, None]
         rank = np.cumsum(accept, axis=1)
         j, k = np.nonzero(accept & (rank <= need[:, None]))
         r = pending[j]

@@ -649,6 +649,29 @@ def test_bad_grid_is_a_named_usage_error_before_sampling(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "--q", "0,0,1", "--dirs", "2"], "--dirs must be at least 3"),
+    (["profile", "--q-extreme", "max", "--dirs", "-1"], "--dirs must be at least 3"),
+    (["scan", "--alpha", "2"], "--alpha must lie in (0, 1)"),
+    (["scan", "--alpha", "0"], "--alpha must lie in (0, 1)"),
+    (["scan", "--alpha", "nan"], "--alpha must lie in (0, 1)"),
+    (["test", "--q", "0,0,1", "--alpha", "1"], "--alpha must lie in (0, 1)")])
+def test_bad_dirs_and_alpha_are_named_usage_errors_before_sampling(tmp_path, monkeypatch, capsys,
+                                                                   argv, message):
+    monkeypatch.setattr(cli, "rejection_sample_rows", lambda *a: pytest.fail("sampled"))
+    out = tmp_path / "never"
+    assert main(argv + ["--a1", "0.2", "--a2", "0.3", "--seed", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+def test_smallest_dirs_and_alpha_bounds_still_run(tmp_path):
+    assert main(["profile", "--a1", "0.2", "--a2", "0.3", "--q", "0,0,1", "--dirs", "3",
+                 "--seed", "0", "--out", str(tmp_path / "p")]) == 0
+    assert main(["scan", "--a1", "0.2", "--a2", "0.3", "--m1", "15", "--grid", "5",
+                 "--alpha", "0.999", "--seed", "0", "--out", str(tmp_path / "s")]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["test", "--q", "0,0,1", "--runs", "2"],
     ["test", "--q-mode", "uniform", "--runs", "2"],

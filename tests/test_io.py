@@ -166,6 +166,52 @@ def test_points_round_trip(tmp_path):
         read_points(bad)
 
 
+def _cells_by_float(path) -> np.ndarray:
+    """The points of a CSV table parsed one cell at a time with float()."""
+    _, rows = read_table(path)
+    return np.array([[float(v) for v in row] for row in rows], dtype=float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS), min_size=1, max_size=12))
+def test_points_read_back_with_the_bits_of_float(tmp_path_factory, triples):
+    pts = np.array(triples, dtype=float).reshape(-1, 3)
+    path = write_points(tmp_path_factory.mktemp("p") / "points", pts, "csv")
+    back = read_points(path)
+    assert back.shape == pts.shape
+    assert back.tobytes() == _cells_by_float(path).tobytes()
+
+
+def test_points_read_back_special_values(tmp_path):
+    pts = np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, -5e-324],
+                    [0.1 + 0.2, 1e308, -2.2250738585072014e-308]])
+    path = write_points(tmp_path / "points", pts, "csv")
+    back = read_points(path)
+    assert back.tobytes() == _cells_by_float(path).tobytes()
+    assert np.isnan(back[0, 0]) and np.array_equal(back[:, 1:], pts[:, 1:])
+    assert np.signbit(back[1, 0])
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("x,y,z\n1,2,abc\n", ValueError, "could not convert string to float: 'abc'"),
+    ("x,y,z\n1,2,\n", ValueError, "could not convert string to float: ''"),
+    ("x,y,z\n1,2,3\n1,2\n", ValueError, None)])
+def test_bad_point_cells_fail_as_float_does(tmp_path, text, error, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(error) as got:
+        read_points(path)
+    if message is not None:
+        assert str(got.value) == message
+
+
+def test_null_json_point_cell_is_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('[{"x": 1.0, "y": null, "z": 0.0}]')
+    with pytest.raises(TypeError):
+        read_points(path)
+
+
 def test_problem_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     prob = make_problem(

@@ -35,6 +35,49 @@ def test_midranks_match_scipy_with_many_ties(values, scale):
     npt.assert_array_equal(midranks(x), stats.rankdata(x, method="average"))
 
 
+def _stable_midranks(x) -> np.ndarray:
+    """midranks as it stood with one stable argsort and the running max/min pass on every row."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, axis=-1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=-1)
+    n = x.shape[-1]
+    pos = np.arange(n)
+    starts = np.ones(x.shape, dtype=bool)
+    starts[..., 1:] = xs[..., 1:] != xs[..., :-1]
+    ends = np.ones(x.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=-1)
+    return ranks
+
+
+# a few values drawn often make heavy ties; 0.0 and -0.0 tie with each other
+_TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 5e-324, np.inf, -np.inf])
+_RANK_ELEMENTS = st.one_of(_TIED, _TIED, st.floats(allow_nan=False, width=64))
+_RANK_SHAPES = st.one_of(st.tuples(st.integers(1, 60)),
+                         st.tuples(st.integers(1, 6), st.integers(1, 60)),
+                         st.tuples(st.just(3), st.integers(1, 4), st.integers(1, 60)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(float, _RANK_SHAPES, elements=_RANK_ELEMENTS))
+def test_midranks_equal_the_stable_sort_oracle(x):
+    assert np.array_equal(midranks(x), _stable_midranks(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, _RANK_SHAPES, elements=st.one_of(_RANK_ELEMENTS, st.just(np.nan))))
+def test_midranks_rank_nans_last(x):
+    ranks, oracle = midranks(x), _stable_midranks(x)
+    nan = np.isnan(x)
+    assert np.array_equal(ranks[~nan], oracle[~nan])
+    n = x.shape[-1]
+    for r, m in zip(ranks.reshape(-1, n), nan.reshape(-1, n)):
+        assert np.array_equal(np.sort(r[m]), np.arange(n - m.sum(), n) + 1.0)
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, spherecov.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

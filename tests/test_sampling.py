@@ -18,7 +18,6 @@ from spherecov import (
     unit_point,
 )
 from spherecov import sampling
-from spherecov.sampling import _density_values
 
 
 def test_ring_density_validation():
@@ -40,6 +39,18 @@ def test_ring_density_values():
     assert at_center < 1.0
     with pytest.raises(AntipodalPointError):
         ring_density_unnormalized(-params.mu, params)
+
+
+@pytest.mark.parametrize("concentration, power", [("quartic", 4.0), ("squared", 2.0)])
+def test_in_place_density_has_the_bits_of_the_expression(concentration, power):
+    params = RingDensity(a=0.7, concentration=concentration)
+    d = np.concatenate([np.linspace(0.0, np.pi, 20001),
+                        np.random.default_rng(3).uniform(0.0, np.pi, 20000)])
+    expected = np.exp(-((d ** power - params.a) ** 2))
+    assert sampling._density_values(params, d).tobytes() == expected.tobytes()
+    work = d.copy()
+    assert sampling._density_values(params, work, out=work) is work
+    assert work.tobytes() == expected.tobytes()
 
 
 def test_rejection_sample_basics():
@@ -173,7 +184,8 @@ def _looped_sample(params, n, rng):
         chunk = max(4 * (n - got), 64)
         pts = uniform_sample(rng, chunk)
         cosines = pts @ params.mu
-        dens = _density_values(params, np.arccos(np.clip(cosines, -1.0, 1.0)))
+        d = np.arccos(np.clip(cosines, -1.0, 1.0))
+        dens = np.exp(-((d ** (4.0 if params.concentration == "quartic" else 2.0) - params.a) ** 2))
         accept = (rng.random(chunk) < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
         proposals += chunk
         accepted = pts[accept]
