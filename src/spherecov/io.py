@@ -123,19 +123,11 @@ def write_points(base: Path, points: np.ndarray, fmt: str = "csv") -> Path:
 
 
 def read_points(path) -> np.ndarray:
-    """The (n, 3) points of a table with columns x, y, z.
-
-    CSV cells are strs, and numpy converts a whole table of strs to float
-    through float() itself, with its bits and its error messages. JSON
-    cells may be null, which float() rejects and numpy would read as NaN,
-    so they keep float() per cell.
-    """
+    """The (n, 3) points of a table with columns x, y, z, each cell parsed by float()."""
     header, rows = read_table(path)
     if list(header) != ["x", "y", "z"]:
         raise ValueError(f"{path}: expected point columns x,y,z, got {header}")
-    if Path(path).suffix == ".json":
-        rows = [[float(v) for v in row] for row in rows]
-    return np.array(rows, dtype=float)
+    return np.array([[float(v) for v in row] for row in rows], dtype=float)
 
 
 def write_json(path, obj) -> Path:

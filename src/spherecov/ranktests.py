@@ -153,21 +153,8 @@ _ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970
 _SQRT_HALF = 7.07106781186547524401e-1
 
 
-def _pair(num, den) -> np.ndarray:
-    """Two coefficient lists, highest degree first, as one (k, 2, 1) array for _horner.
-
-    The shorter list gets leading zeros: 0 * x + c == c for finite x, so each
-    row of _horner's (2, len(x)) result has the bits of its polynomial alone.
-    """
-    k = max(len(num), len(den))
-    return np.array([(0.0,) * (k - len(c)) + c for c in (num, den)]).T[:, :, None]
-
-
-_ERF_TU, _ERFC_PQ, _ERFC_RS = _pair(_ERF_T, _ERF_U), _pair(_ERFC_P, _ERFC_Q), _pair(_ERFC_R, _ERFC_S)
-
-
-def _horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """Polynomials with the given coefficients, highest degree first, at each element of x."""
+def _horner(x: np.ndarray, coefs) -> np.ndarray:
+    """Polynomial with the given coefficients, highest degree first, at each element of x."""
     acc = coefs[0]
     for c in coefs[1:]:
         acc = acc * x + c
@@ -178,26 +165,21 @@ def _norm_sf(z) -> np.ndarray:
     """Upper tails P(N(0, 1) > z) at each element of z >= 0, as scipy.stats.norm.sf gives them.
 
     Above z = 37.677 scipy returns 0, and this keeps the subnormal tail. Each
-    ndtr branch runs over its elements in the scalar operation order, and
-    one that holds no element is skipped.
+    ndtr branch runs over its elements in the scalar operation order.
     exp is math.exp per element: np.exp may differ from libm by an ulp.
     """
     x = np.asarray(z, dtype=float) * _SQRT_HALF
     sf = np.empty_like(x)
     small = x < 1.0
     xs = x[small]
-    if len(xs):
-        zz = xs * xs
-        num, den = _horner(zz, _ERF_TU)
-        erf = xs * num / den
-        sf[small] = np.where(xs < _SQRT_HALF, 0.5 - 0.5 * erf, 0.5 * (1.0 - erf))
+    zz = xs * xs
+    erf = xs * _horner(zz, _ERF_T) / _horner(zz, _ERF_U)
+    sf[small] = np.where(xs < _SQRT_HALF, 0.5 - 0.5 * erf, 0.5 * (1.0 - erf))
     mid = x < 8.0
-    for sel, coefs in ((~small & mid, _ERFC_PQ), (~mid, _ERFC_RS)):
+    for sel, p, q in ((~small & mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
         xt = x[sel]
-        if len(xt):
-            e = np.fromiter(map(math.exp, (-xt * xt).tolist()), float, len(xt))
-            num, den = _horner(xt, coefs)
-            sf[sel] = 0.5 * (e * num / den)
+        e = np.fromiter(map(math.exp, (-xt * xt).tolist()), float, len(xt))
+        sf[sel] = 0.5 * (e * _horner(xt, p) / _horner(xt, q))
     return sf
 
 
@@ -321,7 +303,10 @@ def rank_sum_rows(x, y, min_size: int = 5) -> RankTestBatch:
     W is the sum of the ranks of x in the pooled sample. Two-sided p-value by
     the normal approximation with tie-corrected variance and continuity
     correction (used for every sample size). When either sample is smaller
-    than min_size, every row is flagged in too_few.
+    than min_size, every row is flagged in too_few. NaNs take the top ranks
+    in an unspecified order (see midranks), so W is unspecified for a row
+    with NaNs in both samples; the CLI rejects non-finite points before any
+    rank test.
     """
     return _rank_sum_rows(x, y, min_size)
 

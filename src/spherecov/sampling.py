@@ -138,9 +138,8 @@ def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
         cosines = pts @ params.mu
         dens = np.clip(cosines, -1.0, 1.0)
         dens = _density_values(params, np.arccos(dens, out=dens), out=dens)
-        accept = (u[: len(pending), :width] < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
-        if chunks.min() < width:
-            accept &= np.arange(width) < chunks[:, None]
+        accept = ((u[: len(pending), :width] < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
+                  & (np.arange(width) < chunks[:, None]))
         rank = np.cumsum(accept, axis=1)
         j, k = np.nonzero(accept & (rank <= need[:, None]))
         r = pending[j]

@@ -665,6 +665,27 @@ def test_bad_dirs_and_alpha_are_named_usage_errors_before_sampling(tmp_path, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["test", "--q", "0,0,1"],
+    ["test", "--q-mode", "scan-best", "--grid", "4"],
+    ["scan", "--grid", "4"],
+    ["profile", "--q", "0,0,1"]])
+def test_non_finite_file_points_fail_before_any_rank_test(tmp_path, monkeypatch, capsys, argv):
+    # rank_sum_rows' W is unspecified with NaNs in both samples, so none may reach it
+    from spherecov import twosample
+    monkeypatch.setattr(twosample, "rank_sum_rows", lambda *a, **k: pytest.fail("ranked"))
+    monkeypatch.setattr(twosample, "signed_rank_rows", lambda *a, **k: pytest.fail("ranked"))
+    paths = []
+    for name, bad in (("s1.csv", "nan,0,1"), ("s2.csv", "0.5,inf,0.5")):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("x,y,z\n0,0,1\n0,1,0\n1,0,0\n" + bad + "\n0.5,0.5,0.7\n0.1,0.2,0.9\n")
+    out = tmp_path / "never"
+    assert main(argv + ["--sample1", str(paths[0]), "--sample2", str(paths[1]),
+                        "--seed", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: cannot normalize zero or non-finite rows\n"
+    assert not out.exists()
+
+
 def test_smallest_dirs_and_alpha_bounds_still_run(tmp_path):
     assert main(["profile", "--a1", "0.2", "--a2", "0.3", "--q", "0,0,1", "--dirs", "3",
                  "--seed", "0", "--out", str(tmp_path / "p")]) == 0

@@ -166,30 +166,28 @@ def test_points_round_trip(tmp_path):
         read_points(bad)
 
 
-def _cells_by_float(path) -> np.ndarray:
-    """The points of a CSV table parsed one cell at a time with float()."""
-    _, rows = read_table(path)
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
+def _same_bits_or_nan(back: np.ndarray, pts: np.ndarray) -> bool:
+    nan = np.isnan(pts)
+    return (np.array_equal(np.isnan(back), nan)
+            and back[~nan].tobytes() == pts[~nan].tobytes())
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS), min_size=1, max_size=12))
-def test_points_read_back_with_the_bits_of_float(tmp_path_factory, triples):
+def test_points_read_back_with_the_bits_written(tmp_path_factory, triples):
     pts = np.array(triples, dtype=float).reshape(-1, 3)
-    path = write_points(tmp_path_factory.mktemp("p") / "points", pts, "csv")
-    back = read_points(path)
-    assert back.shape == pts.shape
-    assert back.tobytes() == _cells_by_float(path).tobytes()
+    for fmt in ("csv", "json"):
+        path = write_points(tmp_path_factory.mktemp("p") / "points", pts, fmt)
+        assert _same_bits_or_nan(read_points(path), pts)
 
 
 def test_points_read_back_special_values(tmp_path):
     pts = np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, -5e-324],
                     [0.1 + 0.2, 1e308, -2.2250738585072014e-308]])
-    path = write_points(tmp_path / "points", pts, "csv")
-    back = read_points(path)
-    assert back.tobytes() == _cells_by_float(path).tobytes()
-    assert np.isnan(back[0, 0]) and np.array_equal(back[:, 1:], pts[:, 1:])
-    assert np.signbit(back[1, 0])
+    for fmt in ("csv", "json"):
+        back = read_points(write_points(tmp_path / f"points-{fmt}", pts, fmt))
+        assert _same_bits_or_nan(back, pts)
+        assert np.signbit(back[1, 0])
 
 
 @pytest.mark.parametrize("text, error, message", [
