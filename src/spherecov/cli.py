@@ -17,6 +17,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -582,7 +583,15 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------- parser ---
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared afterwards.
+
+    main parses with this one parser too. parse_args keeps nothing between
+    calls, so sharing it carries no state from one command to the next; it
+    only saves building a second parser in a process that has built one. A
+    one-shot spherecov process still builds exactly one.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="master seed; required for stochastic commands")
@@ -669,8 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return int(args.func(args) or 0)
     except UsageError as exc:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -65,38 +67,80 @@ def table_path(base: Path, fmt: str) -> Path:
     return base.with_suffix(".csv" if fmt == "csv" else ".json")
 
 
-def _column(col) -> tuple[list, list]:
-    """One table column as (JSON values, CSV cells); see write_table."""
+def _csv_specials() -> str:
+    """The characters that make csv.writer (QUOTE_MINIMAL, LF lines) quote a cell.
+
+    The comma, the quote and LF always do. Whether a bare CR does depends on
+    the Python version (3.11's writer leaves it unquoted), so csv is asked.
+    """
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["\r", ""])
+    return ',"\n\r' if buf.getvalue().startswith('"') else ',"\n'
+
+
+_needs_quotes = re.compile("[%s]" % _csv_specials()).search
+
+
+def _quoted(cell: str) -> str:
+    """One str cell as csv.writer writes it: wrapped in quotes, inner quotes doubled, if needed."""
+    return '"%s"' % cell.replace('"', '""') if _needs_quotes(cell) else cell
+
+
+def _column(col) -> tuple[list, list, str]:
+    """One table column as (JSON values, CSV cells, CSV row-format slot); see write_table.
+
+    A float column without blank cells keeps its floats as cells, for a
+    FLOAT_FMT slot. Any other column becomes str cells for a "%s" slot: bools
+    as 1/0, ints by str, floats with blanks by FLOAT_FMT, other values by str
+    and quoted as csv.writer quotes them, blanks and None as "".
+    """
     values, blank = col if isinstance(col, tuple) else (col, None)
     kind = np.asarray(values).dtype.kind
     values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    blanks = [] if blank is None else np.flatnonzero(blank).tolist()
+    if kind == "f" and not blanks:
+        return values, values, FLOAT_FMT
     if kind == "f":
         cells = [FLOAT_FMT % v for v in values]
     elif kind == "b":
         cells = ["1" if v else "0" for v in values]
+    elif kind in "iu":
+        cells = [str(v) for v in values]
     else:
-        cells = ["" if v is None else str(v) for v in values]
-    if blank is not None:
-        for i in np.flatnonzero(blank).tolist():
-            values[i], cells[i] = None, ""
-    return values, cells
+        cells = ["" if v is None else _quoted(str(v)) for v in values]
+    for i in blanks:
+        values[i], cells[i] = None, ""
+    return values, cells, "%s"
 
 
 def write_table(base: Path, columns: dict, fmt: str = "csv") -> Path:
     """Write equal-length columns as CSV or as a JSON array of records.
 
-    columns maps each header name, in order, to one column: a float array
-    (every cell as fmt_float writes it), a bool array or list (1/0), a list
-    of str/int/None (None blank), or a (values, blank_mask) pair of one of
-    these whose masked cells are blank (null in JSON).
+    columns maps each header name (a str), in order, to one column: a float
+    array (every cell as fmt_float writes it), a bool array or list (1/0), a
+    list of str/int/None (None blank), or a (values, blank_mask) pair of one
+    of these whose masked cells are blank (null in JSON).
+
+    CSV rows are written one `%` operation each, through one row format per
+    table (a FLOAT_FMT slot per float column without blanks, "%s" for the
+    rest), and streamed to the file. Header names and str cells are quoted
+    as csv.writer quotes them (QUOTE_MINIMAL): a cell holding a comma, a
+    quote or LF (or CR, where csv quotes it) is wrapped in quotes with its
+    quotes doubled, and the empty cell of a one-column row is written as "".
+    The bytes equal csv.writer's with LF line endings.
     """
     path = table_path(Path(base), fmt)
-    values, cells = zip(*map(_column, columns.values()))
+    values, cells, slots = zip(*map(_column, columns.values()))
     if fmt == "csv":
+        header = [_quoted(name) for name in columns]
+        if len(header) == 1:
+            # a lone empty cell would read as a blank line
+            header = [header[0] or '""']
+            cells = [[c or '""' for c in cells[0]] if slots[0] == "%s" else cells[0]]
+        row = ",".join(slots) + "\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(zip(*cells))
+            fh.write(",".join(header) + "\n")
+            fh.writelines(map(row.__mod__, zip(*cells)))
     else:
         write_json(path, [dict(zip(columns, rec)) for rec in zip(*values)])
     return path

@@ -496,6 +496,36 @@ def test_module_entry_point():
     assert "sample" in res.stdout and "interp" in res.stdout
 
 
+def test_build_parser_returns_one_shared_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_carries_no_state_between_commands(tmp_path):
+    """main calls in one process write the files that separate processes write."""
+    sampler = ["--a1", "0.2", "--a2", "0.3"]
+    commands = {
+        "test": ["test", *sampler, "--m1", "12", "--q-mode", "uniform", "--runs", "3",
+                 "--format", "json", "--seed", "2"],
+        "scan": ["scan", *sampler, "--grid", "20", "--criterion", "det", "--seed", "4"],
+        # the flags set by the first call fall back to their defaults
+        "test-defaults": ["test", *sampler, "--q", "0,0,1", "--runs", "2", "--seed", "2"],
+        "sample": ["sample", "--a", "0.2", "--n", "15", "--seed", "3"],
+    }
+    for name, argv in commands.items():
+        assert main(argv + ["--out", str(tmp_path / "shared" / name)]) == 0
+    src = str(Path(spherecov.__file__).resolve().parents[1])
+    for name, argv in commands.items():
+        res = subprocess.run([sys.executable, "-m", "spherecov", *argv,
+                              "--out", str(tmp_path / "separate" / name)],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+        assert res.returncode == 0, res.stderr
+        shared, separate = tmp_path / "shared" / name, tmp_path / "separate" / name
+        names = sorted(p.name for p in separate.iterdir())
+        assert sorted(p.name for p in shared.iterdir()) == names
+        for file in names:
+            assert (shared / file).read_bytes() == (separate / file).read_bytes(), (name, file)
+
+
 def test_scan_best_q_is_the_top_tr2_scan_row():
     args = cli.build_parser().parse_args(
         ["test", "--q-mode", "scan-best", "--grid", "40", "--seed", "0"])

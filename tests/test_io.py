@@ -95,8 +95,9 @@ def _write_rows(path, header, rows, fmt):
 _FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, 0.1]))
 _INTS = st.integers(min_value=-2**63, max_value=2**63 - 1)
-_TEXT = st.one_of(st.none(), st.text(max_size=8),
-                  st.sampled_from(['a,b', 'say "hi"', '"', ",", "", "x\ny", "1e5"]))
+_STR = st.one_of(st.text(max_size=8),
+                 st.sampled_from(['a,b', 'say "hi"', '"', ",", "", "x\ny", "1e5", "\r", "a\r\nb"]))
+_TEXT = st.one_of(st.none(), _STR)
 
 
 @st.composite
@@ -138,11 +139,25 @@ def test_column_writer_equals_row_writer(tmp_path_factory, fmt, data):
     n = data.draw(st.integers(min_value=0, max_value=6))
     width = data.draw(st.integers(min_value=1, max_value=5))
     drawn = [data.draw(_column(n)) for _ in range(width)]
-    header = [f"c{i}" for i in range(width)]
+    header = data.draw(st.lists(_STR, min_size=width, max_size=width, unique=True))
     tmp = tmp_path_factory.mktemp("t")
     got = write_table(tmp / "columns", dict(zip(header, (c for c, _ in drawn))), fmt)
     ref = tmp / ("rows" + got.suffix)
     _write_rows(ref, header, list(zip(*(cells for _, cells in drawn))), fmt)
+    assert got.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("header, column, cells", [
+    ("", ["", None, "a,b", "\r", "a\r\nb"], ["", "", "a,b", "\r", "a\r\nb"]),
+    ("v", (np.array([1.5, 2.0]), [True, False]), [None, 2.0]),
+    ("v", np.array([0.5, -0.0]), [0.5, -0.0]),
+    ("n", [], []),
+    ('say "hi"', np.array([], dtype=float), []),
+])
+def test_one_column_and_zero_row_tables_equal_csv_writer(tmp_path, header, column, cells):
+    got = write_table(tmp_path / "columns", {header: column}, "csv")
+    ref = tmp_path / "rows.csv"
+    _write_rows(ref, [header], [[c] for c in cells], "csv")
     assert got.read_bytes() == ref.read_bytes()
 
 
