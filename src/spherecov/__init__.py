@@ -5,228 +5,26 @@ tests built from projections onto eigenvectors of a covariance operator
 difference, and interpolation of discrete spherical distributions by
 minimizing similarity-invariant operator functionals over the probability
 simplex.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports all of them.
 """
 
-from .errors import (
-    SphereCovError,
-    AntipodalPointError,
-    CoincidentPointError,
-    NotPositiveDefiniteError,
-    DimensionMismatchError,
-    FrameMismatchError,
-    ObservationMismatchError,
-    NotHemisphericError,
-    IterationLimitError,
-    TooFewPairsError,
-    SampleSizeMismatchError,
-)
-from .geometry import (
-    ANTIPODAL_EPS,
-    TangentFrame,
-    TangentVec,
-    unit_point,
-    unit_points,
-    tangent_frame,
-    tangent_frames,
-    geodesic_distance,
-    geodesic_distances,
-    log_map,
-    log_map_coords,
-    exp_map,
-    rotation_about,
-    rotate_points,
-    uniform_sample,
-    geographic_metric,
-    geographic_point,
-    geographic_basis,
-)
-from .spd import (
-    DEFINITENESS_FLOOR,
-    is_spd,
-    assert_spd,
-    spd_log,
-    spd_exp,
-    spd_inv_sqrt,
-    similar_eigvals,
-    h_trdif,
-    h_trln2,
-    h_lik,
-    h_lnpr,
-    make_invariant,
-)
-from .simplex import project_to_simplex, is_pmf, as_pmf, random_pmfs
-from .fields import (
-    WEIGHT_KINDS,
-    CovField,
-    weight_value,
-    point_operator,
-    point_operators,
-    sample_cov_operator,
-    pmf_cov_field,
-    quadratic_form,
-    field_distance,
-    hemispheric_witness,
-    intrinsic_mean,
-)
-from .ranktests import (
-    RankTestResult,
-    RankTestBatch,
-    midranks,
-    signed_rank,
-    signed_rank_rows,
-    signed_rank_exact_cdf,
-    rank_sum,
-    rank_sum_rows,
-)
-from .twosample import (
-    ProjectionData,
-    ProcedureOutcome,
-    ProcedureBatch,
-    ScanRow,
-    SampleProfile,
-    projections_at,
-    paired_projections,
-    test_procedure_1,
-    test_procedure_2,
-    batch_procedures,
-    observation_scan,
-    tr2_scores,
-    det_sign_areas,
-    sample_profile,
-    operator_profile,
-)
-from .sampling import (
-    RingDensity,
-    ring_density_unnormalized,
-    rejection_sample,
-    rejection_sample_rows,
-    rotate_sample,
-)
-from .interpolation import (
-    INVARIANT_KINDS,
-    InterpProblem,
-    PrecomputedKernels,
-    InterpResult,
-    make_problem,
-    default_observation_points,
-    precompute,
-    eval_H,
-    grad_H,
-    hessian_H,
-    solve,
-    linear_interp,
-    sqroot_interp,
-    mse,
-    fractional_anisotropy,
-    rank_check,
-    consistency_sweep,
-    convexity_probe,
-)
+from .errors import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .spd import *  # noqa: F401,F403
+from .simplex import *  # noqa: F401,F403
+from .fields import *  # noqa: F401,F403
+from .ranktests import *  # noqa: F401,F403
+from .twosample import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .interpolation import *  # noqa: F401,F403
+from . import errors, geometry, spd, simplex, fields, ranktests, twosample, sampling, interpolation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SphereCovError",
-    "AntipodalPointError",
-    "CoincidentPointError",
-    "NotPositiveDefiniteError",
-    "DimensionMismatchError",
-    "FrameMismatchError",
-    "ObservationMismatchError",
-    "NotHemisphericError",
-    "IterationLimitError",
-    "TooFewPairsError",
-    "SampleSizeMismatchError",
-    "ANTIPODAL_EPS",
-    "TangentFrame",
-    "TangentVec",
-    "unit_point",
-    "unit_points",
-    "tangent_frame",
-    "tangent_frames",
-    "geodesic_distance",
-    "geodesic_distances",
-    "log_map",
-    "log_map_coords",
-    "exp_map",
-    "rotation_about",
-    "rotate_points",
-    "uniform_sample",
-    "geographic_metric",
-    "geographic_point",
-    "geographic_basis",
-    "DEFINITENESS_FLOOR",
-    "is_spd",
-    "assert_spd",
-    "spd_log",
-    "spd_exp",
-    "spd_inv_sqrt",
-    "similar_eigvals",
-    "h_trdif",
-    "h_trln2",
-    "h_lik",
-    "h_lnpr",
-    "make_invariant",
-    "project_to_simplex",
-    "is_pmf",
-    "as_pmf",
-    "random_pmfs",
-    "WEIGHT_KINDS",
-    "CovField",
-    "weight_value",
-    "point_operator",
-    "point_operators",
-    "sample_cov_operator",
-    "pmf_cov_field",
-    "quadratic_form",
-    "field_distance",
-    "hemispheric_witness",
-    "intrinsic_mean",
-    "RankTestResult",
-    "RankTestBatch",
-    "midranks",
-    "signed_rank",
-    "signed_rank_rows",
-    "signed_rank_exact_cdf",
-    "rank_sum",
-    "rank_sum_rows",
-    "ProjectionData",
-    "ProcedureOutcome",
-    "ProcedureBatch",
-    "ScanRow",
-    "SampleProfile",
-    "projections_at",
-    "paired_projections",
-    "test_procedure_1",
-    "test_procedure_2",
-    "batch_procedures",
-    "observation_scan",
-    "tr2_scores",
-    "det_sign_areas",
-    "sample_profile",
-    "operator_profile",
-    "RingDensity",
-    "ring_density_unnormalized",
-    "rejection_sample",
-    "rejection_sample_rows",
-    "rotate_sample",
-    "INVARIANT_KINDS",
-    "InterpProblem",
-    "PrecomputedKernels",
-    "InterpResult",
-    "make_problem",
-    "default_observation_points",
-    "precompute",
-    "eval_H",
-    "grad_H",
-    "hessian_H",
-    "solve",
-    "linear_interp",
-    "sqroot_interp",
-    "mse",
-    "fractional_anisotropy",
-    "rank_check",
-    "consistency_sweep",
-    "convexity_probe",
+    *errors.__all__, *geometry.__all__, *spd.__all__, *simplex.__all__, *fields.__all__,
+    *ranktests.__all__, *twosample.__all__, *sampling.__all__, *interpolation.__all__,
     "__version__",
 ]

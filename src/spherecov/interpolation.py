@@ -48,7 +48,7 @@ from .errors import (
     IterationLimitError,
     NotPositiveDefiniteError,
 )
-from .fields import weight_value
+from .fields import COINCIDENT_EPS, weight_value
 from .geometry import geodesic_distances, log_map_coords, rotation_about, unit_point, unit_points
 from .simplex import as_pmf, project_to_simplex, random_pmfs
 from .spd import DEFINITENESS_FLOOR
@@ -80,8 +80,6 @@ INVARIANT_KINDS = ("trdif", "trln2", "lik")
 # trdif keeps the plain squared-distance kernel; the other two default to the
 # pihalf weight, which flattens the trace profile and conditions the solve.
 DEFAULT_WEIGHTS = {"trdif": "unit", "trln2": "pihalf", "lik": "pihalf"}
-
-MIN_SEPARATION = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +148,9 @@ def make_problem(domain, endpoints, alpha, invariant: str, obs=None,
         )
     if weight == "pihalf":
         min_sep = geodesic_distances(obs, domain).min()
-        if min_sep < MIN_SEPARATION:
+        if min_sep < COINCIDENT_EPS:
             raise CoincidentPointError(
-                f"observation/domain separation {min_sep:.2e} below {MIN_SEPARATION:.0e}"
+                f"observation/domain separation {min_sep:.2e} below {COINCIDENT_EPS:.0e}"
             )
     return InterpProblem(domain=domain, obs=obs, endpoints=endpoints,
                          alpha=alpha, invariant=invariant, weight=weight)

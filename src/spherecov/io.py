@@ -13,7 +13,6 @@ import csv
 import json
 import re
 import sys
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -67,18 +66,10 @@ def table_path(base: Path, fmt: str) -> Path:
     return base.with_suffix(".csv" if fmt == "csv" else ".json")
 
 
-def _csv_specials() -> str:
-    """The characters that make csv.writer (QUOTE_MINIMAL, LF lines) quote a cell.
-
-    The comma, the quote and LF always do. Whether a bare CR does depends on
-    the Python version (3.11's writer leaves it unquoted), so csv is asked.
-    """
-    buf = StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["\r", ""])
-    return ',"\n\r' if buf.getvalue().startswith('"') else ',"\n'
-
-
-_needs_quotes = re.compile("[%s]" % _csv_specials()).search
+# A comma, a quote, CR or LF: what csv.writer quotes with CRLF line ends, on
+# every Python version (with LF line ends, 3.11's writer leaves a bare CR
+# unquoted, and csv.reader then splits the row at it).
+_needs_quotes = re.compile('[,"\r\n]').search
 
 
 def _quoted(cell: str) -> str:
@@ -125,9 +116,9 @@ def write_table(base: Path, columns: dict, fmt: str = "csv") -> Path:
     table (a FLOAT_FMT slot per float column without blanks, "%s" for the
     rest), and streamed to the file. Header names and str cells are quoted
     as csv.writer quotes them (QUOTE_MINIMAL): a cell holding a comma, a
-    quote or LF (or CR, where csv quotes it) is wrapped in quotes with its
-    quotes doubled, and the empty cell of a one-column row is written as "".
-    The bytes equal csv.writer's with LF line endings.
+    quote, CR or LF is wrapped in quotes with its quotes doubled, and the
+    empty cell of a one-column row is written as "". The bytes equal those
+    of csv.writer with CRLF line endings, each row ended with LF instead.
     """
     path = table_path(Path(base), fmt)
     values, cells, slots = zip(*map(_column, columns.values()))

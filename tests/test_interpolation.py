@@ -85,7 +85,7 @@ def test_pihalf_rejects_near_coincident_pairs():
     obs = np.vstack([domain[0] + np.array([0.0, 1e-10, 0.0]), [0.0, -0.6, 0.8]])
     endpoints = random_pmfs(np.random.default_rng(1), 3, 2)
     alpha = np.array([0.5, 0.5])
-    with pytest.raises(CoincidentPointError):
+    with pytest.raises(CoincidentPointError, match="below 1e-08$"):
         make_problem(domain, endpoints, alpha, "trln2", obs=unit_points(obs))
     # unit weight tolerates coincidence
     make_problem(domain, endpoints, alpha, "trdif", obs=unit_points(obs))

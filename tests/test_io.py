@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -80,14 +81,21 @@ def _cell_by_cell(value) -> str:
     return str(value)
 
 
+def _csv_line(cells) -> str:
+    """One row as csv.writer writes it with CRLF line ends (so CR is quoted on every
+    Python version), ended with LF instead."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def _write_rows(path, header, rows, fmt):
     """Row-at-a-time table writer, the reference the column writer must equal byte for byte."""
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+            fh.write(_csv_line(header))
             for row in rows:
-                writer.writerow([_cell_by_cell(v) for v in row])
+                fh.write(_csv_line([_cell_by_cell(v) for v in row]))
     else:
         write_json(path, [dict(zip(header, row)) for row in rows])
 
@@ -159,6 +167,14 @@ def test_one_column_and_zero_row_tables_equal_csv_writer(tmp_path, header, colum
     ref = tmp_path / "rows.csv"
     _write_rows(ref, [header], [[c] for c in cells], "csv")
     assert got.read_bytes() == ref.read_bytes()
+
+
+def test_str_cells_with_cr_lf_comma_and_quote_round_trip(tmp_path):
+    notes = ["\r", "a\rb", "a\r\nb", ",", '"', "x\ny", "plain"]
+    path = write_table(tmp_path / "t", {"note": notes, "v": list(range(len(notes)))}, "csv")
+    header, rows = read_table(path)
+    assert header == ["note", "v"]
+    assert rows == [[note, str(i)] for i, note in enumerate(notes)]
 
 
 def test_column_floats_are_written_as_fmt_float(tmp_path):
