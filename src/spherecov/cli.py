@@ -58,23 +58,19 @@ from .twosample import (
 __all__ = ["main", "build_parser"]
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_vec3(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"expected three comma-separated numbers, got {text!r}")
+        raise ValueError(f"expected three comma-separated numbers, got {text!r}")
     try:
         return unit_point(np.array([float(p) for p in parts]))
     except ValueError as exc:
-        raise UsageError(f"bad point {text!r}: {exc}") from exc
+        raise ValueError(f"bad point {text!r}: {exc}") from exc
 
 
 def _require_seed(args, why: str) -> int:
     if args.seed is None:
-        raise UsageError(f"--seed is required ({why})")
+        raise ValueError(f"--seed is required ({why})")
     return args.seed
 
 
@@ -86,17 +82,17 @@ def _out_dir(args) -> Path:
 
 def _require_grid(args) -> None:
     if args.grid <= 0:
-        raise UsageError("--grid must be positive")
+        raise ValueError("--grid must be positive")
 
 
 def _require_alpha(args) -> None:
     if not 0.0 < args.alpha < 1.0:
-        raise UsageError("--alpha must lie in (0, 1)")
+        raise ValueError("--alpha must lie in (0, 1)")
 
 
 def _ring_params(a, mu, concentration) -> RingDensity:
     if a is None:
-        raise UsageError("generator parameters required (--a missing)")
+        raise ValueError("generator parameters required (--a missing)")
     return RingDensity(a=a, mu=_parse_vec3(mu), concentration=concentration)
 
 
@@ -105,7 +101,7 @@ def _ring_params(a, mu, concentration) -> RingDensity:
 def cmd_sample(args) -> int:
     seed = _require_seed(args, "sampling is stochastic")
     if args.n <= 0:
-        raise UsageError("--n must be a positive integer")
+        raise ValueError("--n must be a positive integer")
     params = _ring_params(args.a, args.mu, args.concentration)
     rng = np.random.default_rng(seed)
     points, proposals = rejection_sample(params, args.n, rng, return_proposals=True)
@@ -134,7 +130,7 @@ def _sample_source(args):
     file_mode = args.sample1 is not None or args.sample2 is not None
     if file_mode:
         if not (args.sample1 and args.sample2):
-            raise UsageError("--sample1 and --sample2 must be given together")
+            raise ValueError("--sample1 and --sample2 must be given together")
         s1 = io.read_points(args.sample1)
         s2 = io.read_points(args.sample2)
         desc = {"sample1": args.sample1, "sample2": args.sample2}
@@ -145,13 +141,13 @@ def _sample_source(args):
 
         return draw_files, False, desc, None
     if args.a1 is None or args.a2 is None:
-        raise UsageError("give --sample1/--sample2 files or --a1/--a2 generator parameters")
+        raise ValueError("give --sample1/--sample2 files or --a1/--a2 generator parameters")
     p1 = _ring_params(args.a1, args.mu1, args.concentration)
     p2 = _ring_params(args.a2, args.mu2, args.concentration)
     m1 = args.m1
     m2 = args.m2 if args.m2 is not None else m1
     if m1 <= 0 or m2 <= 0:
-        raise UsageError("sample sizes must be positive")
+        raise ValueError("sample sizes must be positive")
     tally = {"points": 0, "proposals": 0}
 
     def draw_rows(rngs):
@@ -178,7 +174,7 @@ def _fixed_q(args):
     if args.q_mode != "fixed":
         return None
     if args.q is None:
-        raise UsageError("--q is required when --q-mode is fixed")
+        raise ValueError("--q is required when --q-mode is fixed")
     return _parse_vec3(args.q)
 
 
@@ -258,7 +254,7 @@ def cmd_test(args) -> int:
     stochastic = stochastic or args.q_mode != "fixed"
     seed = _require_seed(args, "the run is stochastic") if stochastic else args.seed
     if args.runs <= 0:
-        raise UsageError("--runs must be positive")
+        raise ValueError("--runs must be positive")
     _require_alpha(args)
     if args.q_mode == "scan-best":
         _require_grid(args)
@@ -349,7 +345,7 @@ def cmd_profile(args) -> int:
     if args.q_extreme is not None:
         _require_grid(args)
     if args.dirs < 3:
-        raise UsageError("--dirs must be at least 3")
+        raise ValueError("--dirs must be at least 3")
     rng = np.random.default_rng(seed) if needs_rng else None
     s1, s2 = (s[0] for s in draw_rows([rng]))
     if args.q_extreme is not None:
@@ -360,7 +356,7 @@ def cmd_profile(args) -> int:
     elif args.q is not None:
         q = _parse_vec3(args.q)
     else:
-        raise UsageError("give --q or --q-extreme")
+        raise ValueError("give --q or --q-extreme")
 
     prof1 = sample_profile(q, s1, n_dirs=args.dirs)
     prof2 = sample_profile(q, s2, n_dirs=args.dirs)
@@ -417,7 +413,7 @@ def _solver_stats(results) -> dict:
 
 def cmd_interp(args) -> int:
     if args.problem is None:
-        raise UsageError("--problem is required")
+        raise ValueError("--problem is required")
     problem, solver = io.load_problem(args.problem)
     if args.max_iter is not None:
         solver["max_iter"] = args.max_iter
@@ -439,9 +435,9 @@ def cmd_interp(args) -> int:
                     restarts=solver["restarts"], seed=seed)
     if args.alpha_steps is not None:
         if problem.m != 2:
-            raise UsageError("--alpha-steps sweeps need exactly two endpoints")
+            raise ValueError("--alpha-steps sweeps need exactly two endpoints")
         if args.alpha_steps < 2:
-            raise UsageError("--alpha-steps must be at least 2")
+            raise ValueError("--alpha-steps must be at least 2")
         ts = np.linspace(0.0, 1.0, args.alpha_steps)
         path = [np.array([1.0 - t, t]) for t in ts]
         results, _, _ = consistency_sweep(problem, path, kernels, **solve_kw)
@@ -681,13 +677,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return int(args.func(args) or 0)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except IterationLimitError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (IterationLimitError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except SphereCovError as exc:

@@ -60,14 +60,14 @@ def weight_value(kind: str, t):
     raise ValueError(f"unknown weight kind: {kind!r}")
 
 
-def point_operators(q, points, weight: str = "unit", frame: TangentFrame | None = None):
+def point_operators(q, points, weight: str = "unit"):
     """Point operators at q for each row of points.
 
     q is one base point (3,) or a batch (k, 3), as for log_map_coords.
 
     Returns:
-        (ops, dists): (..., n, 2, 2) operators in the frame at q and the
-        (..., n) geodesic distances.
+        (ops, dists): (..., n, 2, 2) operators in the frame tangent_frame(q)
+        and the (..., n) geodesic distances.
 
     Raises:
         AntipodalPointError: any point antipodal to q.
@@ -75,31 +75,28 @@ def point_operators(q, points, weight: str = "unit", frame: TangentFrame | None 
     """
     if weight not in WEIGHT_KINDS:
         raise ValueError(f"unknown weight kind: {weight!r}")
-    u, d = log_map_coords(q, points, frame)
-    if weight == "pihalf":
-        if np.any(d < COINCIDENT_EPS):
-            raise CoincidentPointError(
-                "pihalf weight is undefined at a coincident point pair"
-            )
-        w = weight_value("pihalf", d)
-    else:
-        w = np.ones_like(d)
+    u, d = log_map_coords(q, points)
+    if weight == "pihalf" and np.any(d < COINCIDENT_EPS):
+        raise CoincidentPointError(
+            "pihalf weight is undefined at a coincident point pair"
+        )
+    w = weight_value(weight, d)
     ops = w[..., None, None] * np.einsum("...i,...j->...ij", u, u)
     return ops, d
 
 
-def point_operator(q, p, weight: str = "unit", frame: TangentFrame | None = None) -> np.ndarray:
+def point_operator(q, p, weight: str = "unit") -> np.ndarray:
     """Single-point operator (log_q p)(log_q p)' r(d(q, p)) at q."""
-    ops, _ = point_operators(q, np.asarray(p, dtype=float)[None, :], weight, frame)
+    ops, _ = point_operators(q, np.asarray(p, dtype=float)[None, :], weight)
     return ops[0]
 
 
-def sample_cov_operator(q, sample, weight: str = "unit", frame: TangentFrame | None = None) -> np.ndarray:
+def sample_cov_operator(q, sample, weight: str = "unit") -> np.ndarray:
     """Arithmetic mean of the point operators of a sample at q."""
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2 or len(sample) == 0:
         raise DimensionMismatchError("sample must be a nonempty (n, 3) array")
-    ops, _ = point_operators(q, sample, weight, frame)
+    ops, _ = point_operators(q, sample, weight)
     return ops.mean(axis=0)
 
 
@@ -203,12 +200,11 @@ def intrinsic_mean(sample, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarr
     hemispheric_witness(pts)
     q = unit_point(pts.mean(axis=0))
     for _ in range(max_iter):
-        frame = tangent_frame(q)
-        coords, _ = log_map_coords(q, pts, frame)
+        coords, _ = log_map_coords(q, pts)
         g = coords.mean(axis=0)
         if np.linalg.norm(g) < tol:
             return q
-        q = exp_map(q, TangentVec(frame=frame, u=g))
+        q = exp_map(q, TangentVec(frame=tangent_frame(q), u=g))
     raise IterationLimitError(
         f"intrinsic mean did not reach tolerance {tol:g} in {max_iter} iterations"
     )

@@ -163,20 +163,19 @@ def geodesic_distance(q, p) -> float:
     return float(geodesic_distances(q, unit_point(p)[None, :])[0])
 
 
-def log_map_coords(q, points, frame: TangentFrame | None = None):
-    """Log map at one base point or a batch of them, as frame coordinates.
+def log_map_coords(q, points):
+    """Log map at one base point or a batch of them, as tangent_frame coordinates.
 
     Args:
         q: base point (3,) or base points (k, 3).
         points: (n, 3) array of target points, shared by every base point,
             or (k, n, 3) with one set per base point (a paired batch, whose
             k-th row equals the single-point call on q[k] and points[k]).
-        frame: frame at a single base point; the deterministic frame is
-            built when omitted, and always for a batch.
 
     Returns:
-        (coords, dists): (..., n, 2) frame coordinates of log_q(p) and the
-        (..., n) geodesic distances, where ... is empty or (k,).
+        (coords, dists): (..., n, 2) coordinates of log_q(p) in the frame
+        tangent_frame(q) and the (..., n) geodesic distances, where ... is
+        empty or (k,).
 
     Raises:
         AntipodalPointError: if any point is antipodal to its base point
@@ -184,12 +183,7 @@ def log_map_coords(q, points, frame: TangentFrame | None = None):
     """
     points = np.asarray(points, dtype=float)
     q = _unit_base(q)
-    if frame is None:
-        e1, e2 = _frame_axes(q)
-    elif q.ndim == 1:
-        e1, e2 = frame.e1, frame.e2
-    else:
-        raise ValueError("a frame applies to a single base point only")
+    e1, e2 = _frame_axes(q)
     cross, c = _cross_dot(q, points)
     if np.any(c <= -1.0 + ANTIPODAL_EPS):
         raise AntipodalPointError("log map undefined at an antipodal point")
@@ -201,8 +195,8 @@ def log_map_coords(q, points, frame: TangentFrame | None = None):
     return scale[..., None] * (cross @ np.stack([e2, -e1], axis=-1)), d
 
 
-def log_map(q, p, frame: TangentFrame | None = None) -> TangentVec:
-    """Log map of a single point p at base q.
+def log_map(q, p) -> TangentVec:
+    """Log map of a single point p at base q, in the frame tangent_frame(q).
 
     The closed form is d/sin(d) (p - c q) with c = <p, q> and
     d = atan2(|q x p|, c); coincident points map to the zero vector.
@@ -211,10 +205,8 @@ def log_map(q, p, frame: TangentFrame | None = None) -> TangentVec:
         AntipodalPointError: when c <= -1 + ANTIPODAL_EPS.
     """
     q = unit_point(q)
-    if frame is None:
-        frame = tangent_frame(q)
-    coords, _ = log_map_coords(q, np.asarray(p, dtype=float)[None, :], frame)
-    return TangentVec(frame=frame, u=coords[0])
+    coords, _ = log_map_coords(q, np.asarray(p, dtype=float)[None, :])
+    return TangentVec(frame=tangent_frame(q), u=coords[0])
 
 
 def exp_map(q, v: TangentVec) -> np.ndarray:

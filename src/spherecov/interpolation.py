@@ -48,7 +48,7 @@ from .errors import (
     IterationLimitError,
     NotPositiveDefiniteError,
 )
-from .fields import COINCIDENT_EPS, weight_value
+from .fields import COINCIDENT_EPS, WEIGHT_KINDS, weight_value
 from .geometry import geodesic_distances, log_map_coords, rotation_about, unit_point, unit_points
 from .simplex import as_pmf, project_to_simplex, random_pmfs
 from .spd import DEFINITENESS_FLOOR
@@ -131,7 +131,7 @@ def make_problem(domain, endpoints, alpha, invariant: str, obs=None,
         raise ValueError(f"unknown invariant: {invariant!r}")
     if weight is None:
         weight = DEFAULT_WEIGHTS[invariant]
-    if weight not in ("unit", "pihalf"):
+    if weight not in WEIGHT_KINDS:
         raise ValueError(f"unknown weight: {weight!r}")
     domain = unit_points(domain)
     obs = default_observation_points(domain) if obs is None else unit_points(obs)

@@ -42,22 +42,15 @@ def fmt_float(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _jsonable(value):
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.ndarray):
+def _json_default(value):
+    """numpy arrays and scalars as Python values, for json.dump's default hook.
+
+    np.float64 subclasses float, so json writes it as it writes a float
+    without calling the hook; np.bool_, np.int64 and arrays come here.
+    """
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def table_path(base: Path, fmt: str) -> Path:
@@ -168,7 +161,7 @@ def read_points(path) -> np.ndarray:
 def write_json(path, obj) -> Path:
     path = Path(path)
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     return path
 
@@ -244,7 +237,7 @@ def write_run_manifest(out_dir, command: str, params: dict, seed, outputs: list,
 
     manifest = {
         "command": command,
-        "params": _jsonable(params),
+        "params": params,
         "seed": seed,
         "versions": {
             "spherecov": __version__,
@@ -254,5 +247,5 @@ def write_run_manifest(out_dir, command: str, params: dict, seed, outputs: list,
         "outputs": sorted(str(o) for o in outputs),
     }
     if stats:
-        manifest["stats"] = _jsonable(stats)
+        manifest["stats"] = stats
     return write_json(Path(out_dir) / "run.json", manifest)

@@ -30,14 +30,18 @@ __all__ = [
     "rotate_sample",
 ]
 
-_CONCENTRATIONS = ("quartic", "squared")
+# The power of d in each concentration. A ring d = a^(1/power) beyond pi, or a NaN a,
+# has acceptance probability 0 or one that underflows, and rejection never returns.
+_POWERS = {"quartic": 4, "squared": 2}
 
 
 @dataclass(frozen=True)
 class RingDensity:
-    """Ring density parameters: ring size a >= 0 and center mu.
+    """Ring density parameters: ring size a and center mu.
 
-    mu is the center of the ring, not a mean of the distribution.
+    a lies in [0, pi**4] for quartic concentration and in [0, pi**2] for
+    squared, so that the ring radius is at most pi. mu is the center of the
+    ring, not a mean of the distribution.
     """
 
     a: float
@@ -45,10 +49,13 @@ class RingDensity:
     concentration: str = "quartic"
 
     def __post_init__(self):
-        if self.a < 0.0:
-            raise ValueError("ring parameter a must be nonnegative")
-        if self.concentration not in _CONCENTRATIONS:
+        if self.concentration not in _POWERS:
             raise ValueError(f"unknown concentration: {self.concentration!r}")
+        power = _POWERS[self.concentration]
+        if not 0.0 <= self.a <= np.pi ** power:
+            raise ValueError(f"ring parameter a must lie in [0, pi**{power}] (about "
+                             f"{np.pi ** power:.4g}) for {self.concentration} "
+                             f"concentration, got {self.a}")
         object.__setattr__(self, "mu", unit_point(self.mu))
 
 

@@ -93,14 +93,14 @@ class ProjectionData:
                               self.xi1[r], self.xi2[r], self.dsq1[r], self.dsq2[r])
 
 
-def _log_images(q, sample1, sample2, frame: TangentFrame | None = None):
+def _log_images(q, sample1, sample2):
     """Log coordinates and distances of both samples at q (see log_map_coords).
 
     q is one point or a batch; the samples are (m, 3), or (R, m, 3) stacks
     paired with a batch q (R, 3).
     """
     s1, s2 = unit_points(sample1), unit_points(sample2)
-    u, d = log_map_coords(q, np.concatenate([s1, s2], axis=-2), frame)
+    u, d = log_map_coords(q, np.concatenate([s1, s2], axis=-2))
     m1 = s1.shape[-2]
     return u[..., :m1, :], d[..., :m1], u[..., m1:, :], d[..., m1:]
 
@@ -118,18 +118,18 @@ def _project(lhat, u1, d1, u2, d2) -> dict:
                 dsq1=d1 ** 2, dsq2=d2 ** 2)
 
 
-def projections_at(q, sample1, sample2, frame: TangentFrame | None = None) -> ProjectionData:
+def projections_at(q, sample1, sample2) -> ProjectionData:
     """Eigensystem of the sample-mean-operator difference and xi projections.
+
+    Every tangent coordinate is in the frame tangent_frame(q).
 
     For any i and l the projections satisfy xi_{i,1} + xi_{i,2} = d_i^2, and
     the per-eigenvector means satisfy mean(xi_s^1) - mean(xi_s^2) = lambda_s
     (for equal sample sizes).
     """
     q = unit_point(q)
-    if frame is None:
-        frame = tangent_frame(q)
-    u1, d1, u2, d2 = _log_images(q, sample1, sample2, frame)
-    return ProjectionData(frame=frame, **_project(_operator_difference(u1, u2), u1, d1, u2, d2))
+    u1, d1, u2, d2 = _log_images(q, sample1, sample2)
+    return ProjectionData(frame=tangent_frame(q), **_project(_operator_difference(u1, u2), u1, d1, u2, d2))
 
 
 def paired_projections(qs, samples1, samples2) -> ProjectionData:
@@ -215,18 +215,16 @@ class ProcedureBatch(NamedTuple):
         )
 
 
-def _rank_procedure(proj, paired: bool, alpha: float, min_n: int = 5) -> ProcedureBatch:
+def _rank_procedure(proj, paired: bool, alpha: float) -> ProcedureBatch:
     """Rank tests of the xi projections along each eigenvector and of the
     squared distances, for every row of proj (one point or a batch): paired
     signed-rank tests or unpaired rank-sum tests."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if paired:
-        def test(a, b):
-            return signed_rank_rows(a - b, min_pairs=min_n)
-    else:
-        def test(a, b):
-            return rank_sum_rows(a, b, min_size=min_n)
+
+    def test(a, b):
+        return signed_rank_rows(a - b) if paired else rank_sum_rows(a, b)
+
     return ProcedureBatch(
         kind="signed_rank" if paired else "rank_sum",
         components=tuple(test(proj.xi1[..., s], proj.xi2[..., s]) for s in range(2)),
@@ -235,8 +233,7 @@ def _rank_procedure(proj, paired: bool, alpha: float, min_n: int = 5) -> Procedu
     )
 
 
-def test_procedure_1(sample1, sample2, q, alpha: float = 0.05,
-                     frame: TangentFrame | None = None, min_pairs: int = 5) -> ProcedureOutcome:
+def test_procedure_1(sample1, sample2, q, alpha: float = 0.05) -> ProcedureOutcome:
     """Paired signed-rank procedure on xi projections at q.
 
     Requires equal sample sizes (the i-th points form a pair). Also runs the
@@ -250,19 +247,18 @@ def test_procedure_1(sample1, sample2, q, alpha: float = 0.05,
         raise SampleSizeMismatchError(
             f"paired procedure needs equal sizes, got {len(sample1)} and {len(sample2)}"
         )
-    proj = projections_at(q, sample1, sample2, frame)
-    return _rank_procedure(proj, True, alpha, min_pairs).outcome((), proj)
+    proj = projections_at(q, sample1, sample2)
+    return _rank_procedure(proj, True, alpha).outcome((), proj)
 
 
-def test_procedure_2(sample1, sample2, q, alpha: float = 0.05,
-                     frame: TangentFrame | None = None, min_size: int = 5) -> ProcedureOutcome:
+def test_procedure_2(sample1, sample2, q, alpha: float = 0.05) -> ProcedureOutcome:
     """Unpaired rank-sum procedure on xi projections at q.
 
     Same pipeline as the paired procedure with rank-sum tests per
     eigenvector; sample sizes may differ.
     """
-    proj = projections_at(q, sample1, sample2, frame)
-    return _rank_procedure(proj, False, alpha, min_size).outcome((), proj)
+    proj = projections_at(q, sample1, sample2)
+    return _rank_procedure(proj, False, alpha).outcome((), proj)
 
 
 def batch_procedures(samples1, samples2, qs, alpha: float = 0.05):
@@ -394,19 +390,18 @@ class SampleProfile:
         return self.values.mean(axis=0)
 
 
-def sample_profile(q, sample, n_dirs: int = 50, frame: TangentFrame | None = None) -> SampleProfile:
+def sample_profile(q, sample, n_dirs: int = 50) -> SampleProfile:
     """Profile of a sample at q along n_dirs equally spaced directions.
 
-    Direction t is v(theta_t) = cos(theta_t) e1 + sin(theta_t) e2 with
-    theta_t = 2 pi t / n_dirs. Values are quadratic forms of unit
-    directions, so each profile is pi-periodic.
+    Direction t is v(theta_t) = cos(theta_t) e1 + sin(theta_t) e2 in the
+    frame (e1, e2) = tangent_frame(q), with theta_t = 2 pi t / n_dirs.
+    Values are quadratic forms of unit directions, so each profile is
+    pi-periodic.
     """
     if n_dirs < 3:
         raise ValueError("need at least 3 directions")
     q = unit_point(q)
-    if frame is None:
-        frame = tangent_frame(q)
-    u, _ = log_map_coords(q, unit_points(sample), frame)
+    u, _ = log_map_coords(q, unit_points(sample))
     thetas = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=0)  # (2, n_dirs)
     return SampleProfile(base=q, thetas=thetas, values=(u @ dirs) ** 2)

@@ -445,6 +445,20 @@ def test_iteration_limit_maps_to_exit_4(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+def test_linear_algebra_and_float_failures_map_to_exit_4(tmp_path, monkeypatch, capsys, error):
+    # LinAlgError is a ValueError, which alone would map to exit 2
+    ppath = tmp_path / "problem.json"
+    _write_trdif_problem(ppath)
+
+    def blow_up(*args, **kwargs):
+        raise error("singular")
+
+    monkeypatch.setattr("spherecov.cli.solve", blow_up)
+    assert main(["interp", "--problem", str(ppath), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == "numerical failure: singular\n"
+
+
 def test_missing_input_file_exits_2(tmp_path):
     assert main(["interp", "--problem", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
@@ -713,6 +727,21 @@ def test_non_finite_file_points_fail_before_any_rank_test(tmp_path, monkeypatch,
     assert main(argv + ["--sample1", str(paths[0]), "--sample2", str(paths[1]),
                         "--seed", "0", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "usage error: cannot normalize zero or non-finite rows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--a", "nan", "--n", "5"],
+    ["test", "--a1", "nan", "--a2", "0.3", "--q", "0,0,1"],
+    ["scan", "--a1", "nan", "--a2", "0.3"],
+    ["profile", "--a1", "nan", "--a2", "0.3", "--q", "0,0,1"]])
+def test_ring_parameter_off_the_sphere_fails_before_sampling(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "rejection_sample", lambda *a, **k: pytest.fail("sampled"))
+    monkeypatch.setattr(cli, "rejection_sample_rows", lambda *a: pytest.fail("sampled"))
+    out = tmp_path / "never"
+    assert main(argv + ["--seed", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("usage error: ring parameter a must lie in [0, pi**4] "
+                                       "(about 97.41) for quartic concentration, got nan\n")
     assert not out.exists()
 
 

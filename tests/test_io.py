@@ -302,6 +302,21 @@ def test_manifest_is_deterministic(tmp_path):
     assert "time" not in first.decode().lower()
 
 
+def test_json_numpy_values_write_the_bytes_of_python_values(tmp_path):
+    arrays = {"f": np.array([[0.1, np.nan], [-np.inf, 2.0]]), "i": np.arange(3),
+              "b": np.array([True, False]), "empty": np.zeros((0, 3))}
+    numpy_obj = {"bool": np.bool_(True), "int": np.int64(-7), "float": np.float64(0.1),
+                 "nan": np.float64(np.nan), "tuple": (np.int64(1), np.float64(2.5), None),
+                 "nested": [{"x": np.bool_(False)}, "s"], **arrays}
+    python_obj = {"bool": True, "int": -7, "float": 0.1, "nan": float("nan"),
+                  "tuple": [1, 2.5, None], "nested": [{"x": False}, "s"],
+                  **{k: v.tolist() for k, v in arrays.items()}}
+    a = write_json(tmp_path / "numpy.json", numpy_obj).read_bytes()
+    assert a == write_json(tmp_path / "python.json", python_obj).read_bytes()
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "bad.json", {"x": object()})
+
+
 def test_json_keys_sorted(tmp_path):
     path = write_json(tmp_path / "obj.json", {"b": 1, "a": np.float64(2.0)})
     text = path.read_text()

@@ -27,6 +27,20 @@ def test_ring_density_validation():
         RingDensity(a=0.2, concentration="cubic")
     params = RingDensity(a=0.2, mu=[0.0, 0.0, 2.0])
     npt.assert_allclose(params.mu, [0.0, 0.0, 1.0], atol=1e-15)
+    # both ends of each ring range: the center itself and the antipode
+    for a, concentration in ((0.0, "quartic"), (np.pi ** 4, "quartic"),
+                             (0.0, "squared"), (np.pi ** 2, "squared")):
+        assert RingDensity(a=a, concentration=concentration).a == a
+
+
+@pytest.mark.parametrize("a, concentration", [
+    (np.nan, "quartic"), (np.inf, "quartic"), (-np.inf, "quartic"), (-0.1, "quartic"),
+    (np.pi ** 4 + 1.0, "quartic"), (np.nan, "squared"), (np.pi ** 2 + 0.01, "squared")])
+def test_ring_parameter_off_the_sphere_is_rejected(a, concentration):
+    # a NaN or infinite a, or a ring beyond the antipode, accepts no proposal: sampling never ends
+    power = 4 if concentration == "quartic" else 2
+    with pytest.raises(ValueError, match=rf"^ring parameter a must lie in \[0, pi\*\*{power}\]"):
+        RingDensity(a=a, concentration=concentration)
 
 
 def test_ring_density_values():

@@ -8,6 +8,7 @@ from spherecov import (
     TooFewPairsError,
     batch_procedures,
     det_sign_areas,
+    log_map,
     log_map_coords,
     observation_scan,
     operator_profile,
@@ -60,14 +61,31 @@ def test_eigensystem_conventions():
 
 
 def test_lhat_matches_manual_construction():
-    frame = tangent_frame(Q)
-    u1, _ = log_map_coords(Q, S1, frame)
-    u2, _ = log_map_coords(Q, S2, frame)
+    u1, _ = log_map_coords(Q, S1)
+    u2, _ = log_map_coords(Q, S2)
     manual = (u1.T @ u1) / len(u1) - (u2.T @ u2) / len(u2)
-    proj = projections_at(Q, S1, S2, frame)
+    proj = projections_at(Q, S1, S2)
     npt.assert_allclose(proj.lhat, manual, atol=1e-14)
     w_manual = np.sort(np.linalg.eigvalsh(manual))[::-1]
     npt.assert_allclose(proj.eigvals, w_manual, atol=1e-12)
+
+
+def test_tangent_quantities_are_in_the_frame_at_the_normalised_base():
+    # every function normalises q and the samples first, then works in tangent_frame there
+    local = np.random.default_rng(11)
+    for _ in range(20):
+        q = local.normal(size=3)
+        s1, s2 = uniform_sample(local, 12), uniform_sample(local, 9)
+        base = unit_point(q)
+        expected = tangent_frame(base)
+        proj = projections_at(q, s1, s2)
+        for frame in (log_map(q, s1[0]).frame, proj.frame):
+            for a, b in ((frame.base, expected.base), (frame.e1, expected.e1),
+                         (frame.e2, expected.e2)):
+                npt.assert_array_equal(a, b)
+        u1, _ = log_map_coords(base, unit_points(s1))
+        u2, _ = log_map_coords(base, unit_points(s2))
+        npt.assert_array_equal(proj.lhat, (u1.T @ u1) / len(u1) - (u2.T @ u2) / len(u2))
 
 
 def test_paired_procedure_requires_equal_sizes():
@@ -171,8 +189,7 @@ def test_profile_difference_matches_operator_profile():
 def test_single_point_profile_shape():
     p = unit_point([0.3, 0.4, 0.86])
     prof = sample_profile(Q, p[None, :], n_dirs=24)
-    frame = tangent_frame(Q)
-    u, d = log_map_coords(Q, p[None, :], frame)
+    u, d = log_map_coords(Q, p[None, :])
     t0 = np.arctan2(u[0, 1], u[0, 0])
     expected = (d[0] ** 2) * np.cos(prof.thetas - t0) ** 2
     npt.assert_allclose(prof.values[0], expected, atol=1e-12)
