@@ -480,29 +480,23 @@ def _synthetic_problem(rng):
 
 
 def _invariance_relerr(rng, n_congruences: int = 200) -> float:
-    worst = 0.0
+    draws = []
     for _ in range(n_congruences):
-        a = rng.normal(size=(2, 2))
-        x = a @ a.T + 0.1 * np.eye(2)
-        b = rng.normal(size=(2, 2))
-        y = b @ b.T + 0.1 * np.eye(2)
-        c = rng.normal(size=(2, 2))
-        z = c @ c.T + 0.1 * np.eye(2)
+        xyz = [a @ a.T + 0.1 * np.eye(2) for a in (rng.normal(size=(2, 2)) for _ in range(3))]
         g = rng.normal(size=(2, 2))
         while abs(np.linalg.det(g)) < 0.1:
             g = rng.normal(size=(2, 2))
-        gx, gy, gz = g @ x @ g.T, g @ y @ g.T, g @ z @ g.T
-        # the trace-difference form is invariant only jointly with its
-        # reference operator; the other three need no reference
-        pairs = [
-            (h_trdif(x, y, z), h_trdif(gx, gy, gz)),
-            (h_trln2(x, y), h_trln2(gx, gy)),
-            (h_lik(x, y), h_lik(gx, gy)),
-            (h_lnpr(x, y), h_lnpr(gx, gy)),
-        ]
-        for v0, v1 in pairs:
-            worst = max(worst, abs(v0 - v1) / max(1.0, abs(v0)))
-    return worst
+        draws.append(xyz + [g @ m @ g.T for m in xyz])
+    x, y, z, gx, gy, gz = np.moveaxis(np.array(draws), 1, 0)
+    # the trace-difference form is invariant only jointly with its
+    # reference operator; the other three need no reference
+    pairs = [
+        (h_trdif(x, y, z), h_trdif(gx, gy, gz)),
+        (h_trln2(x, y), h_trln2(gx, gy)),
+        (h_lik(x, y), h_lik(gx, gy)),
+        (h_lnpr(x, y), h_lnpr(gx, gy)),
+    ]
+    return max(float(np.max(np.abs(v0 - v1) / np.maximum(1.0, np.abs(v0)))) for v0, v1 in pairs)
 
 
 def _weight_identity_err() -> float:

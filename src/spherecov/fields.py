@@ -146,12 +146,13 @@ def quadratic_form(v: TangentVec, op, op_frame: TangentFrame) -> float:
 
 
 def field_distance(f1: CovField, f2: CovField, h="trln2") -> float:
-    """Sum over shared observation points of h(op1_j, op2_j)."""
+    """Sum over shared observation points of h(op1_j, op2_j); h is a name for
+    make_invariant or a callable that maps the two (k, 2, 2) stacks to k values."""
     if isinstance(h, str):
         h = make_invariant(h)
     if len(f1.obs) != len(f2.obs) or not np.allclose(f1.obs, f2.obs, atol=1e-12):
         raise ObservationMismatchError("fields are on different observation sets")
-    return float(sum(h(a, b) for a, b in zip(f1.ops, f2.ops)))
+    return float(np.sum(h(f1.ops, f2.ops)))
 
 
 def hemispheric_witness(points, tol: float = 1e-8, max_iter: int = 20000) -> np.ndarray:

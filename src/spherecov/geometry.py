@@ -39,9 +39,10 @@ __all__ = [
 ]
 
 # Distances are atan2(|q x p|, <q, p>), accurate at every separation. The log
-# map is undefined at the antipode, so inner products at or below
-# -1 + ANTIPODAL_EPS are rejected.
+# map is undefined at the antipode, so it rejects distances at or beyond
+# _ANTIPODAL_DIST, where the cosine of unit vectors is -1 + ANTIPODAL_EPS.
 ANTIPODAL_EPS = 1e-9
+_ANTIPODAL_DIST = float(np.arccos(-1.0 + ANTIPODAL_EPS))
 
 
 def unit_point(p) -> np.ndarray:
@@ -185,10 +186,10 @@ def log_map_coords(q, points):
     q = _unit_base(q)
     e1, e2 = _frame_axes(q)
     cross, c = _cross_dot(q, points)
-    if np.any(c <= -1.0 + ANTIPODAL_EPS):
-        raise AntipodalPointError("log map undefined at an antipodal point")
     s = np.linalg.norm(cross, axis=-1)
     d = np.arctan2(s, c)
+    if np.any(d >= _ANTIPODAL_DIST):
+        raise AntipodalPointError("log map undefined at an antipodal point")
     # log_q p = (d/s)(p - c q), and p - c q = (q x p) x q has the frame
     # coordinates (<q x p, e2>, -<q x p, e1>); d = 0 wherever s = 0.
     scale = d / np.where(s > 0.0, s, 1.0)
@@ -202,7 +203,7 @@ def log_map(q, p) -> TangentVec:
     d = atan2(|q x p|, c); coincident points map to the zero vector.
 
     Raises:
-        AntipodalPointError: when c <= -1 + ANTIPODAL_EPS.
+        AntipodalPointError: when d(q, p) >= arccos(-1 + ANTIPODAL_EPS).
     """
     q = unit_point(q)
     coords, _ = log_map_coords(q, np.asarray(p, dtype=float)[None, :])

@@ -51,7 +51,7 @@ from .errors import (
 from .fields import COINCIDENT_EPS, WEIGHT_KINDS, weight_value
 from .geometry import geodesic_distances, log_map_coords, rotation_about, unit_point, unit_points
 from .simplex import as_pmf, project_to_simplex, random_pmfs
-from .spd import DEFINITENESS_FLOOR
+from .spd import DEFINITENESS_FLOOR, _eigvals2, _term_sum, spd_inv_sqrt
 
 __all__ = [
     "INVARIANT_KINDS",
@@ -192,13 +192,13 @@ def precompute(problem: InterpProblem) -> PrecomputedKernels:
     raw = np.einsum("ji,jia,jib->jiab", w, u, u)  # (k_obs, k, 2, 2)
     c_ops = np.einsum("si,jiab->sjab", problem.endpoints, raw)  # (m, k_obs, 2, 2)
 
-    lam, vec = np.linalg.eigh(c_ops)
-    if lam.min() <= DEFINITENESS_FLOOR:
+    try:
+        c_inv_sqrt = spd_inv_sqrt(c_ops)
+    except NotPositiveDefiniteError:
         raise NotPositiveDefiniteError(
             "an endpoint operator is singular; the endpoint pmf is "
             "inadmissible for this invariant"
-        )
-    c_inv_sqrt = np.einsum("sjab,sjb,sjcb->sjac", vec, 1.0 / np.sqrt(lam), vec)
+        ) from None
     ut = np.sqrt(w)[None, :, :, None] * np.einsum("jia,sjba->sjib", u, c_inv_sqrt)
     u0, u1 = ut[..., 0], ut[..., 1]
     uu = np.ascontiguousarray(np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-1).transpose(2, 0, 1, 3))
@@ -209,20 +209,6 @@ def _field_rows(F, kernels: PrecomputedKernels) -> np.ndarray:
     """Components (M00, M01, M11) of every M_j^s at each row of F: (n, m, k_obs, 3)."""
     uu = kernels.UU
     return (F @ uu.reshape(len(uu), -1)).reshape(len(F), *uu.shape[1:])
-
-
-def _eigvals2(comps):
-    """Closed-form eigenvalues (lam_min, lam_max) of symmetric 2x2 matrices
-    given by their components (a, b, d) on the last axis.
-
-    lam_max = mean + hypot((a - d)/2, b) and lam_min = det / lam_max are both
-    accurate to rounding in lam_max, however ill-conditioned the matrix. A
-    zero lam_max gives a NaN lam_min, which no positivity test passes.
-    """
-    a, b, d = comps[..., 0], comps[..., 1], comps[..., 2]
-    lam_max = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (a * d - b * b) / lam_max, lam_max
 
 
 def _require_pd(ok) -> None:
@@ -265,9 +251,8 @@ def _objective_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
         resid = (F @ kernels.K)[:, None, :] - kernels.c_tr  # (n, m, k_obs)
         return (resid ** 2).sum(axis=2) @ alpha, np.ones(len(F), dtype=bool)
     lam = _eigvals2(_field_rows(F, kernels))
-    h = (lambda x: np.log(x) ** 2) if problem.invariant == "trln2" else (lambda x: x - np.log(x) - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        per = h(lam[0]) + h(lam[1])
+        per = _term_sum(problem.invariant, lam)
         return per.sum(axis=2) @ alpha, (lam[0] > DEFINITENESS_FLOOR).all(axis=(1, 2))
 
 

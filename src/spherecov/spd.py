@@ -1,19 +1,23 @@
-"""Similarity-invariant functions on symmetric positive definite matrices.
+"""Similarity-invariant functions on 2x2 symmetric positive definite operators.
 
 The four invariants compare covariance operators:
 
   trdif(X, Y; Z) = |tr(Z^-1 X - Z^-1 Y)|
   trln2(X, Y)    = sqrt(tr(ln^2(X Y^-1)))          (affine-invariant distance)
-  lik(X, Y)      = tr(X Y^-1) - ln|X Y^-1| - n      (not symmetric, no triangle)
-  lnpr(X, Y)     = sqrt(ln(tr(X Y^-1) tr(Y X^-1) / n^2))
+  lik(X, Y)      = tr(X Y^-1) - ln|X Y^-1| - 2      (not symmetric, no triangle)
+  lnpr(X, Y)     = sqrt(ln(tr(X Y^-1) tr(Y X^-1) / 4))
 
 All are unchanged when X, Y (and the trdif reference Z) are congruence
 transformed by any invertible A. Eigenvalues of the non-symmetric product
 X Y^-1 are computed through the symmetric similar matrix Y^-1/2 X Y^-1/2 so
 that they stay real and positive in floating point.
 
-The lnpr form divides by n^2 inside the log so that lnpr(X, cX) = 0; by the
-AM-GM inequality tr(X Y^-1) tr(Y X^-1) >= n^2, so the argument is >= 1.
+The lnpr form divides by n^2 = 4 inside the log so that lnpr(X, cX) = 0; by
+the AM-GM inequality tr(X Y^-1) tr(Y X^-1) >= 4, so the argument is >= 1.
+
+Every function takes 2x2 operators or (..., 2, 2) stacks of them (one h_*
+value per pair, each equal to the single-pair call bit for bit), through
+_eigvals2, the one eigenvalue kernel for symmetric 2x2 matrices.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ from .errors import NotPositiveDefiniteError
 __all__ = [
     "DEFINITENESS_FLOOR",
     "assert_spd",
-    "is_spd",
-    "spd_log",
-    "spd_exp",
     "spd_inv_sqrt",
     "similar_eigvals",
     "h_trdif",
@@ -40,88 +41,105 @@ __all__ = [
 DEFINITENESS_FLOOR = 1e-12
 
 
-def _sym(m) -> np.ndarray:
+def _stack2(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 operator or a stack of them, got shape {m.shape}")
+    return m
 
 
-def is_spd(m, floor: float = DEFINITENESS_FLOOR) -> bool:
-    """True when the symmetric part of m has all eigenvalues above floor."""
-    w = np.linalg.eigvalsh(_sym(m))
-    return bool(w.min() > floor)
+def _sym_comps(m):
+    """Components (a, b, d) on the last axis of the symmetric parts of a (..., 2, 2) stack."""
+    return np.stack([m[..., 0, 0], 0.5 * (m[..., 0, 1] + m[..., 1, 0]), m[..., 1, 1]], -1)
+
+
+def _eigvals2(comps):
+    """Closed-form eigenvalues (lam_min, lam_max) of symmetric 2x2 matrices
+    given by their components (a, b, d) on the last axis.
+
+    lam_max = mean + hypot((a - d)/2, b) and lam_min = det / lam_max are both
+    accurate to rounding in lam_max, however ill-conditioned the matrix. A
+    zero lam_max gives a NaN lam_min, which no positivity test passes; so
+    does a NaN or infinite component.
+    """
+    a, b, d = comps[..., 0], comps[..., 1], comps[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam_max = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+        return (a * d - b * b) / lam_max, lam_max
+
+
+def _term_sum(kind: str, lam):
+    """Sum over the eigenvalue pair lam = (lam_min, lam_max) of X Y^-1 of the
+    per-eigenvalue term of an invariant: ln^2 for trln2 (its square), and
+    lam - ln lam - 1 for lik. The square is np.square, which an array's ** 2
+    computes too; a float64 scalar's ** 2 calls pow, which can differ by a bit."""
+    term = (lambda x: np.square(np.log(x))) if kind == "trln2" else (lambda x: x - np.log(x) - 1.0)
+    return term(lam[0]) + term(lam[1])
 
 
 def assert_spd(m, floor: float = DEFINITENESS_FLOOR, what: str = "matrix") -> np.ndarray:
-    m = _sym(m)
-    w = np.linalg.eigvalsh(m)
-    if w.min() <= floor:
+    """Symmetric part of m, checked for eigenvalues above floor (NaN and inf fail)."""
+    m = _stack2(m)
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
+    lam_min, _ = _eigvals2(_sym_comps(m))
+    if not np.all(lam_min > floor):
         raise NotPositiveDefiniteError(
-            f"{what} has minimum eigenvalue {w.min():.3e} (floor {floor:.1e})"
+            f"{what} has minimum eigenvalue {np.min(lam_min):.3e} (floor {floor:.1e})"
         )
     return m
 
 
-def spd_log(x) -> np.ndarray:
-    """Matrix logarithm of a symmetric positive definite matrix."""
-    x = assert_spd(x)
-    w, v = np.linalg.eigh(x)
-    return (v * np.log(w)) @ v.T
-
-
-def spd_exp(s) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix."""
-    s = _sym(s)
-    w, v = np.linalg.eigh(s)
-    return (v * np.exp(w)) @ v.T
-
-
 def spd_inv_sqrt(x) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix."""
-    x = assert_spd(x)
-    w, v = np.linalg.eigh(x)
-    return (v / np.sqrt(w)) @ v.T
+    """Inverse square root by eigh of x as given (no symmetrisation); raises
+    NotPositiveDefiniteError below DEFINITENESS_FLOOR, as assert_spd does."""
+    lam, vec = np.linalg.eigh(_stack2(x))
+    if not np.all(lam > DEFINITENESS_FLOOR):
+        raise NotPositiveDefiniteError(
+            f"matrix has minimum eigenvalue {np.min(lam):.3e} (floor {DEFINITENESS_FLOOR:.1e})"
+        )
+    return np.einsum("...ab,...b,...cb->...ac", vec, 1.0 / np.sqrt(lam), vec)
+
+
+def _pencil_eigvals(x, y):
+    """(lam_min, lam_max) of X Y^-1, the eigenvalues of the similar Y^-1/2 X Y^-1/2,
+    which is symmetric positive definite, so they are real and positive."""
+    x = assert_spd(x, what="X")
+    yis = spd_inv_sqrt(assert_spd(y, what="Y"))
+    return _eigvals2(_sym_comps(yis @ x @ yis))
 
 
 def similar_eigvals(x, y) -> np.ndarray:
-    """Eigenvalues of X Y^-1, via the symmetric similar matrix.
-
-    X Y^-1 is similar to Y^-1/2 X Y^-1/2, which is symmetric positive
-    definite, so the returned eigenvalues are real and positive.
-    """
-    x = assert_spd(x, what="X")
-    yis = spd_inv_sqrt(np.asarray(y, dtype=float))
-    return np.linalg.eigvalsh(_sym(yis @ x @ yis))
+    """Eigenvalues (lam_min, lam_max) of X Y^-1 on the last axis, (..., 2)."""
+    return np.stack(_pencil_eigvals(x, y), -1)
 
 
-def h_trdif(x, y, z=None) -> float:
+def h_trdif(x, y, z=None):
     """|tr(Z^-1 X - Z^-1 Y)|; Z defaults to the identity."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _stack2(x), _stack2(y)
     if z is None:
-        return float(abs(np.trace(x) - np.trace(y)))
-    z = assert_spd(z, what="reference Z")
-    return float(abs(np.trace(np.linalg.solve(z, x - y))))
+        return np.abs(np.trace(x, axis1=-2, axis2=-1) - np.trace(y, axis1=-2, axis2=-1))
+    z, dif = assert_spd(z, what="reference Z"), x - y
+    # tr(Z^-1 D) = tr(adj(Z) D) / det(Z) for the symmetric Z
+    (a, b), (_, d) = np.moveaxis(z, (-2, -1), (0, 1))
+    tr_adj = d * dif[..., 0, 0] + a * dif[..., 1, 1] - b * (dif[..., 0, 1] + dif[..., 1, 0])
+    return np.abs(tr_adj / (a * d - b * b))
 
 
-def h_trln2(x, y) -> float:
+def h_trln2(x, y):
     """Affine-invariant distance sqrt(sum of squared log eigenvalues)."""
-    sig = similar_eigvals(x, y)
-    return float(np.sqrt(np.sum(np.log(sig) ** 2)))
+    return np.sqrt(_term_sum("trln2", _pencil_eigvals(x, y)))
 
 
-def h_lik(x, y) -> float:
-    """tr(X Y^-1) - ln|X Y^-1| - n. Nonnegative, zero iff X = Y."""
-    sig = similar_eigvals(x, y)
-    return float(np.sum(sig) - np.sum(np.log(sig)) - len(sig))
+def h_lik(x, y):
+    """tr(X Y^-1) - ln|X Y^-1| - 2. Nonnegative, zero iff X = Y."""
+    return _term_sum("lik", _pencil_eigvals(x, y))
 
 
-def h_lnpr(x, y) -> float:
-    """sqrt(ln(tr(X Y^-1) tr(Y X^-1) / n^2)). Zero iff X = cY."""
-    sig = similar_eigvals(x, y)
-    n = len(sig)
-    # AM-GM makes the argument >= 1; clip guards roundoff at equality.
-    arg = max(float(np.sum(sig) * np.sum(1.0 / sig)) / (n * n), 1.0)
-    return float(np.sqrt(np.log(arg)))
+def h_lnpr(x, y):
+    """sqrt(ln(tr(X Y^-1) tr(Y X^-1) / 4)). Zero iff X = cY."""
+    lo, hi = _pencil_eigvals(x, y)
+    # AM-GM makes the argument >= 1; the clip guards roundoff at equality.
+    return np.sqrt(np.log(np.maximum((lo + hi) * (1.0 / lo + 1.0 / hi) / 4.0, 1.0)))
 
 
 def make_invariant(kind: str, reference=None):

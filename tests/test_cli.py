@@ -848,3 +848,13 @@ def test_no_command_imports_scipy(tmp_path):
     assert json.loads(res.stdout.splitlines()[-1]) == []
     for name in ("sample", "test", "scan", "profile", "interp", "sweep", "check"):
         assert (tmp_path / name / "run.json").is_file()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = ("import json, sys, spherecov.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    src = str(Path(spherecov.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -227,3 +228,27 @@ def test_pihalf_flattens_max_trace():
     tr_unit = max(np.trace(sample_cov_operator(q, sample, "unit")) for q in qs)
     tr_pihalf = max(np.trace(sample_cov_operator(q, sample, "pihalf")) for q in qs)
     assert tr_pihalf < tr_unit
+
+
+@pytest.mark.parametrize("kind", ["trdif", "trln2", "lik", "lnpr"])
+def test_field_distance_value_is_the_per_point_sum(kind):
+    local = np.random.default_rng(77)
+    domain, obs = uniform_sample(local, 8), uniform_sample(local, 5)
+    f1, f2 = (local.dirichlet(np.ones(8)) for _ in range(2))
+    c1, c2 = pmf_cov_field(f1, domain, obs), pmf_cov_field(f2, domain, obs)
+    expected = 0.0
+    for x, y in zip(c1.ops, c2.ops):
+        if kind == "trdif":
+            expected += abs(np.sum(scipy.linalg.eigh(x, eigvals_only=True))
+                            - np.sum(scipy.linalg.eigh(y, eigvals_only=True)))
+            continue
+        sig = scipy.linalg.eigh(x, y, eigvals_only=True)  # eigenvalues of X Y^-1
+        expected += {"trln2": np.sqrt(np.sum(np.log(sig) ** 2)),
+                     "lik": np.sum(sig - np.log(sig) - 1.0),
+                     "lnpr": np.sqrt(np.log(np.sum(sig) * np.sum(1.0 / sig) / 4.0))}[kind]
+    assert expected > 0.1
+    assert field_distance(c1, c2, kind) == pytest.approx(expected, rel=1e-12)
+    # a callable h receives the two (k, 2, 2) stacks
+    seen = []
+    assert field_distance(c1, c2, lambda a, b: seen.append((a.shape, b.shape)) or np.ones(len(a))) == 5.0
+    assert seen == [((5, 2, 2), (5, 2, 2))]

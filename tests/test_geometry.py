@@ -271,3 +271,33 @@ def test_batched_rows_equal_single_point_calls_bitwise(qs, n, seed):
         u2, d2 = log_map_coords(q, paired[r])
         npt.assert_array_equal(u_paired[r], u2)
         npt.assert_array_equal(d_paired[r], d2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.floats(0.5, 2.0))
+def test_log_map_coords_do_not_depend_on_the_target_norm(seed, c):
+    # the antipodal test reads the distance, which does not depend on |p|
+    local = np.random.default_rng(seed)
+    q = unit_point(local.normal(size=3))
+    p = unit_points(local.normal(size=(8, 3)))
+    p = p[p @ q > -0.99]
+    u1, d1 = log_map_coords(q, p)
+    u2, d2 = log_map_coords(q, c * p)
+    norm = np.linalg.norm(u1, axis=-1)
+    assert np.all(np.linalg.norm(u2 - u1, axis=-1) <= 1e-14 * norm)
+    assert np.all(np.abs(d2 - d1) <= 1e-14 * d1)
+    for target in (-q, -c * q):
+        with pytest.raises(AntipodalPointError):
+            log_map_coords(q, target[None, :])
+        with pytest.raises(AntipodalPointError):
+            log_map(q, target)
+
+
+def test_antipodal_check_reads_the_distance_not_the_inner_product():
+    q = np.array([0.0, 0.0, 1.0])
+    p = np.array([np.sin(2.2), 0.0, np.cos(2.2)])
+    u, d = log_map_coords(q, 2.0 * p[None, :])  # <q, 2p> = 2 cos(2.2) < -1
+    assert d[0] == pytest.approx(2.2, abs=1e-15)
+    npt.assert_allclose(u, log_map_coords(q, p[None, :])[0], rtol=1e-15)
+    with pytest.raises(AntipodalPointError):
+        log_map_coords(q, np.array([[0.0, 0.0, -0.5]]))  # <q, p> = -0.5, at distance pi

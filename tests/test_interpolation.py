@@ -37,7 +37,7 @@ from spherecov import (
     unit_points,
     weight_value,
 )
-from spherecov import interpolation
+from spherecov import interpolation, spd
 from spherecov.io import load_problem
 
 FIXTURE =Path(__file__).resolve().parents[1] / "src" / "spherecov" / "fixtures" / "bimodal_k6.json"
@@ -340,9 +340,9 @@ def test_exhausted_line_search_reports_stationarity(monkeypatch):
 
 
 def _closed_form_eigvals(mats):
-    """Ascending eigenvalues of symmetric 2x2 matrices from interpolation._eigvals2."""
+    """Ascending eigenvalues of symmetric 2x2 matrices from spd._eigvals2, the kernel the solver uses."""
     comps = np.stack([mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]], -1)
-    return np.stack(interpolation._eigvals2(comps), -1)
+    return np.stack(spd._eigvals2(comps), -1)
 
 
 def test_closed_form_eigenvalues_match_eigvalsh():

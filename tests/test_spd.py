@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecov import (
     NotPositiveDefiniteError,
@@ -10,12 +12,9 @@ from spherecov import (
     h_lnpr,
     h_trdif,
     h_trln2,
-    is_spd,
     make_invariant,
     similar_eigvals,
-    spd_exp,
     spd_inv_sqrt,
-    spd_log,
 )
 
 rng = np.random.default_rng(31)
@@ -104,12 +103,6 @@ def test_lik_asymmetric():
     assert h_lik(x, y) != pytest.approx(h_lik(y, x), rel=1e-3)
 
 
-def test_spd_log_exp_inverse():
-    for _ in range(50):
-        x = rand_spd()
-        npt.assert_allclose(spd_exp(spd_log(x)), x, atol=1e-12)
-
-
 def test_spd_inv_sqrt():
     x = rand_spd()
     s = spd_inv_sqrt(x)
@@ -121,8 +114,9 @@ def test_assert_spd_raises():
         assert_spd(np.diag([1.0, 0.0]))
     with pytest.raises(NotPositiveDefiniteError):
         assert_spd(np.diag([1.0, -2.0]))
-    assert not is_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))  # asymmetric
-    assert is_spd(np.eye(2))
+    with pytest.raises(NotPositiveDefiniteError):
+        assert_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))  # its symmetric part is singular
+    npt.assert_array_equal(assert_spd(np.eye(2)), np.eye(2))
 
 
 def test_make_invariant_dispatch():
@@ -134,3 +128,88 @@ def test_make_invariant_dispatch():
         make_invariant("nope")
     with pytest.raises(ValueError):
         make_invariant("lik", reference=z)
+
+
+def _spd_stack(local, n, cond_max):
+    """n symmetric positive definite 2x2 operators, scales 1e-3..1e3, conditions up to cond_max."""
+    theta = local.uniform(0.0, np.pi, n)
+    rot = np.stack([np.stack([np.cos(theta), -np.sin(theta)], -1),
+                    np.stack([np.sin(theta), np.cos(theta)], -1)], -2)
+    top = 10.0 ** local.uniform(-3.0, 3.0, n)
+    diag = np.stack([top, top / 10.0 ** local.uniform(0.0, np.log10(cond_max), n)], -1)
+    m = np.einsum("nab,nb,ncb->nac", rot, diag, rot)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+       log_delta=st.one_of(st.none(), st.floats(-14.0, 0.0)))
+def test_similar_eigvals_stacks_match_scipy_generalized_eigh(seed, n, log_delta):
+    local = np.random.default_rng(seed)
+    y = _spd_stack(local, n, 1e3)  # ill-conditioned Y up to cond 1e3
+    if log_delta is None:
+        x = _spd_stack(local, n, 1e2)
+    else:
+        # near-equal generalized eigenvalues: X = c Y + delta c P
+        c = 10.0 ** local.uniform(-2.0, 2.0, n)[:, None, None]
+        x = c * y + 10.0 ** log_delta * c * _spd_stack(local, n, 1e2)
+    lam = similar_eigvals(x, y)
+    assert lam.shape == (n, 2)
+    ref = np.stack([scipy.linalg.eigh(a, b, eigvals_only=True) for a, b in zip(x, y)])
+    # relative to each pair's larger eigenvalue, the scale of the rounding of both
+    # kernels; near-equal eigenvalues are each within it of their own size
+    assert np.all(np.abs(lam - ref) <= 1e-11 * ref[:, 1:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8))
+def test_stacked_rows_equal_single_pair_calls_bitwise(seed, n):
+    local = np.random.default_rng(seed)
+    x, y, z = (_spd_stack(local, n, 1e3) for _ in range(3))
+    stacked = {
+        "trdif": h_trdif(x, y), "trdif_z": h_trdif(x, y, z), "trln2": h_trln2(x, y),
+        "lik": h_lik(x, y), "lnpr": h_lnpr(x, y), "eig": similar_eigvals(x, y),
+        "inv_sqrt": spd_inv_sqrt(y), "sym": assert_spd(x),
+    }
+    for r in range(n):
+        single = {
+            "trdif": h_trdif(x[r], y[r]), "trdif_z": h_trdif(x[r], y[r], z[r]),
+            "trln2": h_trln2(x[r], y[r]), "lik": h_lik(x[r], y[r]), "lnpr": h_lnpr(x[r], y[r]),
+            "eig": similar_eigvals(x[r], y[r]), "inv_sqrt": spd_inv_sqrt(y[r]), "sym": assert_spd(x[r]),
+        }
+        for name, value in single.items():
+            npt.assert_array_equal(stacked[name][r], value, err_msg=name)
+    for kind in ("trdif", "trln2", "lik", "lnpr"):
+        npt.assert_array_equal(make_invariant(kind)(x, y), stacked[kind])
+    assert isinstance(h_trln2(x[0], y[0]), float)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 3), (2, 3), (3, 2), (5, 1, 2)])
+def test_operators_that_are_not_2x2_raise_value_error(shape):
+    bad, good = np.ones(shape), np.eye(2)
+    calls = [lambda: assert_spd(bad), lambda: spd_inv_sqrt(bad),
+             lambda: similar_eigvals(bad, good), lambda: similar_eigvals(good, bad),
+             lambda: h_trdif(bad, good), lambda: h_trdif(good, good, bad)]
+    calls += [lambda h=h: h(bad, good) for h in (h_trln2, h_lik, h_lnpr)]
+    calls += [lambda h=h: h(good, bad) for h in (h_trln2, h_lik, h_lnpr)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entries", [[(0, 0)], [(1, 1)], [(0, 1), (1, 0)]])
+def test_nan_and_inf_entries_are_not_positive_definite(bad, entries):
+    m, good = np.eye(2), 2.0 * np.eye(2)
+    for entry in entries:
+        m[entry] = bad
+    stack = np.stack([good, m])  # one bad operator in a stack is enough
+    calls = [lambda: assert_spd(m), lambda: assert_spd(stack), lambda: spd_inv_sqrt(m),
+             lambda: h_trdif(good, good, m), lambda: h_trdif(good, good, stack),
+             lambda: similar_eigvals(m, good), lambda: similar_eigvals(good, m)]
+    for h in (h_trln2, h_lik, h_lnpr):
+        calls += [lambda h=h: h(m, good), lambda h=h: h(good, m), lambda h=h: h(stack, good),
+                  lambda h=h: h(good, stack)]
+    for call in calls:
+        with pytest.raises(NotPositiveDefiniteError):
+            call()
