@@ -27,7 +27,7 @@ import numpy as np
 from . import io
 from .errors import IterationLimitError, SphereCovError, TooFewPairsError
 from .fields import weight_value
-from .geometry import uniform_sample, unit_point
+from .geometry import rotate_points, uniform_sample, unit_point
 from .interpolation import (
     STOP_REASONS,
     consistency_sweep,
@@ -42,7 +42,7 @@ from .interpolation import (
     solve,
     sqroot_interp,
 )
-from .sampling import RingDensity, rejection_sample, rejection_sample_rows, rotate_sample
+from .sampling import RingDensity, rejection_sample, rejection_sample_rows
 from .simplex import random_pmfs
 from .spd import h_lik, h_lnpr, h_trdif, h_trln2
 from .twosample import (
@@ -91,8 +91,6 @@ def _require_alpha(args) -> None:
 
 
 def _ring_params(a, mu, concentration) -> RingDensity:
-    if a is None:
-        raise ValueError("generator parameters required (--a missing)")
     return RingDensity(a=a, mu=_parse_vec3(mu), concentration=concentration)
 
 
@@ -273,7 +271,7 @@ def cmd_test(args) -> int:
         for r, rng in enumerate(rngs):
             try:
                 q = _resolve_q(args, rng, s1[r], s2[r], fixed)
-                s2r = s2[r] if args.rotate2 is None else rotate_sample(s2[r], q, args.rotate2)
+                s2r = s2[r] if args.rotate2 is None else rotate_points(s2[r], q, args.rotate2)
                 drawn.append((s1[r], s2r, q))
             except SphereCovError as exc:
                 # raised after the earlier runs of the block are tested, as in run order
@@ -412,8 +410,6 @@ def _solver_stats(results) -> dict:
 
 
 def cmd_interp(args) -> int:
-    if args.problem is None:
-        raise ValueError("--problem is required")
     problem, solver = io.load_problem(args.problem)
     if args.max_iter is not None:
         solver["max_iter"] = args.max_iter
@@ -479,9 +475,9 @@ def _synthetic_problem(rng):
     return make_problem(domain, endpoints, [0.5, 0.5], "trln2")
 
 
-def _invariance_relerr(rng, n_congruences: int = 200) -> float:
+def _invariance_relerr(rng) -> float:
     draws = []
-    for _ in range(n_congruences):
+    for _ in range(200):
         xyz = [a @ a.T + 0.1 * np.eye(2) for a in (rng.normal(size=(2, 2)) for _ in range(3))]
         g = rng.normal(size=(2, 2))
         while abs(np.linalg.det(g)) < 0.1:

@@ -49,6 +49,9 @@ __all__ = [
 COINCIDENT_EPS = 1e-8
 WEIGHT_KINDS = ("unit", "pihalf")
 
+_WITNESS_TOL, _WITNESS_MAX_ITER = 1e-8, 20000  # largest hull norm that fails; step budget
+_MEAN_TOL, _MEAN_MAX_ITER = 1e-10, 1000  # gradient norm that ends intrinsic_mean; step budget
+
 
 def weight_value(kind: str, t):
     """Evaluate the weight function r at distance(s) t."""
@@ -111,9 +114,6 @@ class CovField:
         if len(self.obs) != len(self.ops):
             raise DimensionMismatchError("obs and ops lengths differ")
 
-    def frame(self, j: int) -> TangentFrame:
-        return tangent_frame(self.obs[j])
-
 
 def pmf_cov_field(f, domain, obs, weight: str = "unit") -> CovField:
     """Discrete covariance field sum_i f_i op(q_j, p_i) at each q_j.
@@ -155,7 +155,7 @@ def field_distance(f1: CovField, f2: CovField, h="trln2") -> float:
     return float(np.sum(h(f1.ops, f2.ops)))
 
 
-def hemispheric_witness(points, tol: float = 1e-8, max_iter: int = 20000) -> np.ndarray:
+def hemispheric_witness(points) -> np.ndarray:
     """A direction q with <p_i, q> > 0 for all points, if one exists.
 
     Computes the minimum-norm point z of the convex hull of the points by
@@ -164,14 +164,14 @@ def hemispheric_witness(points, tol: float = 1e-8, max_iter: int = 20000) -> np.
     q = z/|z| satisfies <p_i, q> >= |z| > 0 for every i by optimality of z.
 
     Raises:
-        NotHemisphericError: the minimum norm is below tol.
+        NotHemisphericError: the minimum norm is at most 1e-8.
     """
     pts = unit_points(points)
     n = len(pts)
     gram = pts @ pts.T
     lam = np.full(n, 1.0 / n)
     step = 1.0 / max(np.linalg.eigvalsh(gram).max(), 1e-12)
-    for _ in range(max_iter):
+    for _ in range(_WITNESS_MAX_ITER):
         new = project_to_simplex(lam - step * (gram @ lam))
         if np.max(np.abs(new - lam)) < 1e-14:
             lam = new
@@ -179,14 +179,14 @@ def hemispheric_witness(points, tol: float = 1e-8, max_iter: int = 20000) -> np.
         lam = new
     z = pts.T @ lam
     norm = np.linalg.norm(z)
-    if norm <= tol:
+    if norm <= _WITNESS_TOL:
         raise NotHemisphericError(
             "points are not contained in any open hemisphere"
         )
     return z / norm
 
 
-def intrinsic_mean(sample, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarray:
+def intrinsic_mean(sample) -> np.ndarray:
     """Karcher mean by the fixed-point iteration q <- exp_q(mean log_q p_i).
 
     The sample must lie in an open hemisphere (checked up front), which
@@ -195,17 +195,17 @@ def intrinsic_mean(sample, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarr
 
     Raises:
         NotHemisphericError: no open hemisphere contains the sample.
-        IterationLimitError: gradient norm still above tol after max_iter.
+        IterationLimitError: gradient norm still at least 1e-10 after 1000 steps.
     """
     pts = unit_points(sample)
     hemispheric_witness(pts)
     q = unit_point(pts.mean(axis=0))
-    for _ in range(max_iter):
+    for _ in range(_MEAN_MAX_ITER):
         coords, _ = log_map_coords(q, pts)
         g = coords.mean(axis=0)
-        if np.linalg.norm(g) < tol:
+        if np.linalg.norm(g) < _MEAN_TOL:
             return q
         q = exp_map(q, TangentVec(frame=tangent_frame(q), u=g))
     raise IterationLimitError(
-        f"intrinsic mean did not reach tolerance {tol:g} in {max_iter} iterations"
+        f"intrinsic mean did not reach tolerance {_MEAN_TOL:g} in {_MEAN_MAX_ITER} iterations"
     )

@@ -72,21 +72,16 @@ class TangentFrame:
     e1: np.ndarray
     e2: np.ndarray
 
-    def coords(self, ambient) -> np.ndarray:
-        """Coordinates of ambient tangent vector(s) in this frame."""
-        ambient = np.asarray(ambient, dtype=float)
-        return np.stack([ambient @ self.e1, ambient @ self.e2], axis=-1)
-
     def lift(self, uv) -> np.ndarray:
         """Ambient 3-vector(s) of frame coordinates uv."""
         uv = np.asarray(uv, dtype=float)
         return np.multiply.outer(uv[..., 0], self.e1) + np.multiply.outer(uv[..., 1], self.e2)
 
-    def matches(self, other: "TangentFrame", tol: float = 1e-12) -> bool:
+    def matches(self, other: "TangentFrame") -> bool:
         return (
-            np.allclose(self.base, other.base, atol=tol)
-            and np.allclose(self.e1, other.e1, atol=tol)
-            and np.allclose(self.e2, other.e2, atol=tol)
+            np.allclose(self.base, other.base, atol=1e-12)
+            and np.allclose(self.e1, other.e1, atol=1e-12)
+            and np.allclose(self.e2, other.e2, atol=1e-12)
         )
 
 

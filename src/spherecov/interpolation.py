@@ -22,7 +22,7 @@ squares problem in the logs of the M_j^s below. Where the model's reduced
 system is singular, the move is a projected gradient step from
 1 / (largest model eigenvalue) instead. k=50 solves take a handful of
 iterations where gradient steps took hundreds to thousands. trdif and lik
-are convex (trdif always, lik when the pihalf kernel matrix B has full
+are convex (trdif always, lik when the kernel matrix of its weight has full
 rank), trln2 is not and runs multi-start.
 
 All starts of a solve run as one (R, k) iterate through one loop, by row
@@ -705,15 +705,15 @@ def _numerical_rank(mat, k: int) -> int:
 def rank_check(problem: InterpProblem, kernels: PrecomputedKernels | None = None) -> dict:
     """Numerical ranks of the kernel matrices and problem admissibility.
 
-    admissible means the kernel matrix backing the configured invariant
-    (A for trdif, B for trln2/lik) has full rank k.
+    admissible means the kernel matrix of the problem's weight, the one
+    precompute and the solver use (A for unit, B for pihalf), has full rank k.
     """
     if kernels is None:
         kernels = precompute(problem)
     k = problem.k
     rank_a = _numerical_rank(kernels.A, k)
     rank_b = _numerical_rank(kernels.B, k)
-    needed = rank_a if problem.invariant == "trdif" else rank_b
+    needed = rank_a if kernels.K is kernels.A else rank_b
     return {"rank_A": rank_a, "rank_B": rank_b, "admissible": needed == k}
 
 

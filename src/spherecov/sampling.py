@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AntipodalPointError
-from .geometry import ANTIPODAL_EPS, geodesic_distances, rotate_points, unit_point
+from .geometry import ANTIPODAL_EPS, geodesic_distances, unit_point
 
 __all__ = [
     "RingDensity",
     "ring_density_unnormalized",
     "rejection_sample",
     "rejection_sample_rows",
-    "rotate_sample",
 ]
 
 # The power of d in each concentration. A ring d = a^(1/power) beyond pi, or a NaN a,
@@ -168,12 +167,3 @@ def rejection_sample(params: RingDensity, n: int, rng: np.random.Generator,
     if return_proposals:
         return points[0], int(proposals[0])
     return points[0]
-
-
-def rotate_sample(points, axis, angle: float) -> np.ndarray:
-    """Rotate every point about the axis through a given unit point.
-
-    Preserves all pairwise geodesic distances and every distance to the
-    axis point.
-    """
-    return rotate_points(points, axis, angle)

@@ -6,6 +6,8 @@ import numpy as np
 
 __all__ = ["project_to_simplex", "is_pmf", "as_pmf", "random_pmfs"]
 
+_PMF_TOL = 1e-12
+
 
 def project_to_simplex(v) -> np.ndarray:
     """Euclidean projection of v onto {x : x >= 0, sum x = 1}, along the last axis.
@@ -24,16 +26,16 @@ def project_to_simplex(v) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def is_pmf(f, tol: float = 1e-12) -> bool:
+def is_pmf(f, tol: float = _PMF_TOL) -> bool:
     """True when f is entrywise nonnegative and sums to 1 within tol."""
     f = np.asarray(f, dtype=float)
     return bool(f.ndim == 1 and np.all(f >= 0.0) and abs(f.sum() - 1.0) <= tol)
 
 
-def as_pmf(f, tol: float = 1e-12, what: str = "vector") -> np.ndarray:
+def as_pmf(f, what: str = "vector") -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if not is_pmf(f, tol):
-        raise ValueError(f"{what} is not a probability vector within {tol:g}")
+    if not is_pmf(f):
+        raise ValueError(f"{what} is not a probability vector within {_PMF_TOL:g}")
     return f
 
 

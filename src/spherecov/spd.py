@@ -77,14 +77,14 @@ def _term_sum(kind: str, lam):
     return term(lam[0]) + term(lam[1])
 
 
-def assert_spd(m, floor: float = DEFINITENESS_FLOOR, what: str = "matrix") -> np.ndarray:
-    """Symmetric part of m, checked for eigenvalues above floor (NaN and inf fail)."""
+def assert_spd(m, what: str = "matrix") -> np.ndarray:
+    """Symmetric part of m, checked for eigenvalues above DEFINITENESS_FLOOR (NaN and inf fail)."""
     m = _stack2(m)
     m = 0.5 * (m + np.swapaxes(m, -1, -2))
     lam_min, _ = _eigvals2(_sym_comps(m))
-    if not np.all(lam_min > floor):
+    if not np.all(lam_min > DEFINITENESS_FLOOR):
         raise NotPositiveDefiniteError(
-            f"{what} has minimum eigenvalue {np.min(lam_min):.3e} (floor {floor:.1e})"
+            f"{what} has minimum eigenvalue {np.min(lam_min):.3e} (floor {DEFINITENESS_FLOOR:.1e})"
         )
     return m
 

@@ -20,7 +20,7 @@ from spherecov import (
     observation_scan,
     random_pmfs,
     rejection_sample,
-    rotate_sample,
+    rotate_points,
     tr2_scores,
     uniform_sample,
     unit_point,
@@ -366,6 +366,17 @@ def test_interp_usage_error_creates_no_output_dir(tmp_path, extra):
     assert not out.exists()
 
 
+def test_interp_sweep_needs_two_endpoints(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    prob = make_problem(uniform_sample(rng, 5), random_pmfs(rng, 5, 3), np.full(3, 1 / 3), "trdif")
+    ppath = tmp_path / "problem.json"
+    dump_problem(ppath, prob)
+    out = tmp_path / "never"
+    assert main(["interp", "--problem", str(ppath), "--alpha-steps", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: --alpha-steps sweeps need exactly two endpoints\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", [{"max_iter": -1}, {"tol": -1.0}, {"tol": float("nan")}])
 @pytest.mark.parametrize("alpha_steps", [[], ["--alpha-steps", "3"]])
 def test_interp_rejects_impossible_solver_block(tmp_path, capsys, setting, alpha_steps):
@@ -389,6 +400,20 @@ def test_interp_inadmissible_problem_exits_3(tmp_path, capsys):
     code = main(["interp", "--problem", str(ppath), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "inadmissible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("invariant, weight, code", [("lik", "unit", 0), ("trdif", "pihalf", 3)])
+def test_interp_judges_the_kernel_of_the_problem_weight(tmp_path, capsys, invariant, weight, code):
+    # one antipodal pair: rank A = 6 and rank B = 5, so only the unit weight is admissible
+    rng = np.random.default_rng(0)
+    base = uniform_sample(rng, 5)
+    domain = np.vstack([base, -base[:1]])
+    prob = make_problem(domain, random_pmfs(rng, 6, 2), [0.5, 0.5], invariant, weight=weight)
+    ppath = tmp_path / "problem.json"
+    dump_problem(ppath, prob)
+    assert main(["interp", "--problem", str(ppath), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "inadmissible problem: kernel ranks A=6 B=5 with k=6\n")
 
 
 def test_interp_fixture_problem(tmp_path):
@@ -577,7 +602,7 @@ def _expected_runs(argv):
         s1, s2 = draw(rng)
         q = cli._resolve_q(args, rng, s1, s2, cli._fixed_q(args))
         if args.rotate2 is not None:
-            s2 = rotate_sample(s2, q, args.rotate2)
+            s2 = rotate_points(s2, q, args.rotate2)
         row = [str(idx)] + [fmt_float(v) for v in q]
         outcomes = [procedure_1(s1, s2, q, alpha=args.alpha) if len(s1) == len(s2) else None,
                     procedure_2(s1, s2, q, alpha=args.alpha)]
@@ -650,25 +675,43 @@ def test_test_block_names_the_first_failing_run():
         cli._test_block(10, drawn, 0.05)
 
 
-def test_test_draw_failure_waits_for_earlier_runs(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("same, runs, failing_draw, message", [
     # run 1 fails while it is drawn, but run 0 of the same block fails first
-    d1 = tmp_path / "a"
-    assert main(["sample", "--a", "0.2", "--n", "20", "--seed", "1", "--out", str(d1)]) == 0
-    pts = str(d1 / "points.csv")
+    pytest.param(True, 3, 2, "run 0: 0 nonzero differences", id="earlier-run-first"),
+    # the draw failure is the first failure of its block, the first or the second
+    pytest.param(False, 3, 2, "run 1: log map undefined", id="first-block"),
+    pytest.param(False, 70, 66, "run 65: log map undefined", id="second-block")])
+def test_test_draw_failure_waits_for_earlier_runs(tmp_path, monkeypatch, capsys,
+                                                  same, runs, failing_draw, message):
+    paths = []
+    for name, a, seed in (("a", "0.2", "1"), ("b", "0.5", "2")):
+        assert main(["sample", "--a", a, "--n", "20", "--seed", seed,
+                     "--out", str(tmp_path / name)]) == 0
+        paths.append(str(tmp_path / name / "points.csv"))
     resolve = cli._resolve_q
     calls = []
 
-    def failing_second_draw(*args):
+    def failing_draw_at(*args):
         calls.append(1)
-        if len(calls) == 2:
+        if len(calls) == failing_draw:
             raise AntipodalPointError("log map undefined at an antipodal point")
         return resolve(*args)
 
-    monkeypatch.setattr(cli, "_resolve_q", failing_second_draw)
-    code = main(["test", "--sample1", pts, "--sample2", pts, "--q", "0,0,1", "--runs", "3",
-                 "--out", str(tmp_path / "t")])
+    monkeypatch.setattr(cli, "_resolve_q", failing_draw_at)
+    out = tmp_path / "t"
+    code = main(["test", "--sample1", paths[0], "--sample2", paths[0] if same else paths[1],
+                 "--q", "0,0,1", "--runs", str(runs), "--out", str(out)])
     assert code == 3
-    assert "run 0: 0 nonzero differences" in capsys.readouterr().err
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_test_without_samples_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main(["test", "--q", "0,0,1", "--seed", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("usage error: give --sample1/--sample2 files or "
+                                       "--a1/--a2 generator parameters\n")
+    assert not out.exists()
 
 
 def test_test_bad_q_fails_before_sampling(tmp_path, monkeypatch, capsys):
@@ -699,7 +742,8 @@ def test_bad_grid_is_a_named_usage_error_before_sampling(tmp_path, monkeypatch, 
     (["scan", "--alpha", "2"], "--alpha must lie in (0, 1)"),
     (["scan", "--alpha", "0"], "--alpha must lie in (0, 1)"),
     (["scan", "--alpha", "nan"], "--alpha must lie in (0, 1)"),
-    (["test", "--q", "0,0,1", "--alpha", "1"], "--alpha must lie in (0, 1)")])
+    (["test", "--q", "0,0,1", "--alpha", "1"], "--alpha must lie in (0, 1)"),
+    (["test", "--q", "0,0,1", "--m1", "0"], "sample sizes must be positive")])
 def test_bad_dirs_and_alpha_are_named_usage_errors_before_sampling(tmp_path, monkeypatch, capsys,
                                                                    argv, message):
     monkeypatch.setattr(cli, "rejection_sample_rows", lambda *a: pytest.fail("sampled"))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spherecov import (
     CoincidentPointError,
     DimensionMismatchError,
+    IterationLimitError,
     NotHemisphericError,
     ObservationMismatchError,
     WEIGHT_KINDS,
@@ -29,6 +30,7 @@ from spherecov import (
     unit_points,
     weight_value,
 )
+from spherecov import fields
 
 rng = np.random.default_rng(1234)
 
@@ -211,6 +213,16 @@ def test_intrinsic_mean_rotation_equivariance():
     rotated = rotate_points(pts, axis, 0.7)
     m_rot = intrinsic_mean(rotated)
     npt.assert_allclose(rotate_points(m[None, :], axis, 0.7)[0], m_rot, atol=1e-7)
+
+
+def test_intrinsic_mean_iteration_limit(monkeypatch):
+    # one step from the chordal start leaves a spread sample's gradient above 1e-10
+    monkeypatch.setattr(fields, "_MEAN_MAX_ITER", 1)
+    pts = np.stack([unit_point([1.0, 0.0, 0.3]), unit_point([0.0, 1.0, 0.3]),
+                    unit_point([0.2, 0.1, 1.0])])
+    with pytest.raises(IterationLimitError,
+                       match="^intrinsic mean did not reach tolerance 1e-10 in 1 iterations$"):
+        intrinsic_mean(pts)
 
 
 def test_intrinsic_mean_balanced_antipodes_rejected():

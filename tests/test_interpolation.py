@@ -106,6 +106,18 @@ def test_antipodal_domain_is_inadmissible_for_pihalf():
     assert not report["admissible"]
 
 
+@pytest.mark.parametrize("invariant, weight, admissible", [
+    ("lik", "unit", True), ("trdif", "pihalf", False),
+    ("lik", None, False), ("trdif", None, True)])
+def test_rank_check_judges_the_kernel_of_the_problem_weight(invariant, weight, admissible):
+    # one antipodal pair: the unit kernel A keeps full rank, the pihalf kernel B loses one
+    local = np.random.default_rng(0)
+    base = uniform_sample(local, 5)
+    domain = np.vstack([base, -base[:1]])
+    prob = make_problem(domain, random_pmfs(local, 6, 2), [0.5, 0.5], invariant, weight=weight)
+    assert rank_check(prob) == {"rank_A": 6, "rank_B": 5, "admissible": admissible}
+
+
 def test_default_observation_points():
     domain = uniform_sample(np.random.default_rng(5), 6)
     obs = default_observation_points(domain)

@@ -13,7 +13,7 @@ from spherecov import (
     rejection_sample,
     rejection_sample_rows,
     ring_density_unnormalized,
-    rotate_sample,
+    rotate_points,
     uniform_sample,
     unit_point,
 )
@@ -177,11 +177,11 @@ def test_point_concentration_mean_distance():
     assert abs(observed - expected_mean) < 0.02
 
 
-def test_rotate_sample_preserves_axis_distances():
+def test_rotate_points_preserves_axis_distances():
     params = RingDensity(a=0.3, mu=[0.1, 0.0, 1.0])
     sample = rejection_sample(params, 100, np.random.default_rng(7))
     axis = unit_point([0.3, -0.2, 0.9])
-    rotated = rotate_sample(sample, axis, 1.1)
+    rotated = rotate_points(sample, axis, 1.1)
     npt.assert_allclose(
         geodesic_distances(axis, rotated), geodesic_distances(axis, sample), atol=1e-12
     )
