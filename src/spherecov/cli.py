@@ -176,16 +176,21 @@ def _fixed_q(args):
     return _parse_vec3(args.q)
 
 
+def _tr2_pick(rng, size: int, s1, s2, pick):
+    """Row of a uniform grid of size points that pick (np.argmax or np.argmin) takes by tr2
+    score; np.argmax takes the row a tr2 observation_scan ranks first."""
+    grid = uniform_sample(rng, size)
+    return grid[int(pick(tr2_scores(s1, s2, grid)))]
+
+
 def _resolve_q(args, rng, s1, s2, fixed):
     """One run's observation point; fixed is _fixed_q(args)."""
     if args.q_mode == "fixed":
         return fixed
     if args.q_mode == "uniform":
         return uniform_sample(rng, 1)[0]
-    # scan-best: highest squared-trace separation over a random grid; the
-    # first maximum is the row a tr2 observation_scan would rank first
-    grid = uniform_sample(rng, args.grid)
-    return unit_point(grid[int(np.argmax(tr2_scores(s1, s2, grid)))])
+    # scan-best: highest squared-trace separation over a random grid
+    return _tr2_pick(rng, args.grid, s1, s2, np.argmax)
 
 
 # Runs tested per batched pass (one projection pass, one rank-test call per
@@ -347,10 +352,7 @@ def cmd_profile(args) -> int:
     rng = np.random.default_rng(seed) if needs_rng else None
     s1, s2 = (s[0] for s in draw_rows([rng]))
     if args.q_extreme is not None:
-        grid = uniform_sample(rng, args.grid)
-        tr2 = tr2_scores(s1, s2, grid)
-        idx = int(np.argmin(tr2)) if args.q_extreme == "min" else int(np.argmax(tr2))
-        q = grid[idx]
+        q = _tr2_pick(rng, args.grid, s1, s2, np.argmin if args.q_extreme == "min" else np.argmax)
     elif args.q is not None:
         q = _parse_vec3(args.q)
     else:

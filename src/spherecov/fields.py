@@ -95,12 +95,12 @@ def point_operator(q, p, weight: str = "unit") -> np.ndarray:
 
 
 def sample_cov_operator(q, sample, weight: str = "unit") -> np.ndarray:
-    """Arithmetic mean of the point operators of a sample at q."""
+    """Arithmetic mean of the point operators of a sample at q, one point (3,) or a batch (k, 3)."""
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2 or len(sample) == 0:
         raise DimensionMismatchError("sample must be a nonempty (n, 3) array")
     ops, _ = point_operators(q, sample, weight)
-    return ops.mean(axis=0)
+    return ops.mean(axis=-3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,14 +123,13 @@ def pmf_cov_field(f, domain, obs, weight: str = "unit") -> CovField:
     """
     f = as_pmf(f, what="pmf")
     domain = unit_points(domain)
-    obs = unit_points(obs)
     if len(f) != len(domain):
         raise DimensionMismatchError(
             f"pmf length {len(f)} != domain size {len(domain)}"
         )
     point_ops, _ = point_operators(obs, domain, weight)
     ops = np.einsum("i,jiab->jab", f, point_ops)
-    return CovField(obs=obs, ops=ops)
+    return CovField(obs=unit_points(obs), ops=ops)
 
 
 def quadratic_form(v: TangentVec, op, op_frame: TangentFrame) -> float:
@@ -150,7 +149,7 @@ def field_distance(f1: CovField, f2: CovField, h="trln2") -> float:
     make_invariant or a callable that maps the two (k, 2, 2) stacks to k values."""
     if isinstance(h, str):
         h = make_invariant(h)
-    if len(f1.obs) != len(f2.obs) or not np.allclose(f1.obs, f2.obs, atol=1e-12):
+    if len(f1.obs) != len(f2.obs) or not np.allclose(f1.obs, f2.obs, rtol=0.0, atol=1e-12):
         raise ObservationMismatchError("fields are on different observation sets")
     return float(np.sum(h(f1.ops, f2.ops)))
 

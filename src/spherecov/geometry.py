@@ -79,9 +79,9 @@ class TangentFrame:
 
     def matches(self, other: "TangentFrame") -> bool:
         return (
-            np.allclose(self.base, other.base, atol=1e-12)
-            and np.allclose(self.e1, other.e1, atol=1e-12)
-            and np.allclose(self.e2, other.e2, atol=1e-12)
+            np.allclose(self.base, other.base, rtol=0.0, atol=1e-12)
+            and np.allclose(self.e1, other.e1, rtol=0.0, atol=1e-12)
+            and np.allclose(self.e2, other.e2, rtol=0.0, atol=1e-12)
         )
 
 
@@ -200,7 +200,6 @@ def log_map(q, p) -> TangentVec:
     Raises:
         AntipodalPointError: when d(q, p) >= arccos(-1 + ANTIPODAL_EPS).
     """
-    q = unit_point(q)
     coords, _ = log_map_coords(q, np.asarray(p, dtype=float)[None, :])
     return TangentVec(frame=tangent_frame(q), u=coords[0])
 
@@ -211,7 +210,7 @@ def exp_map(q, v: TangentVec) -> np.ndarray:
     The base of v's frame must be q (FrameMismatchError otherwise).
     """
     q = unit_point(q)
-    if not np.allclose(q, v.frame.base, atol=1e-12):
+    if not np.allclose(q, v.frame.base, rtol=0.0, atol=1e-12):
         raise FrameMismatchError("tangent vector is based at a different point")
     t = v.norm
     if t == 0.0:

@@ -18,6 +18,10 @@ procedure then makes one batched rank-test call per statistic over all rows
 (ranktests.signed_rank_rows / rank_sum_rows); `test` and `scan` write their
 tables from these per-row arrays, observation_scan materialises ScanRows for
 library callers, and test_procedure_1/2 are the same code on a single point.
+
+Each function normalises the caller's q (one point or a batch) exactly once,
+inside log_map_coords: tangent coordinates are in tangent_frame(q), and a
+returned base point is unit_point(q), the base of that frame.
 """
 
 from __future__ import annotations
@@ -94,42 +98,39 @@ class ProjectionData:
 
 
 def _log_images(q, sample1, sample2):
-    """Log coordinates and distances of both samples at q (see log_map_coords).
+    """Log coordinates, distances and operator difference of both samples at q.
 
-    q is one point or a batch; the samples are (m, 3), or (R, m, 3) stacks
-    paired with a batch q (R, 3).
+    q is the caller's point (3,) or batch (R, 3), normalised once, inside
+    log_map_coords; the samples are (m, 3), or (R, m, 3) stacks paired with
+    a batch q. Returns (u1, d1, u2, d2, lhat), batched over leading axes.
     """
     s1, s2 = unit_points(sample1), unit_points(sample2)
     u, d = log_map_coords(q, np.concatenate([s1, s2], axis=-2))
     m1 = s1.shape[-2]
-    return u[..., :m1, :], d[..., :m1], u[..., m1:, :], d[..., m1:]
+    u1, u2 = u[..., :m1, :], u[..., m1:, :]
+    lhat = (np.swapaxes(u1, -1, -2) @ u1) / m1 - (np.swapaxes(u2, -1, -2) @ u2) / u2.shape[-2]
+    return u1, d[..., :m1], u2, d[..., m1:], lhat
 
 
-def _operator_difference(u1, u2) -> np.ndarray:
-    """Difference of the two sample mean operators, batched over leading axes."""
-    return (np.swapaxes(u1, -1, -2) @ u1) / u1.shape[-2] \
-        - (np.swapaxes(u2, -1, -2) @ u2) / u2.shape[-2]
-
-
-def _project(lhat, u1, d1, u2, d2) -> dict:
-    """Eigensystem of the operator differences and xi projections, batched over leading axes."""
+def _projections(q, sample1, sample2) -> ProjectionData:
+    """ProjectionData at one point q, in the frame tangent_frame(q), or at a batch q (frame None)."""
+    u1, d1, u2, d2, lhat = _log_images(q, sample1, sample2)
     w, v = _signed_eigh(lhat)
-    return dict(lhat=lhat, eigvals=w, eigvecs=v, xi1=(u1 @ v) ** 2, xi2=(u2 @ v) ** 2,
-                dsq1=d1 ** 2, dsq2=d2 ** 2)
+    frame = tangent_frame(q) if np.ndim(q) == 1 else None
+    return ProjectionData(frame, lhat, w, v, (u1 @ v) ** 2, (u2 @ v) ** 2, d1 ** 2, d2 ** 2)
 
 
 def projections_at(q, sample1, sample2) -> ProjectionData:
     """Eigensystem of the sample-mean-operator difference and xi projections.
 
-    Every tangent coordinate is in the frame tangent_frame(q).
+    q is normalised once, and every tangent coordinate is in the frame
+    tangent_frame(q), which is also the returned frame.
 
     For any i and l the projections satisfy xi_{i,1} + xi_{i,2} = d_i^2, and
     the per-eigenvector means satisfy mean(xi_s^1) - mean(xi_s^2) = lambda_s
     (for equal sample sizes).
     """
-    q = unit_point(q)
-    u1, d1, u2, d2 = _log_images(q, sample1, sample2)
-    return ProjectionData(frame=tangent_frame(q), **_project(_operator_difference(u1, u2), u1, d1, u2, d2))
+    return _projections(q, sample1, sample2)
 
 
 def paired_projections(qs, samples1, samples2) -> ProjectionData:
@@ -138,9 +139,7 @@ def paired_projections(qs, samples1, samples2) -> ProjectionData:
     samples1 (R, m1, 3) and samples2 (R, m2, 3) are stacks of samples; row r
     equals projections_at(qs[r], samples1[r], samples2[r]) bit for bit.
     """
-    qs = unit_points(qs)
-    u1, d1, u2, d2 = _log_images(qs, samples1, samples2)
-    return ProjectionData(frame=None, **_project(_operator_difference(u1, u2), u1, d1, u2, d2))
+    return _projections(qs, samples1, samples2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,26 +296,23 @@ class ScanRow:
 def _scan(sample1, sample2, candidates, criterion: str, alpha: float):
     """Columns of an observation scan in candidate order, and the order of its rows.
 
-    Returns (q, proj, tr2, det, procedures, errors, order). q holds the bases
-    tangent_frames gives the candidates (normalised once more, which moves the
-    last bit of some rows), proj the batched projections with their eigvals,
-    and errors the message of each degenerate row (None elsewhere).
+    Returns (q, proj, tr2, det, procedures, errors, order). q holds the unit
+    candidates, the bases of tangent_frames(candidates), proj the batched
+    projections with their eigvals, and errors the message of each
+    degenerate row (None elsewhere).
     """
     if criterion not in ("tr2", "det", "uniform"):
         raise ValueError(f"unknown scan criterion: {criterion!r}")
-    cands = _candidates(candidates)
-    u1, d1, u2, d2 = _log_images(cands, sample1, sample2)
-    lhats = _operator_difference(u1, u2)
-    proj = ProjectionData(None, **_project(lhats, u1, d1, u2, d2))
-    tr2, det = _tr2(lhats), np.linalg.det(lhats)
+    proj = _projections(_candidates(candidates), sample1, sample2)
+    tr2, det = _tr2(proj.lhat), np.linalg.det(proj.lhat)
     procedures = _procedures(proj, alpha)
-    errors = np.full(len(cands), None)
+    errors = np.full(len(tr2), None)
     for c in np.flatnonzero(np.any([p.degenerate for p in procedures if p is not None], axis=0)):
         errors[c] = "; ".join(filter(None, (p.error(c) for p in procedures if p is not None)))
     # a stable sort on the constant "uniform" key keeps the input order
-    key = {"tr2": tr2, "det": det}.get(criterion, np.zeros(len(cands)))
+    key = {"tr2": tr2, "det": det}.get(criterion, np.zeros(len(tr2)))
     order = np.argsort(-key, kind="stable")
-    return unit_points(cands), proj, tr2, det, procedures, errors, order
+    return unit_points(candidates), proj, tr2, det, procedures, errors, order
 
 
 def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
@@ -329,7 +325,7 @@ def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
     (stable, so input order breaks ties); "uniform" keeps the input order.
     """
     _, batch, tr2, det, procs, errors, order = _scan(sample1, sample2, candidates, criterion, alpha)
-    frames = tangent_frames(_candidates(candidates))
+    frames = tangent_frames(candidates)
     rows = []
     for c in order:
         proj = batch.row(c, frames[c])
@@ -342,11 +338,10 @@ def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
     return rows
 
 
-def _candidates(candidates) -> np.ndarray:
-    cands = unit_points(candidates)
-    if len(cands) == 0:
+def _candidates(candidates):
+    if len(candidates) == 0:
         raise ValueError("candidate list is empty")
-    return cands
+    return candidates
 
 
 def _tr2(lhats) -> np.ndarray:
@@ -361,9 +356,7 @@ def tr2_scores(sample1, sample2, candidates) -> np.ndarray:
     one batched operator difference and without any rank test; a stable
     argmax picks the row observation_scan(..., criterion="tr2") ranks first.
     """
-    cands = _candidates(candidates)
-    u1, _, u2, _ = _log_images(cands, sample1, sample2)
-    return _tr2(_operator_difference(u1, u2))
+    return _tr2(_log_images(_candidates(candidates), sample1, sample2)[4])
 
 
 def det_sign_areas(sample1, sample2, grid) -> tuple[float, float]:
@@ -372,8 +365,7 @@ def det_sign_areas(sample1, sample2, grid) -> tuple[float, float]:
     With a uniform grid these estimate the spherical area fractions of the
     two determinant-sign regions; the pair always sums to 1.
     """
-    u1, _, u2, _ = _log_images(unit_points(grid), sample1, sample2)
-    pos = float(np.mean(np.linalg.det(_operator_difference(u1, u2)) > 0.0))
+    pos = float(np.mean(np.linalg.det(_log_images(grid, sample1, sample2)[4]) > 0.0))
     return pos, 1.0 - pos
 
 
@@ -395,16 +387,15 @@ def sample_profile(q, sample, n_dirs: int = 50) -> SampleProfile:
 
     Direction t is v(theta_t) = cos(theta_t) e1 + sin(theta_t) e2 in the
     frame (e1, e2) = tangent_frame(q), with theta_t = 2 pi t / n_dirs.
-    Values are quadratic forms of unit directions, so each profile is
-    pi-periodic.
+    q is normalised once, and the base is unit_point(q). Values are
+    quadratic forms of unit directions, so each profile is pi-periodic.
     """
     if n_dirs < 3:
         raise ValueError("need at least 3 directions")
-    q = unit_point(q)
     u, _ = log_map_coords(q, unit_points(sample))
     thetas = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=0)  # (2, n_dirs)
-    return SampleProfile(base=q, thetas=thetas, values=(u @ dirs) ** 2)
+    return SampleProfile(base=unit_point(q), thetas=thetas, values=(u @ dirs) ** 2)
 
 
 def operator_profile(op, n_dirs: int = 50) -> np.ndarray:

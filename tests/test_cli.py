@@ -580,6 +580,20 @@ def test_scan_best_q_is_the_top_tr2_scan_row():
         npt.assert_array_equal(tr2_scores(s1, s2, grid), [r.tr2 for r in in_order])
 
 
+def test_tr2_picker_takes_the_grid_row_as_drawn():
+    # the pick is not normalised again: its unit point is the top (max) or bottom (min) scan row
+    for seed in range(20):
+        local = np.random.default_rng(seed)
+        s1 = unit_points(unit_point([0.0, 0.2, 1.0]) + 0.3 * local.normal(size=(15, 3)))
+        s2 = unit_points(unit_point([0.2, 0.0, 1.0]) + 0.4 * local.normal(size=(15, 3)))
+        grid = uniform_sample(np.random.default_rng(200 + seed), 30)
+        rows = observation_scan(s1, s2, grid, criterion="tr2")
+        for pick, row in ((np.argmax, rows[0]), (np.argmin, rows[-1])):
+            got = cli._tr2_pick(np.random.default_rng(200 + seed), 30, s1, s2, pick)
+            npt.assert_array_equal(got, grid[pick(tr2_scores(s1, s2, grid))])
+            npt.assert_array_equal(unit_point(got), row.q)
+
+
 # ---------------------------------------------- batched test replications ---
 
 def _expected_runs(argv):

@@ -11,6 +11,7 @@ from spherecov import (
     IterationLimitError,
     NotHemisphericError,
     ObservationMismatchError,
+    TangentFrame,
     WEIGHT_KINDS,
     field_distance,
     geodesic_distance,
@@ -91,6 +92,16 @@ def test_sample_cov_operator_is_mean():
         sample_cov_operator(q, np.empty((0, 3)))
 
 
+def test_sample_cov_operator_batch_rows_equal_single_point_calls():
+    local = np.random.default_rng(5)
+    qs, pts = uniform_sample(local, 4), uniform_sample(local, 25)
+    for weight in WEIGHT_KINDS:
+        batch = sample_cov_operator(qs, pts, weight)
+        assert batch.shape == (4, 2, 2)
+        for r, q in enumerate(qs):
+            npt.assert_array_equal(batch[r], sample_cov_operator(q, pts, weight))
+
+
 def test_pmf_field_linear_in_masses():
     domain = uniform_sample(rng, 6)
     obs = uniform_sample(rng, 4)
@@ -126,6 +137,17 @@ def test_field_distance_requires_same_obs():
     assert field_distance(c1, pmf_cov_field(f, domain, obs1)) == pytest.approx(0.0, abs=1e-10)
 
 
+def test_field_distance_rejects_an_observation_point_moved_by_2e_6_rad():
+    # numpy's default rtol of 1e-5 would let this pair through to a distance of about 1.3
+    local = np.random.default_rng(6)
+    domain = uniform_sample(local, 6)
+    f = local.dirichlet(np.ones(6))
+    obs = unit_point([0.5, 0.5, 0.7])[None, :]
+    moved = rotate_points(obs, [1.0, 0.0, 0.0], 2e-6)
+    with pytest.raises(ObservationMismatchError):
+        field_distance(pmf_cov_field(f, domain, obs), pmf_cov_field(f, domain, moved))
+
+
 def test_quadratic_form_frame_check():
     q = unit_point([0.1, 0.2, 0.97])
     other = unit_point([0.9, 0.1, 0.4])
@@ -137,6 +159,19 @@ def test_quadratic_form_frame_check():
     from spherecov import FrameMismatchError
     with pytest.raises(FrameMismatchError):
         quadratic_form(v, op, tangent_frame(other))
+
+
+def test_quadratic_form_rejects_a_frame_scaled_by_1_plus_5e_6():
+    # numpy's default rtol of 1e-5 would accept the scaled frame
+    q = unit_point([0.1, 0.2, 0.97])
+    fr = tangent_frame(q)
+    op = sample_cov_operator(q, uniform_sample(np.random.default_rng(7), 10))
+    v = log_map(q, [0.3, 0.1, 0.9])
+    assert quadratic_form(v, op, fr) >= 0.0
+    scaled = TangentFrame(base=fr.base * (1 + 5e-6), e1=fr.e1 * (1 + 5e-6), e2=fr.e2)
+    from spherecov import FrameMismatchError
+    with pytest.raises(FrameMismatchError):
+        quadratic_form(v, op, scaled)
 
 
 def test_equilateral_masses_give_isotropic_operator():

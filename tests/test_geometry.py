@@ -9,6 +9,7 @@ from scipy.spatial.transform import Rotation
 from spherecov import (
     AntipodalPointError,
     FrameMismatchError,
+    TangentFrame,
     TangentVec,
     exp_map,
     geodesic_distance,
@@ -119,6 +120,16 @@ def test_exp_frame_mismatch():
     v = TangentVec(tangent_frame(q2), np.array([0.1, 0.2]))
     with pytest.raises(FrameMismatchError):
         exp_map(q1, v)
+
+
+def test_exp_rejects_a_base_scaled_by_1_plus_5e_6():
+    # numpy's default rtol of 1e-5 would accept the scaled base
+    q = unit_point([1.0, 0.1, 0.0])
+    fr = tangent_frame(q)
+    exp_map(q, TangentVec(fr, np.array([0.1, 0.2])))
+    v = TangentVec(TangentFrame(base=fr.base * (1 + 5e-6), e1=fr.e1, e2=fr.e2), np.array([0.1, 0.2]))
+    with pytest.raises(FrameMismatchError):
+        exp_map(q, v)
 
 
 def test_exp_rejects_cut_locus():

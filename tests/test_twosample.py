@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecov import (
     AntipodalPointError,
@@ -22,6 +24,7 @@ from spherecov import (
 )
 from spherecov import test_procedure_1 as procedure_1
 from spherecov import test_procedure_2 as procedure_2
+from spherecov.twosample import _scan
 
 rng = np.random.default_rng(2024)
 
@@ -70,22 +73,34 @@ def test_lhat_matches_manual_construction():
     npt.assert_allclose(proj.eigvals, w_manual, atol=1e-12)
 
 
-def test_tangent_quantities_are_in_the_frame_at_the_normalised_base():
-    # every function normalises q and the samples first, then works in tangent_frame there
-    local = np.random.default_rng(11)
-    for _ in range(20):
-        q = local.normal(size=3)
-        s1, s2 = uniform_sample(local, 12), uniform_sample(local, 9)
-        base = unit_point(q)
-        expected = tangent_frame(base)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), c=st.floats(0.5, 2.0))
+def test_tangent_quantities_are_in_the_frame_at_the_callers_point(seed, c):
+    # q is normalised once: every frame is tangent_frame(q), every base unit_point(q)
+    local = np.random.default_rng(seed)
+    q0 = uniform_sample(local, 1)[0]
+    s1, s2 = uniform_sample(local, 12), uniform_sample(local, 9)
+    cands = c * uniform_sample(local, 6)
+    for q in (q0, c * q0):
+        expected = tangent_frame(q)
         proj = projections_at(q, s1, s2)
         for frame in (log_map(q, s1[0]).frame, proj.frame):
             for a, b in ((frame.base, expected.base), (frame.e1, expected.e1),
                          (frame.e2, expected.e2)):
                 npt.assert_array_equal(a, b)
-        u1, _ = log_map_coords(base, unit_points(s1))
-        u2, _ = log_map_coords(base, unit_points(s2))
+        npt.assert_array_equal(sample_profile(q, s1, n_dirs=8).base, unit_point(q))
+        u1, _ = log_map_coords(q, unit_points(s1))
+        u2, _ = log_map_coords(q, unit_points(s2))
         npt.assert_array_equal(proj.lhat, (u1.T @ u1) / len(u1) - (u2.T @ u2) / len(u2))
+    rows = observation_scan(s1, s2, cands, criterion="uniform")
+    scan_q = _scan(s1, s2, cands, "uniform", 0.05)[0]
+    batch = paired_projections(cands, np.stack([s1] * 6), np.stack([s2] * 6))
+    for r, q in enumerate(cands):
+        npt.assert_array_equal(rows[r].q, unit_point(q))
+        npt.assert_array_equal(scan_q[r], unit_point(q))
+        single = projections_at(q, s1, s2)
+        for name in _PROJECTION_FIELDS:
+            npt.assert_array_equal(getattr(batch, name)[r], getattr(single, name))
 
 
 def test_paired_procedure_requires_equal_sizes():
