@@ -15,7 +15,7 @@ The pihalf weight is undefined at coincident points: the trace limit is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,16 +103,20 @@ def sample_cov_operator(q, sample, weight: str = "unit") -> np.ndarray:
     return ops.mean(axis=-3)
 
 
-@dataclass(frozen=True, eq=False)
-class CovField:
-    """Observation points paired with 2x2 operators in their canonical frames."""
+class CovField(NamedTuple("CovField", [("obs", np.ndarray), ("ops", np.ndarray)])):
+    """Observation points obs (k, 3) paired with 2x2 operators ops (k, 2, 2) in their canonical frames."""
 
-    obs: np.ndarray  # (k, 3)
-    ops: np.ndarray  # (k, 2, 2)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.obs) != len(self.ops):
+    def __new__(cls, obs, ops):
+        if len(obs) != len(ops):
             raise DimensionMismatchError("obs and ops lengths differ")
+        return super().__new__(cls, obs, ops)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__, so that _replace checks its fields too."""
+        return cls(*iterable)
 
 
 def pmf_cov_field(f, domain, obs, weight: str = "unit") -> CovField:

@@ -11,7 +11,7 @@ representation in that frame is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def unit_points(points) -> np.ndarray:
     return pts / norms[..., None]
 
 
-@dataclass(frozen=True, eq=False)
-class TangentFrame:
+class TangentFrame(NamedTuple):
     """Right-handed orthonormal frame (e1, e2, base) of the tangent plane."""
 
     base: np.ndarray
@@ -85,8 +84,7 @@ class TangentFrame:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class TangentVec:
+class TangentVec(NamedTuple):
     """Tangent vector at frame.base, stored as 2 frame coordinates."""
 
     frame: TangentFrame

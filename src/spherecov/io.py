@@ -9,7 +9,6 @@ reproduced byte-for-byte; nothing time- or host-dependent goes in.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 import sys
@@ -139,6 +138,8 @@ def read_table(path) -> tuple:
             return [], []
         header = list(records[0].keys())
         return header, [[rec.get(h) for h in header] for rec in records]
+    import csv  # only CSV reading needs the module, so no writing command loads it
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +41,7 @@ __all__ = [
 EXACT_LIMIT = 25
 
 
-@dataclass(frozen=True)
-class RankTestResult:
+class RankTestResult(NamedTuple):
     statistic: float
     p_value: float
     n_effective: int

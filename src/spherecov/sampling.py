@@ -15,7 +15,7 @@ one-row call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,28 +34,30 @@ __all__ = [
 _POWERS = {"quartic": 4, "squared": 2}
 
 
-@dataclass(frozen=True)
-class RingDensity:
+class RingDensity(NamedTuple("RingDensity", [("a", float), ("mu", np.ndarray), ("concentration", str)])):
     """Ring density parameters: ring size a and center mu.
 
     a lies in [0, pi**4] for quartic concentration and in [0, pi**2] for
     squared, so that the ring radius is at most pi. mu is the center of the
-    ring, not a mean of the distribution.
+    ring, not a mean of the distribution, and is stored as unit_point(mu).
     """
 
-    a: float
-    mu: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    concentration: str = "quartic"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.concentration not in _POWERS:
-            raise ValueError(f"unknown concentration: {self.concentration!r}")
-        power = _POWERS[self.concentration]
-        if not 0.0 <= self.a <= np.pi ** power:
+    def __new__(cls, a, mu=(0.0, 0.0, 1.0), concentration="quartic"):
+        if concentration not in _POWERS:
+            raise ValueError(f"unknown concentration: {concentration!r}")
+        power = _POWERS[concentration]
+        if not 0.0 <= a <= np.pi ** power:
             raise ValueError(f"ring parameter a must lie in [0, pi**{power}] (about "
-                             f"{np.pi ** power:.4g}) for {self.concentration} "
-                             f"concentration, got {self.a}")
-        object.__setattr__(self, "mu", unit_point(self.mu))
+                             f"{np.pi ** power:.4g}) for {concentration} "
+                             f"concentration, got {a}")
+        return super().__new__(cls, a, unit_point(mu), concentration)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__, so that _replace checks its fields too."""
+        return cls(*iterable)
 
 
 def _density_values(params: RingDensity, dists, out=None) -> np.ndarray:

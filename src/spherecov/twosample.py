@@ -26,7 +26,6 @@ returned base point is unit_point(q), the base of that frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,8 +70,7 @@ def _signed_eigh(lhat: np.ndarray):
     return w, np.where((lead < 0.0)[..., None, :], -v, v)
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectionData:
+class ProjectionData(NamedTuple):
     """Projections of two samples at one observation point, or of a batch.
 
     A batch (frame None) holds R rows, one sample pair at one observation
@@ -142,8 +140,7 @@ def paired_projections(qs, samples1, samples2) -> ProjectionData:
     return _projections(qs, samples1, samples2)
 
 
-@dataclass(frozen=True, eq=False)
-class ProcedureOutcome:
+class ProcedureOutcome(NamedTuple):
     """Result of one test procedure at one observation point."""
 
     kind: str                     # "signed_rank" or "rank_sum"
@@ -280,8 +277,7 @@ def _procedures(proj: ProjectionData, alpha: float):
             _rank_procedure(proj, False, alpha))
 
 
-@dataclass(frozen=True, eq=False)
-class ScanRow:
+class ScanRow(NamedTuple):
     """Criteria and test outcomes at one candidate observation point."""
 
     q: np.ndarray
@@ -369,8 +365,7 @@ def det_sign_areas(sample1, sample2, grid) -> tuple[float, float]:
     return pos, 1.0 - pos
 
 
-@dataclass(frozen=True, eq=False)
-class SampleProfile:
+class SampleProfile(NamedTuple):
     """Per-point xi projections along directions sweeping the tangent circle."""
 
     base: np.ndarray

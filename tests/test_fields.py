@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spherecov import (
     CoincidentPointError,
+    CovField,
     DimensionMismatchError,
     IterationLimitError,
     NotHemisphericError,
@@ -123,6 +124,11 @@ def test_pmf_field_is_per_observation_sum():
             ops, _ = point_operators(q, domain, weight)
             npt.assert_allclose(field.ops[j], np.einsum("i,iab->ab", f, ops),
                                 rtol=1e-13, atol=1e-15)
+
+
+def test_cov_field_requires_one_operator_per_observation_point():
+    with pytest.raises(DimensionMismatchError, match="obs and ops lengths differ"):
+        CovField(obs=np.eye(3), ops=np.zeros((2, 2, 2)))
 
 
 def test_field_distance_requires_same_obs():

@@ -43,6 +43,12 @@ def test_ring_parameter_off_the_sphere_is_rejected(a, concentration):
         RingDensity(a=a, concentration=concentration)
 
 
+def test_ring_density_default_center_is_the_north_pole_bit_for_bit():
+    mu = RingDensity(a=0.2).mu
+    assert isinstance(mu, np.ndarray)
+    assert mu.tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()
+
+
 def test_ring_density_values():
     params = RingDensity(a=0.3)
     # maximal exactly on the ring d = a^(1/4), value 1 there
