@@ -3,8 +3,9 @@
 A point operator at q for a point p is the weighted rank-1 matrix
 (log_q p)(log_q p)' r(d(q, p)) in an orthonormal frame at q. Averaging point
 operators over a sample, or mixing them with pmf weights over a fixed
-domain, produces the covariance operators studied here. Two weight choices
-are supported:
+domain, produces the covariance operators studied here. Every one of them
+is a sum of such rank-1 terms from one kernel, _op_sums, at points that
+each public function normalises once. Two weight choices are supported:
 
   unit:    r(t) = 1,               trace of the operator is t^2
   pihalf:  r(t) = (1 - pi/(2t))^2, trace of the operator is (t - pi/2)^2
@@ -27,7 +28,8 @@ from .errors import (
     ObservationMismatchError,
     FrameMismatchError,
 )
-from .geometry import TangentFrame, TangentVec, log_map_coords, tangent_frame, unit_point, unit_points, exp_map
+from .geometry import TangentFrame, TangentVec, exp_map, log_map_coords, tangent_frame, unit_point, unit_points
+from .geometry import _log_coords, _unit_base
 from .simplex import as_pmf, project_to_simplex
 from .spd import make_invariant
 
@@ -63,6 +65,26 @@ def weight_value(kind: str, t):
     raise ValueError(f"unknown weight kind: {kind!r}")
 
 
+def _op_sums(u, c=1.0):
+    """sum_i c_i u_i u_i' over the point axis of log coordinates u (..., n, 2)
+    with coefficients c (..., n), or 1: the one construction of every
+    covariance operator here, (..., 2, 2)."""
+    return np.swapaxes(u * np.expand_dims(c, -1), -1, -2) @ u
+
+
+def _weighted_logs(q, pts, weight: str):
+    """Log coordinates (..., n, 2) of the unit points pts at the unit base
+    point(s) q, and the weights r(d) (..., n) and distances d (..., n)."""
+    if weight not in WEIGHT_KINDS:
+        raise ValueError(f"unknown weight kind: {weight!r}")
+    u, d = _log_coords(q, pts)
+    if weight == "pihalf" and np.any(d < COINCIDENT_EPS):
+        raise CoincidentPointError(
+            "pihalf weight is undefined at a coincident point pair"
+        )
+    return u, weight_value(weight, d), d
+
+
 def point_operators(q, points, weight: str = "unit"):
     """Point operators at q for each row of points.
 
@@ -76,16 +98,8 @@ def point_operators(q, points, weight: str = "unit"):
         AntipodalPointError: any point antipodal to q.
         CoincidentPointError: pihalf weight with some d(q, p) below 1e-8.
     """
-    if weight not in WEIGHT_KINDS:
-        raise ValueError(f"unknown weight kind: {weight!r}")
-    u, d = log_map_coords(q, points)
-    if weight == "pihalf" and np.any(d < COINCIDENT_EPS):
-        raise CoincidentPointError(
-            "pihalf weight is undefined at a coincident point pair"
-        )
-    w = weight_value(weight, d)
-    ops = w[..., None, None] * np.einsum("...i,...j->...ij", u, u)
-    return ops, d
+    u, w, d = _weighted_logs(_unit_base(q), unit_points(points), weight)
+    return _op_sums(u[..., None, :], w[..., None]), d
 
 
 def point_operator(q, p, weight: str = "unit") -> np.ndarray:
@@ -99,8 +113,8 @@ def sample_cov_operator(q, sample, weight: str = "unit") -> np.ndarray:
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2 or len(sample) == 0:
         raise DimensionMismatchError("sample must be a nonempty (n, 3) array")
-    ops, _ = point_operators(q, sample, weight)
-    return ops.mean(axis=-3)
+    u, w, _ = _weighted_logs(_unit_base(q), unit_points(sample), weight)
+    return _op_sums(u, w) / len(sample)
 
 
 class CovField(NamedTuple("CovField", [("obs", np.ndarray), ("ops", np.ndarray)])):
@@ -131,9 +145,9 @@ def pmf_cov_field(f, domain, obs, weight: str = "unit") -> CovField:
         raise DimensionMismatchError(
             f"pmf length {len(f)} != domain size {len(domain)}"
         )
-    point_ops, _ = point_operators(obs, domain, weight)
-    ops = np.einsum("i,jiab->jab", f, point_ops)
-    return CovField(obs=unit_points(obs), ops=ops)
+    obs = unit_points(obs)
+    u, w, _ = _weighted_logs(obs, domain, weight)
+    return CovField(obs=obs, ops=_op_sums(u, f * w))
 
 
 def quadratic_form(v: TangentVec, op, op_frame: TangentFrame) -> float:

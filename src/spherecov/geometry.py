@@ -142,14 +142,20 @@ def _cross_dot(q, pts):
     return np.cross(q[..., None, :], pts), c
 
 
+def _geodesics(q, pts):
+    """q x p, |q x p| and the distance atan2(|q x p|, <q, p>) for unit base points q (see _cross_dot)."""
+    cross, c = _cross_dot(q, pts)
+    s = np.linalg.norm(cross, axis=-1)
+    return cross, s, np.arctan2(s, c)
+
+
 def geodesic_distances(q, points) -> np.ndarray:
     """Distances atan2(|q x p|, <q, p>) from q to each row of points.
 
     q is one base point (3,) or a batch (k, 3); the result has shape (n,)
     or (k, n).
     """
-    cross, c = _cross_dot(_unit_base(q), np.asarray(points, dtype=float))
-    return np.arctan2(np.linalg.norm(cross, axis=-1), c)
+    return _geodesics(_unit_base(q), np.asarray(points, dtype=float))[2]
 
 
 def geodesic_distance(q, p) -> float:
@@ -175,12 +181,13 @@ def log_map_coords(q, points):
         AntipodalPointError: if any point is antipodal to its base point
             within tolerance.
     """
-    points = np.asarray(points, dtype=float)
-    q = _unit_base(q)
+    return _log_coords(_unit_base(q), np.asarray(points, dtype=float))
+
+
+def _log_coords(q, pts):
+    """log_map_coords at unit base points q, which it does not normalise again."""
     e1, e2 = _frame_axes(q)
-    cross, c = _cross_dot(q, points)
-    s = np.linalg.norm(cross, axis=-1)
-    d = np.arctan2(s, c)
+    cross, s, d = _geodesics(q, pts)
     if np.any(d >= _ANTIPODAL_DIST):
         raise AntipodalPointError("log map undefined at an antipodal point")
     # log_q p = (d/s)(p - c q), and p - c q = (q x p) x q has the frame

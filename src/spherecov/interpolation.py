@@ -48,10 +48,10 @@ from .errors import (
     IterationLimitError,
     NotPositiveDefiniteError,
 )
-from .fields import COINCIDENT_EPS, WEIGHT_KINDS, weight_value
-from .geometry import geodesic_distances, log_map_coords, rotation_about, unit_point, unit_points
+from .fields import COINCIDENT_EPS, WEIGHT_KINDS, _op_sums, weight_value
+from .geometry import _geodesics, _log_coords, rotation_about, unit_point, unit_points
 from .simplex import as_pmf, project_to_simplex, random_pmfs
-from .spd import DEFINITENESS_FLOOR, _eigvals2, _term_sum, spd_inv_sqrt
+from .spd import DEFINITENESS_FLOOR, _eigensystem, _eigvals2, _matrix_function, _term_sum, spd_inv_sqrt
 
 __all__ = [
     "INVARIANT_KINDS",
@@ -99,11 +99,16 @@ class InterpProblem(NamedTuple):
         return len(self.endpoints)
 
     def with_alpha(self, alpha) -> "InterpProblem":
-        return InterpProblem(
-            domain=self.domain, obs=self.obs, endpoints=self.endpoints,
-            alpha=as_pmf(alpha, what="alpha"), invariant=self.invariant,
-            weight=self.weight,
-        )
+        """The same problem at other mixing weights; raises DimensionMismatchError
+        when alpha has not one entry per endpoint, as make_problem does."""
+        return self._replace(alpha=_endpoint_weights(alpha, self.m))
+
+
+def _endpoint_weights(alpha, m: int) -> np.ndarray:
+    alpha = as_pmf(alpha, what="alpha")
+    if len(alpha) != m:
+        raise DimensionMismatchError(f"alpha length {len(alpha)} != number of endpoints {m}")
+    return alpha
 
 
 def default_observation_points(domain) -> np.ndarray:
@@ -132,21 +137,17 @@ def make_problem(domain, endpoints, alpha, invariant: str, obs=None,
         weight = DEFAULT_WEIGHTS[invariant]
     if weight not in WEIGHT_KINDS:
         raise ValueError(f"unknown weight: {weight!r}")
+    obs = unit_points(default_observation_points(domain) if obs is None else obs)
     domain = unit_points(domain)
-    obs = default_observation_points(domain) if obs is None else unit_points(obs)
     endpoints = np.atleast_2d(np.asarray(endpoints, dtype=float))
     if endpoints.shape[1] != len(domain):
         raise DimensionMismatchError(
             f"endpoint length {endpoints.shape[1]} != domain size {len(domain)}"
         )
     endpoints = np.stack([as_pmf(f, what=f"endpoint {s}") for s, f in enumerate(endpoints)])
-    alpha = as_pmf(alpha, what="alpha")
-    if len(alpha) != len(endpoints):
-        raise DimensionMismatchError(
-            f"alpha length {len(alpha)} != number of endpoints {len(endpoints)}"
-        )
+    alpha = _endpoint_weights(alpha, len(endpoints))
     if weight == "pihalf":
-        min_sep = geodesic_distances(obs, domain).min()
+        min_sep = _geodesics(obs, domain)[2].min()
         if min_sep < COINCIDENT_EPS:
             raise CoincidentPointError(
                 f"observation/domain separation {min_sep:.2e} below {COINCIDENT_EPS:.0e}"
@@ -175,10 +176,11 @@ def precompute(problem: InterpProblem) -> PrecomputedKernels:
             (the endpoint pmf is inadmissible for trln2/lik).
     """
     k_obs = len(problem.obs)
+    # problem.obs and problem.domain are unit points already
     if problem.invariant == "trdif":
-        dists = geodesic_distances(problem.obs, problem.domain)  # (k_obs, k)
+        dists = _geodesics(problem.obs, problem.domain)[2]  # (k_obs, k)
     else:
-        u, dists = log_map_coords(problem.obs, problem.domain)  # (k_obs, k, 2), (k_obs, k)
+        u, dists = _log_coords(problem.obs, problem.domain)  # (k_obs, k, 2), (k_obs, k)
     a = dists.T ** 2
     b = (dists.T - np.pi / 2.0) ** 2
     kernel = a if problem.weight == "unit" else b
@@ -189,8 +191,7 @@ def precompute(problem: InterpProblem) -> PrecomputedKernels:
                                   c_tr=c_tr, Ut=None)
 
     w = weight_value(problem.weight, dists)  # (k_obs, k)
-    raw = np.einsum("ji,jia,jib->jiab", w, u, u)  # (k_obs, k, 2, 2)
-    c_ops = np.einsum("si,jiab->sjab", problem.endpoints, raw)  # (m, k_obs, 2, 2)
+    c_ops = _op_sums(u, problem.endpoints[:, None, :] * w)  # (m, k_obs, 2, 2), as pmf_cov_field
 
     try:
         c_inv_sqrt = spd_inv_sqrt(c_ops)
@@ -220,25 +221,9 @@ def _require_pd(ok) -> None:
         raise NotPositiveDefiniteError("a covariance operator of the iterate is singular")
 
 
-def _eigensystem(comps):
-    """Closed-form eigensystems of the (n, m, k_obs) matrices M given by comps:
-    lam_min, lam_max, the cosine and sine of the angle atan2(2 M01, M00 - M11) / 2
-    at which the top eigenvector lies, and the mask of rows where every M is
-    positive definite."""
-    lam_min, lam_max = _eigvals2(comps)
-    theta = 0.5 * np.arctan2(comps[..., 1], 0.5 * (comps[..., 0] - comps[..., 2]))
-    return lam_min, lam_max, np.cos(theta), np.sin(theta), (lam_min > DEFINITENESS_FLOOR).all(axis=(1, 2))
-
-
-def _matrix_function(comps, phi):
-    """Components of phi(M) for the (n, m, k_obs) matrices M given by comps, zero
-    on rows where some M is not positive definite, and the mask of the other
-    rows."""
-    lam_min, lam_max, c, s, pd = _eigensystem(comps)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        top, low = phi(lam_max), phi(lam_min)
-        out = np.stack([top * c * c + low * s * s, (top - low) * c * s, top * s * s + low * c * c], -1)
-    return np.where(pd[:, None, None, None], out, 0.0), pd
+def _pd_rows(lam_min) -> np.ndarray:
+    """Mask of the rows n of lam_min (n, m, k_obs) where every M is positive definite."""
+    return (lam_min > DEFINITENESS_FLOOR).all(axis=(1, 2))
 
 
 def _log_divided_difference(low, gap):
@@ -257,7 +242,7 @@ def _objective_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
     lam = _eigvals2(_field_rows(F, kernels))
     with np.errstate(divide="ignore", invalid="ignore"):
         per = _term_sum(problem.invariant, lam)
-        return per.sum(axis=2) @ alpha, (lam[0] > DEFINITENESS_FLOOR).all(axis=(1, 2))
+        return per.sum(axis=2) @ alpha, _pd_rows(lam[0])
 
 
 def _gradient_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
@@ -268,8 +253,9 @@ def _gradient_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
         resid = (F @ kernels.K)[:, None, :] - kernels.c_tr
         return 2.0 * (alpha @ resid) @ kernels.K.T, np.ones(len(F), dtype=bool)
     phi = (lambda x: 2.0 * np.log(x) / x) if problem.invariant == "trln2" else (lambda x: 1.0 - 1.0 / x)
-    d, pd = _matrix_function(_field_rows(F, kernels), phi)
-    d = d * [1.0, 2.0, 1.0]  # u'Du counts D01 twice
+    d, lam_min = _matrix_function(_field_rows(F, kernels), phi)
+    pd = _pd_rows(lam_min)
+    d = np.where(pd[:, None, None, None], d, 0.0) * [1.0, 2.0, 1.0]  # u'Du counts D01 twice
     return np.einsum("nsjc,isjc->ni", alpha[:, None, None] * d, kernels.UU), pd
 
 
@@ -290,7 +276,8 @@ def _model_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
     if problem.invariant == "trdif":
         hess = hessian_H(None, problem, kernels)
         return np.broadcast_to(hess, (len(F), *hess.shape)), np.ones(len(F), dtype=bool)
-    lam_min, lam_max, c, s, pd = _eigensystem(_field_rows(F, kernels))
+    lam_min, lam_max, c, s = _eigensystem(_field_rows(F, kernels))
+    pd = _pd_rows(lam_min)
     lam_min, lam_max, c, s = (a[..., None] for a in (lam_min, lam_max, c, s))  # against Ut's k
     u0, u1 = kernels.Ut[..., 0], kernels.Ut[..., 1]  # (m, k_obs, k)
     w_top, w_low = c * u0 + s * u1, c * u1 - s * u0  # (n, m, k_obs, k)

@@ -17,7 +17,8 @@ the AM-GM inequality tr(X Y^-1) tr(Y X^-1) >= 4, so the argument is >= 1.
 
 Every function takes 2x2 operators or (..., 2, 2) stacks of them (one h_*
 value per pair, each equal to the single-pair call bit for bit), through
-_eigvals2, the one eigenvalue kernel for symmetric 2x2 matrices.
+_eigvals2, the one eigenvalue kernel for symmetric 2x2 matrices, and
+_eigensystem, which adds their eigenvectors.
 """
 
 from __future__ import annotations
@@ -57,15 +58,37 @@ def _eigvals2(comps):
     """Closed-form eigenvalues (lam_min, lam_max) of symmetric 2x2 matrices
     given by their components (a, b, d) on the last axis.
 
-    lam_max = mean + hypot((a - d)/2, b) and lam_min = det / lam_max are both
-    accurate to rounding in lam_max, however ill-conditioned the matrix. A
-    zero lam_max gives a NaN lam_min, which no positivity test passes; so
-    does a NaN or infinite component.
+    lam_max = mean + r with r = hypot((a - d)/2, b), and lam_min = det / lam_max
+    are both accurate to rounding in lam_max, however ill-conditioned the
+    matrix. At r = 0 (a multiple c I of the identity, 0 included) lam_min is
+    the mean c, which det / lam_max = c^2 / c can miss by a rounding. Any
+    other zero lam_max gives a NaN lam_min, which no positivity test passes;
+    so does a NaN or infinite component.
     """
     a, b, d = comps[..., 0], comps[..., 1], comps[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam_max = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
-        return (a * d - b * b) / lam_max, lam_max
+        mean, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+        lam_max = mean + r
+        return np.where(r == 0.0, mean, (a * d - b * b) / lam_max), lam_max
+
+
+def _eigensystem(comps):
+    """Closed-form eigensystems of the symmetric 2x2 matrices given by comps:
+    lam_min, lam_max (as _eigvals2), and the cosine and sine of the angle
+    atan2(2b, a - d) / 2 at which the top eigenvector lies."""
+    lam_min, lam_max = _eigvals2(comps)
+    theta = 0.5 * np.arctan2(comps[..., 1], 0.5 * (comps[..., 0] - comps[..., 2]))
+    return lam_min, lam_max, np.cos(theta), np.sin(theta)
+
+
+def _matrix_function(comps, phi):
+    """Components (a, b, d) on the last axis of phi(M) for the symmetric 2x2
+    matrices M given by comps, and their lam_min; phi(lam) may be NaN or
+    infinite where M is not positive definite."""
+    lam_min, lam_max, c, s = _eigensystem(comps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top, low = phi(lam_max), phi(lam_min)
+        return np.stack([top * c * c + low * s * s, (top - low) * c * s, top * s * s + low * c * c], -1), lam_min
 
 
 def _term_sum(kind: str, lam):
@@ -90,14 +113,9 @@ def assert_spd(m, what: str = "matrix") -> np.ndarray:
 
 
 def spd_inv_sqrt(x) -> np.ndarray:
-    """Inverse square root by eigh of x as given (no symmetrisation); raises
-    NotPositiveDefiniteError below DEFINITENESS_FLOOR, as assert_spd does."""
-    lam, vec = np.linalg.eigh(_stack2(x))
-    if not np.all(lam > DEFINITENESS_FLOOR):
-        raise NotPositiveDefiniteError(
-            f"matrix has minimum eigenvalue {np.min(lam):.3e} (floor {DEFINITENESS_FLOOR:.1e})"
-        )
-    return np.einsum("...ab,...b,...cb->...ac", vec, 1.0 / np.sqrt(lam), vec)
+    """Inverse square root of the symmetric part of x, checked by assert_spd, in closed form."""
+    comps, _ = _matrix_function(_sym_comps(assert_spd(x)), lambda lam: 1.0 / np.sqrt(lam))
+    return np.stack([comps[..., :2], comps[..., 1:]], -2)
 
 
 def _pencil_eigvals(x, y):

@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SampleSizeMismatchError
+from .fields import _op_sums
 from .geometry import (
     TangentFrame, TangentVec, log_map_coords, tangent_frame, tangent_frames, unit_point, unit_points,
 )
@@ -106,7 +107,7 @@ def _log_images(q, sample1, sample2):
     u, d = log_map_coords(q, np.concatenate([s1, s2], axis=-2))
     m1 = s1.shape[-2]
     u1, u2 = u[..., :m1, :], u[..., m1:, :]
-    lhat = (np.swapaxes(u1, -1, -2) @ u1) / m1 - (np.swapaxes(u2, -1, -2) @ u2) / u2.shape[-2]
+    lhat = _op_sums(u1) / m1 - _op_sums(u2) / u2.shape[-2]
     return u1, d[..., :m1], u2, d[..., m1:], lhat
 
 
@@ -388,14 +389,18 @@ def sample_profile(q, sample, n_dirs: int = 50) -> SampleProfile:
     if n_dirs < 3:
         raise ValueError("need at least 3 directions")
     u, _ = log_map_coords(q, unit_points(sample))
-    thetas = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=0)  # (2, n_dirs)
+    thetas, dirs = _direction_sweep(n_dirs)
     return SampleProfile(base=unit_point(q), thetas=thetas, values=(u @ dirs) ** 2)
 
 
 def operator_profile(op, n_dirs: int = 50) -> np.ndarray:
     """Quadratic form of a 2x2 operator along the same direction sweep."""
-    thetas = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=0)
+    _, dirs = _direction_sweep(n_dirs)
     op = np.asarray(op, dtype=float)
     return np.einsum("it,ij,jt->t", dirs, op, dirs)
+
+
+def _direction_sweep(n_dirs: int):
+    """Angles theta_t = 2 pi t / n_dirs and the unit directions (2, n_dirs) at them."""
+    thetas = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+    return thetas, np.stack([np.cos(thetas), np.sin(thetas)], axis=0)

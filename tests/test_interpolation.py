@@ -24,6 +24,7 @@ from spherecov import (
     linear_interp,
     make_problem,
     mse,
+    pmf_cov_field,
     precompute,
     project_to_simplex,
     random_pmfs,
@@ -78,6 +79,47 @@ def test_make_problem_validation():
     # default weights depend on the invariant
     assert make_problem(domain, endpoints, alpha, "trdif").weight == "unit"
     assert make_problem(domain, endpoints, alpha, "lik").weight == "pihalf"
+
+
+def test_with_alpha_requires_one_weight_per_endpoint():
+    local = np.random.default_rng(0)
+    prob = make_problem(uniform_sample(local, 5), random_pmfs(local, 5, 2), [0.4, 0.6], "trln2")
+    with pytest.raises(DimensionMismatchError, match="alpha length 3 != number of endpoints 2"):
+        prob.with_alpha([0.4, 0.3, 0.3])
+    with pytest.raises(DimensionMismatchError):
+        prob.with_alpha([1.0])
+    with pytest.raises(ValueError):
+        prob.with_alpha([0.7, 0.7])
+    moved = prob.with_alpha([0.1, 0.9])
+    npt.assert_array_equal(moved.alpha, [0.1, 0.9])
+    for name in ("domain", "obs", "endpoints"):
+        assert getattr(moved, name) is getattr(prob, name)
+
+
+@pytest.mark.parametrize("k", [6, 50])
+@pytest.mark.parametrize("invariant", ["lik", "trln2"])
+@pytest.mark.parametrize("weight", ["unit", "pihalf"])
+def test_precompute_endpoint_operators_are_pmf_cov_fields_bit_for_bit(k, invariant, weight):
+    # raw domain and observation points: each is normalised once, on both paths
+    for seed in range(5):
+        local = np.random.default_rng(seed)
+        domain = local.normal(size=(k, 3)) * local.uniform(0.5, 2.0, (k, 1))
+        obs = local.normal(size=(k, 3)) * local.uniform(0.5, 2.0, (k, 1))
+        endpoints = random_pmfs(local, k, 2)
+        prob = make_problem(domain, endpoints, [0.5, 0.5], invariant, obs=obs, weight=weight)
+        npt.assert_array_equal(prob.obs, unit_points(obs))
+        kernels = precompute(prob)
+        for s in range(2):
+            field = pmf_cov_field(endpoints[s], domain, obs, weight)
+            npt.assert_array_equal(field.obs, prob.obs)
+            npt.assert_array_equal(kernels.C[s], field.ops)
+
+
+def test_default_observation_points_are_normalised_once():
+    domain = np.random.default_rng(4).normal(size=(7, 3)) * 3.0
+    prob = make_problem(domain, random_pmfs(np.random.default_rng(5), 7, 2), [0.5, 0.5], "lik")
+    npt.assert_array_equal(prob.obs, unit_points(default_observation_points(domain)))
+    npt.assert_array_equal(prob.domain, unit_points(domain))
 
 
 def test_pihalf_rejects_near_coincident_pairs():
@@ -242,8 +284,8 @@ def test_log_divided_difference_at_equal_and_near_equal_eigenvalues():
     npt.assert_allclose(got[1:3], (1.0 - 0.5 * x) / low[1:3], rtol=2e-16)
     assert got[3] == pytest.approx((np.log(4.5) - np.log(3.0)) / 1.5, rel=1e-15)
     # the gap _model_rows passes for an isotropic M is exactly zero
-    lam_min, lam_max, _, _, pd = interpolation._eigensystem(np.array([[[[3.0, 0.0, 3.0]]]]))
-    assert pd.all()
+    lam_min, lam_max, _, _ = spd._eigensystem(np.array([[[[3.0, 0.0, 3.0]]]]))
+    assert interpolation._pd_rows(lam_min).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert interpolation._log_divided_difference(lam_min, lam_max - lam_min) == 1.0 / 3.0

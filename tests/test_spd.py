@@ -109,6 +109,30 @@ def test_spd_inv_sqrt():
     npt.assert_allclose(s @ x @ s, np.eye(2), atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_cond=st.floats(0.0, 8.0),
+       c=st.floats(1e-6, 1e6))
+def test_spd_inv_sqrt_whitens_to_a_bound_that_scales_with_the_condition(seed, log_cond, c):
+    local = np.random.default_rng(seed)
+    theta = local.uniform(0.0, np.pi)
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    top = 10.0 ** local.uniform(-3.0, 3.0)
+    x = rot @ np.diag([top, top / 10.0 ** log_cond]) @ rot.T
+    x = 0.5 * (x + x.T)
+    s = spd_inv_sqrt(x)
+    npt.assert_array_equal(s, s.T)
+    cond = np.linalg.cond(x)
+    assert np.linalg.norm(s @ x @ s - np.eye(2), 2) <= 16.0 * np.finfo(float).eps * cond
+    # c I maps to c^-1/2 I exactly
+    npt.assert_array_equal(spd_inv_sqrt(c * np.eye(2)), (1.0 / np.sqrt(c)) * np.eye(2))
+
+
+def test_spd_inv_sqrt_takes_the_symmetric_part():
+    x = rand_spd()
+    skew = np.array([[0.0, 0.3], [-0.3, 0.0]])
+    npt.assert_array_equal(spd_inv_sqrt(x + skew), spd_inv_sqrt(0.5 * ((x + skew) + (x + skew).T)))
+
+
 def test_assert_spd_raises():
     with pytest.raises(NotPositiveDefiniteError):
         assert_spd(np.diag([1.0, 0.0]))

@@ -16,6 +16,7 @@ from spherecov import (
     operator_profile,
     paired_projections,
     projections_at,
+    sample_cov_operator,
     sample_profile,
     tangent_frame,
     uniform_sample,
@@ -101,6 +102,20 @@ def test_tangent_quantities_are_in_the_frame_at_the_callers_point(seed, c):
         single = projections_at(q, s1, s2)
         for name in _PROJECTION_FIELDS:
             npt.assert_array_equal(getattr(batch, name)[r], getattr(single, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_lhat_is_the_difference_of_sample_cov_operators_bit_for_bit(seed):
+    # unnormalised q and samples: both paths normalise each point once and
+    # build each operator through the same kernel
+    local = np.random.default_rng(seed)
+    m1, m2 = local.integers(3, 40, 2)
+    s1 = local.normal(size=(m1, 3)) * local.uniform(0.5, 2.0, (m1, 1))
+    s2 = local.normal(size=(m2, 3)) * local.uniform(0.5, 2.0, (m2, 1))
+    for q in (local.normal(size=3) * 1.7, local.normal(size=(7, 3)) * 0.6):
+        npt.assert_array_equal(projections_at(q, s1, s2).lhat,
+                               sample_cov_operator(q, s1) - sample_cov_operator(q, s2))
 
 
 def test_paired_procedure_requires_equal_sizes():
