@@ -17,7 +17,8 @@ the AM-GM inequality tr(X Y^-1) tr(Y X^-1) >= 4, so the argument is >= 1.
 
 Every function takes 2x2 operators or (..., 2, 2) stacks of them (one h_*
 value per pair, each equal to the single-pair call bit for bit), through
-_eigvals2, the one eigenvalue kernel for symmetric 2x2 matrices, and
+_eigvals2, the one eigenvalue kernel for symmetric 2x2 matrices (definite
+or not; the two-sample tests take their eigensystems from it too), and
 _eigensystem, which adds their eigenvectors.
 """
 
@@ -54,28 +55,40 @@ def _sym_comps(m):
     return np.stack([m[..., 0, 0], 0.5 * (m[..., 0, 1] + m[..., 1, 0]), m[..., 1, 1]], -1)
 
 
-def _eigvals2(comps):
-    """Closed-form eigenvalues (lam_min, lam_max) of symmetric 2x2 matrices
-    given by their components (a, b, d) on the last axis.
+def _det2(comps):
+    """Determinants a d - b^2 of the symmetric 2x2 matrices given by their
+    components (a, b, d) on the last axis."""
+    return comps[..., 0] * comps[..., 2] - comps[..., 1] * comps[..., 1]
 
-    lam_max = mean + r with r = hypot((a - d)/2, b), and lam_min = det / lam_max
-    are both accurate to rounding in lam_max, however ill-conditioned the
-    matrix. At r = 0 (a multiple c I of the identity, 0 included) lam_min is
-    the mean c, which det / lam_max = c^2 / c can miss by a rounding. Any
-    other zero lam_max gives a NaN lam_min, which no positivity test passes;
-    so does a NaN or infinite component.
+
+def _eigvals2(comps):
+    """Closed-form eigenvalues (lam_min, lam_max) of symmetric 2x2 matrices,
+    definite or not, given by their components (a, b, d) on the last axis.
+
+    The root of larger magnitude, big = mean + copysign(r, mean) with
+    r = hypot((a - d)/2, b), comes first and the other is det / big (the
+    stable quadratic formula; Golub & Van Loan, Matrix Computations, 8.5), so
+    both are accurate to rounding in max |lam| whatever the signs. At r = 0
+    (c I, 0 included) the other root is the mean c, which c^2 / c can miss by
+    a rounding. The sign bit of the mean, not a comparison, orders the pair:
+    big is lam_max where the mean is +0.0 or positive and lam_min where it is
+    -0.0 or negative (near c I, det / big can exceed big by a rounding, and
+    the pair keeps that order). Any other zero big gives a NaN root, which no
+    positivity test passes; so does a NaN or infinite component.
     """
     a, b, d = comps[..., 0], comps[..., 1], comps[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         mean, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
-        lam_max = mean + r
-        return np.where(r == 0.0, mean, (a * d - b * b) / lam_max), lam_max
+        big = mean + np.copysign(r, mean)
+        small, neg = np.where(r == 0.0, mean, _det2(comps) / big), np.signbit(mean)
+        return np.where(neg, big, small), np.where(neg, small, big)
 
 
 def _eigensystem(comps):
     """Closed-form eigensystems of the symmetric 2x2 matrices given by comps:
     lam_min, lam_max (as _eigvals2), and the cosine and sine of the angle
-    atan2(2b, a - d) / 2 at which the top eigenvector lies."""
+    atan2(2b, a - d) / 2 at which the eigenvector of lam_max lies, whatever
+    the signs of the eigenvalues; (-sin, cos) is that of lam_min."""
     lam_min, lam_max = _eigvals2(comps)
     theta = 0.5 * np.arctan2(comps[..., 1], 0.5 * (comps[..., 0] - comps[..., 2]))
     return lam_min, lam_max, np.cos(theta), np.sin(theta)
@@ -85,8 +98,8 @@ def _matrix_function(comps, phi):
     """Components (a, b, d) on the last axis of phi(M) for the symmetric 2x2
     matrices M given by comps, and their lam_min; phi(lam) may be NaN or
     infinite where M is not positive definite."""
-    lam_min, lam_max, c, s = _eigensystem(comps)
     with np.errstate(divide="ignore", invalid="ignore"):
+        lam_min, lam_max, c, s = _eigensystem(comps)
         top, low = phi(lam_max), phi(lam_min)
         return np.stack([top * c * c + low * s * s, (top - low) * c * s, top * s * s + low * c * c], -1), lam_min
 
@@ -100,29 +113,43 @@ def _term_sum(kind: str, lam):
     return term(lam[0]) + term(lam[1])
 
 
-def assert_spd(m, what: str = "matrix") -> np.ndarray:
-    """Symmetric part of m, checked for eigenvalues above DEFINITENESS_FLOOR (NaN and inf fail)."""
+def _sym(m) -> np.ndarray:
     m = _stack2(m)
-    m = 0.5 * (m + np.swapaxes(m, -1, -2))
-    lam_min, _ = _eigvals2(_sym_comps(m))
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _check_floor(lam_min, what: str):
     if not np.all(lam_min > DEFINITENESS_FLOOR):
         raise NotPositiveDefiniteError(
             f"{what} has minimum eigenvalue {np.min(lam_min):.3e} (floor {DEFINITENESS_FLOOR:.1e})"
         )
+
+
+def assert_spd(m, what: str = "matrix") -> np.ndarray:
+    """Symmetric part of m, checked for eigenvalues above DEFINITENESS_FLOOR (NaN and inf fail)."""
+    m = _sym(m)
+    _check_floor(_eigvals2(_sym_comps(m))[0], what)
     return m
 
 
-def spd_inv_sqrt(x) -> np.ndarray:
-    """Inverse square root of the symmetric part of x, checked by assert_spd, in closed form."""
-    comps, _ = _matrix_function(_sym_comps(assert_spd(x)), lambda lam: 1.0 / np.sqrt(lam))
+def _inv_sqrt(x, what: str) -> np.ndarray:
+    """spd_inv_sqrt of x, whose check names x as what: one eigensystem serves
+    both the check and the matrix function."""
+    comps, lam_min = _matrix_function(_sym_comps(_sym(x)), lambda lam: 1.0 / np.sqrt(lam))
+    _check_floor(lam_min, what)
     return np.stack([comps[..., :2], comps[..., 1:]], -2)
+
+
+def spd_inv_sqrt(x) -> np.ndarray:
+    """Inverse square root of the symmetric part of x, checked as by assert_spd, in closed form."""
+    return _inv_sqrt(x, "matrix")
 
 
 def _pencil_eigvals(x, y):
     """(lam_min, lam_max) of X Y^-1, the eigenvalues of the similar Y^-1/2 X Y^-1/2,
     which is symmetric positive definite, so they are real and positive."""
     x = assert_spd(x, what="X")
-    yis = spd_inv_sqrt(assert_spd(y, what="Y"))
+    yis = _inv_sqrt(y, what="Y")
     return _eigvals2(_sym_comps(yis @ x @ yis))
 
 
@@ -136,11 +163,11 @@ def h_trdif(x, y, z=None):
     x, y = _stack2(x), _stack2(y)
     if z is None:
         return np.abs(np.trace(x, axis1=-2, axis2=-1) - np.trace(y, axis1=-2, axis2=-1))
-    z, dif = assert_spd(z, what="reference Z"), x - y
+    comps, dif = _sym_comps(assert_spd(z, what="reference Z")), x - y
     # tr(Z^-1 D) = tr(adj(Z) D) / det(Z) for the symmetric Z
-    (a, b), (_, d) = np.moveaxis(z, (-2, -1), (0, 1))
+    a, b, d = np.moveaxis(comps, -1, 0)
     tr_adj = d * dif[..., 0, 0] + a * dif[..., 1, 1] - b * (dif[..., 0, 1] + dif[..., 1, 0])
-    return np.abs(tr_adj / (a * d - b * b))
+    return np.abs(tr_adj / _det2(comps))
 
 
 def h_trln2(x, y):

@@ -2,9 +2,10 @@
 
 At an observation point q, each sample point contributes the rank-1 point
 operator of its log image. The difference of the two sample mean operators
-is eigendecomposed, and the per-point quadratic forms (xi projections) along
-its eigenvectors feed paired signed-rank tests (procedure 1) or unpaired
-rank-sum tests (procedure 2). Squared geodesic distances give the baseline
+is eigendecomposed in closed form (spd's 2x2 kernel, with no LAPACK call),
+and the per-point quadratic forms (xi projections) along its eigenvectors
+feed paired signed-rank tests (procedure 1) or unpaired rank-sum tests
+(procedure 2). Squared geodesic distances give the baseline
 T_d / W_d statistics those projections are compared against.
 
 Rejection rule: the test along each eigenvector yields a two-sided p-value;
@@ -38,6 +39,7 @@ from .geometry import (
 from .ranktests import RankTestBatch, RankTestResult, rank_sum_rows, signed_rank_rows
 # The one-row tests, also reachable through this module.
 from .ranktests import rank_sum, signed_rank  # noqa: F401
+from .spd import _det2, _eigensystem, _sym_comps
 
 __all__ = [
     "ProjectionData",
@@ -59,14 +61,15 @@ __all__ = [
 
 
 def _signed_eigh(lhat: np.ndarray):
-    """Descending eigenvalues and sign-fixed eigenvectors of symmetric 2x2s (..., 2, 2).
+    """Descending eigenvalues and sign-fixed eigenvectors of symmetric 2x2s (..., 2, 2),
+    from the closed-form eigensystem of their symmetric parts.
 
     Sign convention: the first coordinate of each eigenvector that is not
     (numerically) zero is made positive, so reported eigenvectors are
     reproducible across runs and platforms.
     """
-    w, v = np.linalg.eigh(lhat)
-    w, v = w[..., ::-1], v[..., ::-1]
+    lam_min, lam_max, c, s = _eigensystem(_sym_comps(lhat))
+    w, v = np.stack([lam_max, lam_min], -1), np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
     lead = np.where(np.abs(v[..., 0, :]) > 1e-15, v[..., 0, :], v[..., 1, :])
     return w, np.where((lead < 0.0)[..., None, :], -v, v)
 
@@ -301,7 +304,7 @@ def _scan(sample1, sample2, candidates, criterion: str, alpha: float):
     if criterion not in ("tr2", "det", "uniform"):
         raise ValueError(f"unknown scan criterion: {criterion!r}")
     proj = _projections(_candidates(candidates), sample1, sample2)
-    tr2, det = _tr2(proj.lhat), np.linalg.det(proj.lhat)
+    tr2, det = _tr2(proj.lhat), _det2(_sym_comps(proj.lhat))
     procedures = _procedures(proj, alpha)
     errors = np.full(len(tr2), None)
     for c in np.flatnonzero(np.any([p.degenerate for p in procedures if p is not None], axis=0)):
@@ -362,7 +365,7 @@ def det_sign_areas(sample1, sample2, grid) -> tuple[float, float]:
     With a uniform grid these estimate the spherical area fractions of the
     two determinant-sign regions; the pair always sums to 1.
     """
-    pos = float(np.mean(np.linalg.det(_log_images(grid, sample1, sample2)[4]) > 0.0))
+    pos = float(np.mean(_det2(_sym_comps(_log_images(grid, sample1, sample2)[4])) > 0.0))
     return pos, 1.0 - pos
 
 

@@ -14,8 +14,10 @@ from spherecov import (
     h_trln2,
     make_invariant,
     similar_eigvals,
+    spd,
     spd_inv_sqrt,
 )
+from spherecov.twosample import _signed_eigh
 
 rng = np.random.default_rng(31)
 
@@ -154,15 +156,19 @@ def test_make_invariant_dispatch():
         make_invariant("lik", reference=z)
 
 
+def _rotated(theta, diag):
+    """Symmetric parts of R diag R' for the rotations R by the angles theta (n,) and diag (n, 2)."""
+    rot = np.stack([np.stack([np.cos(theta), -np.sin(theta)], -1),
+                    np.stack([np.sin(theta), np.cos(theta)], -1)], -2)
+    m = np.einsum("nab,nb,ncb->nac", rot, diag, rot)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
 def _spd_stack(local, n, cond_max):
     """n symmetric positive definite 2x2 operators, scales 1e-3..1e3, conditions up to cond_max."""
     theta = local.uniform(0.0, np.pi, n)
-    rot = np.stack([np.stack([np.cos(theta), -np.sin(theta)], -1),
-                    np.stack([np.sin(theta), np.cos(theta)], -1)], -2)
     top = 10.0 ** local.uniform(-3.0, 3.0, n)
-    diag = np.stack([top, top / 10.0 ** local.uniform(0.0, np.log10(cond_max), n)], -1)
-    m = np.einsum("nab,nb,ncb->nac", rot, diag, rot)
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return _rotated(theta, np.stack([top, top / 10.0 ** local.uniform(0.0, np.log10(cond_max), n)], -1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -222,7 +228,7 @@ def test_operators_that_are_not_2x2_raise_value_error(shape):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("entries", [[(0, 0)], [(1, 1)], [(0, 1), (1, 0)]])
+@pytest.mark.parametrize("entries", [[(0, 0)], [(1, 1)], [(0, 0), (1, 1)], [(0, 1), (1, 0)]])
 def test_nan_and_inf_entries_are_not_positive_definite(bad, entries):
     m, good = np.eye(2), 2.0 * np.eye(2)
     for entry in entries:
@@ -237,3 +243,79 @@ def test_nan_and_inf_entries_are_not_positive_definite(bad, entries):
     for call in calls:
         with pytest.raises(NotPositiveDefiniteError):
             call()
+
+
+def test_each_check_names_the_operator_it_rejects(monkeypatch):
+    eye, bad = np.eye(2), np.diag([1.0, -1.0])
+    for call, what in ((lambda: h_lik(eye, bad), "Y"), (lambda: h_lik(bad, eye), "X"),
+                       (lambda: h_trdif(eye, eye, bad), "reference Z"), (lambda: spd_inv_sqrt(bad), "matrix")):
+        with pytest.raises(NotPositiveDefiniteError, match=f"^{what} has minimum eigenvalue -1.000e\\+00 "):
+            call()
+    # X and Y each pass through the eigenvalue kernel once (Y's check and its
+    # inverse square root share one eigensystem), then X Y^-1 once
+    kernel, shapes = spd._eigvals2, []
+    monkeypatch.setattr(spd, "_eigvals2", lambda comps: shapes.append(comps.shape) or kernel(comps))
+    h_trln2(eye, 2.0 * eye)
+    assert shapes == [(3,)] * 3
+
+
+_KINDS = ("random", "near_singular", "indefinite", "negative_definite", "zero", "scaled_identity",
+          "negative_zero_mean")
+
+
+def _symmetric_stack(local, kind, n):
+    """n symmetric 2x2 matrices of one kind, scales 1e-3..1e3."""
+    top = 10.0 ** local.uniform(-3.0, 3.0, n)
+    if kind == "random":
+        m = local.normal(size=(n, 2, 2)) * top[:, None, None]
+        return 0.5 * (m + np.swapaxes(m, -1, -2))
+    if kind == "zero":
+        return np.zeros((n, 2, 2))
+    if kind == "scaled_identity":  # c < 0 gives -0.0 off the diagonal
+        return (top * local.choice([-1.0, 1.0], n))[:, None, None] * np.eye(2)
+    if kind == "negative_zero_mean":  # a = d = -0.0: eigenvalues -|b| and |b|
+        b, zero = top * local.choice([-1.0, 0.0, 1.0], n), np.full(n, -0.0)
+        return np.stack([np.stack([zero, b], -1), np.stack([b, zero], -1)], -2)
+    # the smaller eigenvalue 1e-17..1 times the larger in magnitude
+    low = top * 10.0 ** -local.uniform(0.0, 17.0, n)
+    diag = {"near_singular": (top, low * local.choice([-1.0, 1.0], n)),
+            "indefinite": (top, -low), "negative_definite": (-top, -low)}[kind]
+    return _rotated(local.uniform(0.0, np.pi, n), np.stack(diag, -1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), kind=st.sampled_from(_KINDS))
+def test_closed_form_eigensystem_of_any_symmetric_stack_matches_lapack(seed, n, kind):
+    m = _symmetric_stack(np.random.default_rng(seed), kind, n)
+    lam = np.stack(spd._eigvals2(spd._sym_comps(m)), -1)
+    ref = np.linalg.eigvalsh(m)
+    # a few rounding units of the larger |lambda|, both kernels' rounding
+    bound = 6.0 * np.finfo(float).eps * np.abs(ref).max(-1, keepdims=True)
+    assert np.all(lam[:, 0] <= lam[:, 1])
+    assert np.all(np.abs(lam - ref) <= bound)
+    w, v = _signed_eigh(m)
+    npt.assert_array_equal(w, lam[:, ::-1])
+    assert np.all(np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(2)) <= 4.0 * np.finfo(float).eps)
+    assert np.all(np.abs(m @ v - v * w[:, None, :]) <= bound[..., None])
+    # the first coordinate of each eigenvector that is not numerically zero is positive
+    lead = np.where(np.abs(v[:, 0, :]) > 1e-15, v[:, 0, :], v[:, 1, :])
+    assert np.all(lead > 0.0)
+
+
+def _lam_max_first(comps):
+    """lam_max = mean + hypot first and lam_min = det / lam_max: the closed form
+    for positive definite input, which cancels when the matrix is indefinite."""
+    a, b, d = comps[..., 0], comps[..., 1], comps[..., 2]
+    mean, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+    lam_max = mean + r
+    return np.where(r == 0.0, mean, (a * d - b * b) / lam_max), lam_max
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), log_cond=st.floats(0.0, 16.0))
+def test_positive_definite_eigenvalues_equal_the_lam_max_first_form_bitwise(seed, n, log_cond):
+    local = np.random.default_rng(seed)
+    for m in (_spd_stack(local, n, 10.0 ** log_cond), 10.0 ** local.uniform(-3.0, 3.0, (n, 1, 1)) * np.eye(2)):
+        comps = spd._sym_comps(m)
+        for got, ref in zip(spd._eigvals2(comps), _lam_max_first(comps)):
+            npt.assert_array_equal(got, ref)

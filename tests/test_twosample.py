@@ -25,6 +25,7 @@ from spherecov import (
 )
 from spherecov import test_procedure_1 as procedure_1
 from spherecov import test_procedure_2 as procedure_2
+from spherecov.spd import _det2, _sym_comps
 from spherecov.twosample import _scan
 
 rng = np.random.default_rng(2024)
@@ -188,7 +189,9 @@ def test_scan_rows_match_procedures_at_each_candidate():
         proj = projections_at(q, S1, S2)
         tr = np.trace(proj.lhat)
         assert row.tr2 == tr * tr
-        assert row.det == np.linalg.det(proj.lhat)
+        # the package's closed form a d - b^2, bit for bit, and LAPACK's LU to rounding
+        assert row.det == _det2(_sym_comps(proj.lhat))
+        npt.assert_allclose(row.det, np.linalg.det(proj.lhat), rtol=1e-12)
         npt.assert_array_equal(row.eigvals, proj.eigvals)
         for got, ref in ((row.paired, procedure_1(S1, S2, q)),
                          (row.unpaired, procedure_2(S1, S2, q))):
