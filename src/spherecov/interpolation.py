@@ -14,16 +14,20 @@ observation points q_j and h is one of
 
 The solver takes projected Newton moves: around each iterate it models H by
 its exact gradient (the chain rule through the fields, grad_H) and a
-positive semidefinite matrix, and a monotone Armijo backtracking search
-halves the way toward the minimizer of that quadratic model over the
-simplex, full step first. The matrix is the Hessian for trdif (constant)
-and lik, and the Gauss-Newton matrix for trln2, which is a nonlinear least
-squares problem in the logs of the M_j^s below. Where the model's reduced
-system is singular, the move is a projected gradient step from
-1 / (largest model eigenvalue) instead. k=50 solves take a handful of
-iterations where gradient steps took hundreds to thousands. trdif and lik
-are convex (trdif always, lik when the kernel matrix of its weight has full
-rank), trln2 is not and runs multi-start.
+matrix, and a monotone Armijo backtracking search halves the way toward the
+minimizer of that quadratic model over the simplex, full step first. The
+matrix is the Hessian for trdif (constant) and lik. trln2 is a nonlinear
+least squares problem in the logs of the M_j^s below: a start models it by
+the Gauss-Newton matrix, and by the exact Hessian after an accepted step
+that cut H by less than a fifth, where the residual is large and
+Gauss-Newton converges only linearly (Fletcher & Xu, Hybrid methods for
+nonlinear least squares, IMA J. Numer. Anal. 7, 1987). An exact move that
+does not descend along positive curvature falls back to Gauss-Newton.
+Where the model's reduced system is singular, the move is a projected
+gradient step from 1 / (largest model eigenvalue) instead. k=50 solves
+take a handful of iterations where gradient steps took hundreds to
+thousands. trdif and lik are convex (trdif always, lik when the kernel
+matrix of its weight has full rank), trln2 is not and runs multi-start.
 
 All starts of a solve run as one (R, k) iterate through one loop, by row
 kernels that evaluate every row at once and mask the rows they cannot. The
@@ -259,37 +263,50 @@ def _gradient_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
     return np.einsum("nsjc,isjc->ni", alpha[:, None, None] * d, kernels.UU), pd
 
 
-def _model_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
+def _model_rows(F, problem: InterpProblem, kernels: PrecomputedKernels, exact=False):
     """Matrix of the quadratic model of H at each row of F (n, k), shape
     (n, k, k), and the mask of rows where it is defined.
 
-    trdif: its constant Hessian. lik and trln2: Gram matrices, PSD by
-    construction, of the rows (w_1^2 / lam_1, w_2^2 / lam_2, sqrt(2) w_1 w_2 d)
-    sqrt(c alpha_s) per (s, j), with w the whitened u_i in the eigenbasis of
-    M_j^s. For lik, d = 1 / sqrt(lam_1 lam_2) and c = 1: the Hessian, sum of
-    (u_i' M^-1 u_l)^2. For trln2, d = (ln lam_1 - ln lam_2) / (lam_1 - lam_2)
-    and c = 2: the Gauss-Newton matrix 2 sum <L_i, L_l> of the least-squares
-    form sum ||ln M||_F^2, where L_i, the Frechet derivative of ln at M
-    applied to u_i u_i', scales the components of w w' by these divided
-    differences (Daleckii-Krein; Higham, Functions of Matrices, 2008, ch. 3).
+    trdif: its constant Hessian. lik and trln2: sum_s alpha_s sum_j
+    R diag(c) R', where R holds the components (t^2, b^2, t b) of the
+    whitened u_i rotated into the eigenbasis (top, low) of M_j^s. The
+    gradient is sum u_i' phi(M) u_i, and its derivative along u_l u_l'
+    scales those components by divided differences of phi (Daleckii-Krein;
+    Higham, Functions of Matrices, 2008, ch. 3), so c = (phi'(lam_max),
+    phi'(lam_min), 2 phi[lam_min, lam_max]) is the exact Hessian. lik,
+    phi = 1 - 1/x: c = (1/lam_max^2, 1/lam_min^2, 2/(lam_min lam_max)), PSD.
+    trln2, phi = 2 ln(x) / x, takes the exact c = (phi'(lam_max),
+    phi'(lam_min), 4 (lam_min D - ln lam_min) / (lam_min lam_max)),
+    phi'(x) = 2 (1 - ln x) / x^2, on the rows where exact (a mask over F,
+    or one bool) is true; D = _log_divided_difference keeps it exact and
+    uncancelled at lam_min = lam_max. Its other rows take the Gauss-Newton
+    c = (2/lam_max^2, 2/lam_min^2, 4 D^2), PSD: the 2 sum <L_i, L_l> of the
+    least-squares form sum ||ln M||_F^2, L_i the Frechet derivative of ln
+    at M applied to u_i u_i'.
     """
     if problem.invariant == "trdif":
         hess = hessian_H(None, problem, kernels)
         return np.broadcast_to(hess, (len(F), *hess.shape)), np.ones(len(F), dtype=bool)
     lam_min, lam_max, c, s = _eigensystem(_field_rows(F, kernels))
     pd = _pd_rows(lam_min)
-    lam_min, lam_max, c, s = (a[..., None] for a in (lam_min, lam_max, c, s))  # against Ut's k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if problem.invariant == "lik":
+            coef = [1.0 / lam_max ** 2, 1.0 / lam_min ** 2, 2.0 / (lam_min * lam_max)]
+        else:
+            dd = _log_divided_difference(lam_min, lam_max - lam_min)
+            coef = [2.0 / lam_max ** 2, 2.0 / lam_min ** 2, 4.0 * dd * dd]
+            if np.any(exact):
+                ln_min, sel = np.log(lam_min), np.asarray(exact)[..., None, None]
+                coef = np.where(sel, [2.0 * (1.0 - np.log(lam_max)) / lam_max ** 2,
+                                      2.0 * (1.0 - ln_min) / lam_min ** 2,
+                                      4.0 * (lam_min * dd - ln_min) / (lam_min * lam_max)], coef)
+    coef = np.stack(coef, -1) * problem.alpha[:, None, None]  # (n, m, k_obs, 3)
+    c, s = c[..., None], s[..., None]  # against Ut's k
     u0, u1 = kernels.Ut[..., 0], kernels.Ut[..., 1]  # (m, k_obs, k)
     w_top, w_low = c * u0 + s * u1, c * u1 - s * u0  # (n, m, k_obs, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if problem.invariant == "trln2":
-            cross, scale = _log_divided_difference(lam_min, lam_max - lam_min), 2.0 * problem.alpha
-        else:
-            cross, scale = 1.0 / np.sqrt(lam_min * lam_max), problem.alpha
-        rows = np.stack([w_top * w_top / lam_max, w_low * w_low / lam_min,
-                         np.sqrt(2.0) * w_top * w_low * cross], -1) * np.sqrt(scale)[:, None, None, None]
-    gram = np.moveaxis(rows, 3, 1).reshape(*F.shape, kernels.UU[0].size)
-    return gram @ gram.transpose(0, 2, 1), pd
+    rows = np.moveaxis(np.stack([w_top * w_top, w_low * w_low, w_top * w_low], -1), 3, 1)
+    rows = rows.reshape(*F.shape, coef[0].size)
+    return (rows * coef.reshape(len(F), 1, -1)) @ rows.transpose(0, 2, 1), pd
 
 
 def eval_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None) -> float:
@@ -324,9 +341,10 @@ def hessian_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = No
     """Analytic Hessian for trdif (constant) and lik.
 
     trdif: 2 sum_j K_.j K_.j'. lik: sum_s alpha_s sum_j of squared whitened
-    cross projections (u_i' M^-1 u_l)^2, one positive semidefinite Gram
-    matrix (see _model_rows). trln2 has no such form; the solver models it
-    by its Gauss-Newton matrix instead.
+    cross projections (u_i' M^-1 u_l)^2, positive semidefinite (see
+    _model_rows). trln2 raises: its exact Hessian, which _model_rows also
+    forms, is indefinite in general, and the solver uses it only where its
+    move descends along positive curvature.
     """
     if kernels is None:
         kernels = precompute(problem)
@@ -357,6 +375,9 @@ class InterpResult(NamedTuple):
 
 
 _ARMIJO_C = 1e-4
+# a trln2 start models H by its exact Hessian after an accepted step that cut
+# H by less than this share: Gauss-Newton converges only linearly there
+_SLOW_CUT = 0.2
 _MAX_HALVINGS = 50
 _ROUNDING_FACTOR = 4.0
 
@@ -379,6 +400,8 @@ def _solve_stack(kkt, rhs):
 def _newton_targets(F, G, hess):
     """Minimizers over the simplex of the quadratic models of H around the
     rows of F (n, k), with gradients G and model matrices hess (n, k, k).
+    For an indefinite hess (trln2's exact Hessian) a settled target is only a
+    constrained stationary point of the model, which the caller checks.
 
     Primal active-set method on g.(z - f) + (z - f).hess.(z - f) / 2 per row,
     started from the feasible z = f with its zero coordinates held at the
@@ -490,6 +513,7 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
     reasons = np.where(live, "max_iter", "singular_start")
     traces = [[] for _ in f] if record_trace else None
     rounds, trips, searched = 1, 0, 0
+    exact = np.zeros(len(f), dtype=bool)
 
     def stop(rows, reason, conv, its):
         reasons[rows], converged[rows], iterations[rows] = reason, conv, its
@@ -507,10 +531,20 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
         if not len(act):
             break
         searched += 1
-        # the Newton move, full step first; where the model's reduced system
-        # is singular, a gradient step from 1 / (largest model eigenvalue)
-        hess = _model_rows(fa, problem, kernels)[0]
+        # the Newton move, full step first; an exact-Hessian move that does
+        # not settle or descend along positive curvature is redone with the
+        # Gauss-Newton model; where the model's reduced system is singular,
+        # a gradient step from 1 / (largest model eigenvalue)
+        ex = exact[act]
+        hess = _model_rows(fa, problem, kernels, ex)[0]
         targets, toward = _newton_targets(fa, ga, hess)
+        if ex.any():
+            d = targets - fa
+            curv = np.einsum("pk,pk->p", d, (hess @ d[:, :, None])[:, :, 0])
+            redo = ex & ~(toward & (np.einsum("pk,pk->p", ga, d) < 0.0) & (curv > 0.0))
+            if redo.any():
+                hess[redo] = _model_rows(fa[redo], problem, kernels)[0]
+                targets[redo], toward[redo] = _newton_targets(fa[redo], ga[redo], hess[redo])
         move, first = targets - fa, np.ones(len(act))
         if not toward.all():
             top = np.linalg.eigvalsh(hess[~toward])[:, -1]
@@ -538,6 +572,7 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
             for r in acc:
                 traces[act[r]].append((it, float(obj_new[r]), float(eta[r]), float(pg[r])))
         f[act[acc]], obj[act[acc]] = f_new[acc], obj_new[acc]
+        exact[act[acc]] = (problem.invariant == "trln2") & (oa[acc] - obj_new[acc] < _SLOW_CUT * oa[acc])
         tiny = np.abs(f_new[acc] - fa[acc]).max(axis=1) < tol
         stop(act[acc[tiny]], "step_tol", True, it)
         acc = acc[~tiny]
@@ -568,12 +603,15 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
     """Minimize the objective over the simplex by projected Newton moves.
 
     Each iteration moves toward the minimizer over the simplex of a local
-    quadratic model of H: the gradient with the Hessian (trdif, lik) or the
-    Gauss-Newton matrix (trln2). An Armijo search halves the move, full step
-    first, until H decreases enough. Where the model's reduced system is
-    singular, the move is a projected gradient step from 1 / (largest model
-    eigenvalue) instead. Stops when the iterate change or the unit-step
-    projected gradient drops below tol, or when the line search finds no
+    quadratic model of H: the gradient with the Hessian (trdif, lik) or, for
+    trln2, the Gauss-Newton matrix, and the exact Hessian after an accepted
+    step that cut H by less than a fifth (_SLOW_CUT). An exact move that
+    does not settle or is not a descent direction along positive curvature
+    is replaced by the Gauss-Newton move. An Armijo search halves the move,
+    full step first, until H decreases enough. Where the model's reduced
+    system is singular, the move is a projected gradient step from
+    1 / (largest model eigenvalue) instead. Stops when the iterate change
+    or the unit-step projected gradient drops below tol, or when the line search finds no
     decrease; the latter counts as converged only if the decrease it
     predicted is below the rounding level of H. An exhausted iteration budget is reported through
     converged=False (the best iterate is still returned). Multi-start
@@ -671,18 +709,19 @@ def fractional_anisotropy(f, domain) -> float:
     """Eigenvalue dispersion of the ambient second moment sum_i f_i p_i p_i'.
 
     0 for an isotropic moment, 1 for a point mass; invariant under joint
-    rotation of the domain.
+    rotation of the domain. From invariants, without the eigenvalues:
+    sum lam^2 = |M|_F^2 and sum (lam - mean)^2 = |M - mean I|_F^2 with
+    mean = tr(M) / 3, which does not cancel near isotropy as
+    |M|_F^2 - tr(M)^2 / 3 would.
     """
     f = np.asarray(f, dtype=float)
     domain = unit_points(domain)
     moment = np.einsum("i,ia,ib->ab", f, domain, domain)
-    lam = np.linalg.eigvalsh(moment)
-    n = 3.0
-    denom = float(np.sum(lam ** 2))
-    if denom == 0.0:
+    total = float(np.sum(moment * moment))
+    if total == 0.0:
         return 0.0
-    fa = np.sqrt((n / (n - 1.0)) * float(np.sum((lam - lam.mean()) ** 2)) / denom)
-    return float(min(max(fa, 0.0), 1.0))
+    spread = moment - np.trace(moment) / 3.0 * np.eye(3)
+    return float(min(np.sqrt(1.5 * float(np.sum(spread * spread)) / total), 1.0))  # in [0, 1]
 
 
 def _numerical_rank(mat, k: int) -> int:
@@ -747,28 +786,23 @@ def convexity_probe(problem: InterpProblem, n_points: int = 100,
                     kernels: PrecomputedKernels | None = None) -> dict:
     """Minimum Hessian eigenvalue over random interior simplex points.
 
-    trdif and lik use their analytic Hessians (trdif is constant so one
-    evaluation suffices); trln2 uses a central finite-difference Hessian
-    projected onto the simplex tangent plane, which is how its negative
-    curvature is searched for. The certificate is true when every sampled
-    eigenvalue stays above -1e-8.
+    Every invariant uses its analytic Hessian (trdif is constant so one
+    evaluation suffices; trln2 takes the exact, not the Gauss-Newton, model
+    of _model_rows). trln2's is projected onto the simplex tangent plane,
+    which is how its negative curvature is searched for. The certificate is
+    true when every sampled eigenvalue stays above -1e-8.
     """
     if kernels is None:
         kernels = precompute(problem)
     if rng is None:
         rng = np.random.default_rng(0)
-    k, h = problem.k, 1e-5
     if problem.invariant == "trdif":
         hess, ok = hessian_H(None, problem, kernels), True
-    elif problem.invariant == "lik":
-        hess, ok = _model_rows(random_pmfs(rng, k, n_points), problem, kernels)
     else:
-        shifted = random_pmfs(rng, k, n_points)[:, None] + np.concatenate([np.eye(k), -np.eye(k)]) * h
-        g, ok = _gradient_rows(shifted.reshape(-1, k), problem, kernels)
-        g = g.reshape(n_points, 2, k, k)
-        hess = (g[:, 0] - g[:, 1]) / (2.0 * h)
-        basis = _simplex_tangent_basis(k)
-        hess = basis.T @ (0.5 * (hess + hess.transpose(0, 2, 1))) @ basis
+        hess, ok = _model_rows(random_pmfs(rng, problem.k, n_points), problem, kernels, exact=True)
+        if problem.invariant == "trln2":
+            basis = _simplex_tangent_basis(problem.k)
+            hess = basis.T @ hess @ basis
     _require_pd(ok)
     min_eig = float(np.linalg.eigvalsh(hess).min())
     return {"min_hessian_eig": min_eig, "convex_certificate": min_eig >= -1e-8}

@@ -155,6 +155,41 @@ def test_criterion_02_invariance_and_triangle():
            f"{worst_tri:.2e} (<=1e-10), lik violation at I/2I/4I: {lik_violation}")
 
 
+def _rand_spd_stack(rng, n):
+    a = rng.normal(size=(n, 2, 2))
+    return a @ a.transpose(0, 2, 1) + 0.1 * np.eye(2)
+
+
+def test_criterion_02_holds_at_ten_times_the_draws():
+    # the bounds of criterion 02 over 10x its matrices, drawn in stacks
+    rng = np.random.default_rng(22)
+    n = 10_000
+    x, y, z = (_rand_spd_stack(rng, n) for _ in range(3))
+    g = rng.normal(size=(n, 2, 2))
+    redraw = np.abs(np.linalg.det(g)) < 0.1
+    while redraw.any():
+        g[redraw] = rng.normal(size=(int(redraw.sum()), 2, 2))
+        redraw = np.abs(np.linalg.det(g)) < 0.1
+    gx, gy, gz = (g @ m @ g.transpose(0, 2, 1) for m in (x, y, z))
+    pairs = [
+        (h_trdif(x, y, z), h_trdif(gx, gy, gz)),
+        (h_trln2(x, y), h_trln2(gx, gy)),
+        (h_lik(x, y), h_lik(gx, gy)),
+        (h_lnpr(x, y), h_lnpr(gx, gy)),
+    ]
+    worst_inv = max(float(np.max(np.abs(v0 - v1) / np.maximum(1.0, np.abs(v0)))) for v0, v1 in pairs)
+    x, y, z, ref = (_rand_spd_stack(rng, 10 * n) for _ in range(4))
+    worst_tri = float(np.max([
+        h_trdif(x, z, ref) - h_trdif(x, y, ref) - h_trdif(y, z, ref),
+        h_trln2(x, z) - h_trln2(x, y) - h_trln2(y, z),
+        h_lnpr(x, z) - h_lnpr(x, y) - h_lnpr(y, z),
+    ]))
+    ok = worst_inv <= 1e-8 and worst_tri <= 1e-10
+    report(2, "similarity invariance and triangle behavior at 10x the draws", ok,
+           f"invariance {worst_inv:.2e} (<=1e-8) over {n} draws, triangle slack "
+           f"{worst_tri:.2e} (<=1e-10) over {10 * n} triangles")
+
+
 def test_criterion_03_projection_identities():
     rng = np.random.default_rng(31)
     worst = 0.0

@@ -272,6 +272,54 @@ def test_trln2_gauss_newton_matrix_is_symmetric_psd(weights, a):
     assert np.linalg.eigvalsh(gram).min() >= -1e-12 * scale
 
 
+@pytest.mark.parametrize("case", ["fixture", "k50"])
+def test_trln2_exact_model_is_the_central_difference_of_the_gradient(case):
+    if case == "fixture":
+        prob = load_problem(FIXTURE)[0].with_alpha(np.array([0.3, 0.7]))
+    else:
+        prob = _admissible_problem(0, "trln2", k=50)
+    kern = precompute(prob)
+    k, h = prob.k, 1e-5
+    points = 0.9 * random_pmfs(np.random.default_rng(7), k, 20) + 0.1 / k  # interior
+    got, ok = interpolation._model_rows(points, prob, kern, exact=True)
+    assert ok.all()
+    g, ok = interpolation._gradient_rows((points[:, None] + np.concatenate([np.eye(k), -np.eye(k)]) * h)
+                                         .reshape(-1, k), prob, kern)
+    assert ok.all()
+    g = g.reshape(len(points), 2, k, k)
+    for model, fd in zip(got, (g[:, 0] - g[:, 1]) / (2.0 * h)):
+        npt.assert_allclose(model, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+    # the default and an all-false mask are the Gauss-Newton matrix, which differs
+    gauss_newton = interpolation._model_rows(points, prob, kern)[0]
+    npt.assert_array_equal(interpolation._model_rows(points, prob, kern, np.zeros(20, bool))[0], gauss_newton)
+    assert np.abs(gauss_newton - got).max() > 1e-3 * np.abs(got).max()
+    # a mask picks the exact matrix row by row
+    mixed = interpolation._model_rows(points, prob, kern, np.arange(20) % 2 == 0)[0]
+    npt.assert_array_equal(mixed[::2], got[::2])
+    npt.assert_array_equal(mixed[1::2], gauss_newton[1::2])
+
+
+def test_trln2_exact_model_at_an_isotropic_operator():
+    # u_1 = e_1, u_2 = e_2 and f = (1/2, 1/2, 0) give M = I / 2, where both
+    # eigenvalues are lam and the exact Hessian is phi'(lam) (u_i' u_l)^2,
+    # phi'(x) = 2 (1 - ln x) / x^2
+    ut = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])[None, None]  # (m, k_obs, k, 2)
+    u0, u1 = ut[..., 0], ut[..., 1]
+    kern = interpolation.PrecomputedKernels(
+        A=None, B=None, K=None, C=None, c_tr=None, Ut=ut,
+        UU=np.stack([u0 * u0, u0 * u1, u1 * u1], axis=-1).transpose(2, 0, 1, 3))
+    prob = interpolation.InterpProblem(domain=None, obs=None, endpoints=None, alpha=np.array([1.0]),
+                                       invariant="trln2", weight="pihalf")
+    f = np.array([[0.5, 0.5, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ok = interpolation._model_rows(f, prob, kern, exact=True)
+    assert ok.all()
+    lam = 0.5
+    npt.assert_allclose(got[0], 2.0 * (1.0 - np.log(lam)) / lam ** 2 * (ut[0, 0] @ ut[0, 0].T) ** 2,
+                        rtol=1e-15, atol=0.0)
+
+
 def test_log_divided_difference_at_equal_and_near_equal_eigenvalues():
     low = np.array([2.0, 2.0, 0.5, 3.0])
     gap = np.array([0.0, 2.0e-12, 0.5e-12, 1.5])
@@ -466,6 +514,19 @@ def test_k50_trln2_gauss_newton_solves_converge(seed):
     assert g @ res.f_hat - g.min() <= 1e-6 * max(1.0, abs(res.objective))
 
 
+def test_k50_trln2_solves_take_few_loop_trips_in_total():
+    # the 20 problems of the test above: 142 trips with the Gauss-Newton
+    # model alone, 112 with its exact-Hessian moves where a step cut H by
+    # less than a fifth
+    trips = 0
+    for seed in range(20):
+        prob = _admissible_problem(seed, "trln2", k=50)
+        res = solve(prob, precompute(prob))
+        assert res.converged
+        trips += res.loop_trips
+    assert trips <= 123
+
+
 def _newton_target_oracle(f, g, hess):
     """The one-row active-set method the solver ran before its targets were
     batched, kept verbatim: _newton_targets must give every row its bits."""
@@ -615,6 +676,55 @@ def test_gradient_fallback_meets_fixture_sweep_objectives(monkeypatch):
     assert sum(res.loop_trips for res in results) > 1000
 
 
+# Objectives of the fixture's 9-step sweep with the Gauss-Newton model alone
+# (132 loop trips); the minima at alpha = (1, 0) and (0, 1) are 0.
+FIXTURE_SWEEP9_OBJECTIVES = (
+    7.2599855183621383e-30, 4.1082132418386514, 7.4861185576653302,
+    9.8518545230082033, 10.579055783336329, 9.5506590560860083,
+    7.2769335677683458, 4.0470772440500342, 4.6271622471870254e-29,
+)
+
+
+def test_fixture_sweep9_reaches_the_gauss_newton_minima_in_fewer_trips():
+    prob, solver = load_problem(FIXTURE)
+    path = [np.array([1.0 - t, t]) for t in np.linspace(0.0, 1.0, 9)]
+    results, _, _ = consistency_sweep(
+        prob, path, max_iter=solver["max_iter"], tol=solver["tol"],
+        restarts=solver["restarts"], seed=solver["seed"])
+    for res, ref in zip(results, FIXTURE_SWEEP9_OBJECTIVES):
+        assert res.converged
+        assert set(res.stop_reasons) <= {"pg_tol", "step_tol"}  # every start converges
+        assert abs(res.objective - ref) <= (1e-20 if ref < 1e-20 else 1e-12 * ref)
+    assert sum(res.loop_trips for res in results) <= 90
+
+
+def test_exact_moves_without_positive_curvature_take_the_gauss_newton_move(monkeypatch):
+    # an exact model of -I fails d'Hd > 0 (or g.d < 0 at d = 0) on every row
+    # it serves, so those rows must move as with Gauss-Newton alone: the same
+    # minima in as many trips. (Their Gauss-Newton matrices come from a call
+    # on just those rows, whose field products round differently, so a trip
+    # may differ; without the fallback these trips rise 131 -> 222.)
+    prob, solver = load_problem(FIXTURE)
+    path = [np.array([1.0 - t, t]) for t in np.linspace(0.0, 1.0, 9)]
+    kw = dict(max_iter=solver["max_iter"], tol=solver["tol"], restarts=solver["restarts"], seed=solver["seed"])
+    model, exact_rows = interpolation._model_rows, []
+    with monkeypatch.context() as m:
+        m.setattr(interpolation, "_model_rows", lambda F, problem, kernels, exact=False: model(F, problem, kernels))
+        gauss_newton = consistency_sweep(prob, path, **kw)[0]
+
+    def concave_exact(F, problem, kernels, exact=False):
+        hess, ok = model(F, problem, kernels, exact)
+        exact_rows.append(int(np.sum(exact)))
+        return np.where(np.reshape(exact, (-1, 1, 1)), -np.eye(F.shape[1]), hess), ok
+
+    monkeypatch.setattr(interpolation, "_model_rows", concave_exact)
+    checked = consistency_sweep(prob, path, **kw)[0]
+    assert sum(exact_rows) > 0
+    for a, b in zip(gauss_newton, checked):
+        assert b.objective == pytest.approx(a.objective, rel=1e-12, abs=1e-20)
+        assert abs(b.loop_trips - a.loop_trips) <= 1
+
+
 def test_descend_counts_one_objective_round_per_search_round(monkeypatch):
     prob, solver = load_problem(FIXTURE)
     kernels = precompute(prob)
@@ -704,6 +814,23 @@ def test_fractional_anisotropy_extremes():
     fa0 = fractional_anisotropy(f, domain)
     rotated = rotate_points(domain, unit_point([0.2, 0.9, 0.4]), 1.3)
     assert fractional_anisotropy(f, rotated) == pytest.approx(fa0, abs=1e-12)
+
+
+def test_fractional_anisotropy_from_invariants():
+    def from_eigenvalues(f, domain):
+        lam = np.linalg.eigvalsh(np.einsum("i,ia,ib->ab", f, domain, domain))
+        return np.sqrt(1.5 * np.sum((lam - lam.mean()) ** 2) / np.sum(lam ** 2))
+
+    rng = np.random.default_rng(103)
+    for _ in range(200):
+        domain = uniform_sample(rng, 8)
+        f = random_pmfs(rng, 8, 1)[0]
+        assert abs(fractional_anisotropy(f, domain) - from_eigenvalues(f, domain)) <= 1e-12
+    octa = np.concatenate([np.eye(3), -np.eye(3)])
+    assert fractional_anisotropy(np.full(6, 1.0 / 6.0), octa) == 0.0
+    # a point mass at a point whose moment p p' is exact
+    domain = np.concatenate([uniform_sample(rng, 5), [[0.0, 0.0, 1.0]]])
+    assert fractional_anisotropy(np.eye(6)[5], domain) == 1.0
 
 
 def test_consistency_sweep_shapes_and_warm_start():
