@@ -357,7 +357,8 @@ def hessian_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = No
     return h[0]
 
 
-STOP_REASONS = ("pg_tol", "step_tol", "line_search", "max_iter", "singular_start")
+# lower_bound: cut once another start converged at H's lower bound 0
+STOP_REASONS = ("pg_tol", "step_tol", "line_search", "max_iter", "singular_start", "lower_bound")
 
 
 class InterpResult(NamedTuple):
@@ -366,7 +367,7 @@ class InterpResult(NamedTuple):
     iterations: int
     converged: bool
     restarts_used: int
-    restart_objectives: tuple
+    restart_objectives: tuple  # per start not dropped, the objective it stopped at
     trace: list | None  # rows (iteration, objective, step, grad_norm)
     stop_reasons: tuple = ()   # one of STOP_REASONS per start, in start order
     loop_trips: int = 0        # trips of the batched solver loop
@@ -497,7 +498,8 @@ def _armijo_search(evaluate, trial, f, g, obj, first, per_round=4):
     return found, eta, f_new, obj_new, h0 // per_round + 1
 
 
-# per start: last accepted iterate and objective, iterations, converged, an
+# per start: last accepted iterate and objective, iterations, converged (for
+# a start cut at the lower bound: whether its own objective is within it), an
 # entry of STOP_REASONS and the trace; per batch: loop trips, the trips that
 # ran a line search, and objective calls (one for the starts, one per round)
 _Descent = namedtuple("_Descent", "f obj iterations converged reasons traces trips searched rounds")
@@ -514,6 +516,7 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
     traces = [[] for _ in f] if record_trace else None
     rounds, trips, searched = 1, 0, 0
     exact = np.zeros(len(f), dtype=bool)
+    floor = _ROUNDING_FACTOR * np.finfo(float).eps  # the rounding level of H at 0
 
     def stop(rows, reason, conv, its):
         reasons[rows], converged[rows], iterations[rows] = reason, conv, its
@@ -529,6 +532,9 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
         keep = pg >= tol
         act, fa, ga, oa, pg = act[keep], fa[keep], ga[keep], oa[keep], pg[keep]
         if not len(act):
+            break
+        if np.any(converged & (obj <= floor)):  # a converged start sits at H's lower bound 0
+            stop(act, "lower_bound", obj[act] <= floor, it - 1)
             break
         searched += 1
         # the Newton move, full step first; an exact-Hessian move that does
@@ -551,10 +557,10 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
             first[~toward] = np.divide(1.0, top, out=first[~toward], where=top > 0.0)
 
         def trial(rows, etas):
-            x = project_to_simplex(fa[rows] - etas[:, None] * ga[rows])
-            sel = toward[rows]
-            if sel.any():
-                x[sel] = fa[rows[sel]] + etas[sel, None] * move[rows[sel]]
+            x = fa[rows] + etas[:, None] * move[rows]
+            grad = ~toward[rows]
+            if grad.any():
+                x[grad] = project_to_simplex(fa[rows[grad]] - etas[grad, None] * ga[rows[grad]])
             return x
 
         found, eta, f_new, obj_new, used = _armijo_search(
@@ -565,7 +571,7 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
             # step predicts is below the rounding level of H, stalled if not.
             lost = np.flatnonzero(~found)
             predicted = np.einsum("pk,pk->p", ga[lost], fa[lost] - trial(lost, first[lost]))
-            level = _ROUNDING_FACTOR * np.finfo(float).eps * np.maximum(1.0, np.abs(oa[lost]))
+            level = floor * np.maximum(1.0, np.abs(oa[lost]))
             stop(act[lost], "line_search", predicted <= level, it)
         acc = np.flatnonzero(found)
         if record_trace:
@@ -613,8 +619,11 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
     1 / (largest model eigenvalue) instead. Stops when the iterate change
     or the unit-step projected gradient drops below tol, or when the line search finds no
     decrease; the latter counts as converged only if the decrease it
-    predicted is below the rounding level of H. An exhausted iteration budget is reported through
-    converged=False (the best iterate is still returned). Multi-start
+    predicted is below the rounding level of H. H >= 0, so once a start has
+    converged within 4 eps of 0, every start still running stops where it is
+    (lower_bound; converged if its own H is that low). An exhausted
+    iteration budget is reported through converged=False (the best iterate
+    is still returned). Multi-start
     (default 8 for trln2: linear, square-root and uniform starts plus
     seeded Dirichlet draws; 1 otherwise) merges by best objective with
     start-index tie-breaking. An explicit f0 (a warm start) is prepended

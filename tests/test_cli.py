@@ -439,12 +439,34 @@ def test_interp_manifest_reports_solver_stats(tmp_path):
     assert stats["starts"] == 26
     assert stats["starts_failed"] == stats["stop_reasons"]["singular_start"] == 0
     assert sorted(stats["stop_reasons"]) == sorted(
-        ["pg_tol", "step_tol", "line_search", "max_iter", "singular_start"])
+        ["pg_tol", "step_tol", "line_search", "max_iter", "singular_start", "lower_bound"])
     assert sum(stats["stop_reasons"].values()) == 26
+    # the endpoints have H = 0: 6 starts are cut at alpha = (1, 0) and 7 at (0, 1)
+    assert stats["stop_reasons"]["lower_bound"] == 13
     # one objective round per start batch, then at least one per line search;
     # a trip whose every start stops at pg_tol runs no search
     assert stats["objective_rounds"] >= stats["searched_trips"] + 3 > 3
     assert 0 < stats["searched_trips"] <= stats["loop_trips"]
+
+
+def test_interp_endpoint_sweep_stops_at_the_lower_bound(tmp_path):
+    # alpha = (1, 0) and (0, 1) only: the linear start is the endpoint, where
+    # H = 0, so each solve ends on its first trip without a line search
+    out = tmp_path / "ends"
+    assert main(["interp", "--problem", str(FIXTURE), "--alpha-steps", "2",
+                 "--out", str(out)]) == 0
+    stats = read_json(out / "run.json")["stats"]
+    assert stats["loop_trips"] == 2
+    assert stats["searched_trips"] == 0
+    reasons = stats["stop_reasons"]
+    assert reasons["lower_bound"] == stats["starts"] - reasons["pg_tol"] > 0
+    prob, _ = load_problem(FIXTURE)
+    header, rows = read_table(out / "interp.csv")
+    f_cols = [header.index(f"f_{i}") for i in range(prob.k)]
+    solved = [row for row in rows if row[1] == "trln2"]
+    assert [float(row[0]) for row in solved] == [0.0, 1.0]
+    for row, endpoint in zip(solved, prob.endpoints):
+        npt.assert_allclose([float(row[c]) for c in f_cols], endpoint, rtol=0, atol=1e-15)
 
 
 def test_interp_gradient_form_mismatch_exits_2(tmp_path):
