@@ -118,12 +118,12 @@ def cmd_sample(args) -> int:
 # ------------------------------------------------------------------ test ---
 
 def _sample_source(args):
-    """Returns (draw_rows, stochastic, description dict, tally).
+    """Returns (draw_rows, stochastic, description dict, tally, sizes).
 
     draw_rows(rngs) gives one run per generator as stacks (R, m1, 3) and
     (R, m2, 3); each generator draws s1, then s2. In generator mode tally
     counts the points drawn and the sampler proposals made for them; in file
-    mode it is None.
+    mode it is None. sizes is (m1, m2).
     """
     file_mode = args.sample1 is not None or args.sample2 is not None
     if file_mode:
@@ -137,7 +137,7 @@ def _sample_source(args):
             return (np.broadcast_to(s1, (len(rngs),) + s1.shape),
                     np.broadcast_to(s2, (len(rngs),) + s2.shape))
 
-        return draw_files, False, desc, None
+        return draw_files, False, desc, None, (len(s1), len(s2))
     if args.a1 is None or args.a2 is None:
         raise ValueError("give --sample1/--sample2 files or --a1/--a2 generator parameters")
     p1 = _ring_params(args.a1, args.mu1, args.concentration)
@@ -157,7 +157,7 @@ def _sample_source(args):
 
     desc = {"a1": args.a1, "a2": args.a2, "mu1": args.mu1, "mu2": args.mu2,
             "m1": m1, "m2": m2, "concentration": args.concentration}
-    return draw_rows, True, desc, tally
+    return draw_rows, True, desc, tally, (m1, m2)
 
 
 def _sampler_stats(tally) -> dict:
@@ -193,23 +193,30 @@ def _resolve_q(args, rng, s1, s2, fixed):
     return _tr2_pick(rng, args.grid, s1, s2, np.argmax)
 
 
-# Runs tested per batched pass (one projection pass, one rank-test call per
-# statistic). Blocks keep the batch arrays small: 500 runs of m = 50 in one
-# pass raise the peak memory of the command from 39 MB to 47 MB.
-_BLOCK_RUNS = 64
+# Sample points per block of runs. A block is drawn in one sampler call and
+# tested in one projection pass, with one rank-test call per statistic, so
+# larger blocks mean fewer passes. A budget of points, not of runs, keeps the
+# block's arrays the same size at every m: 128 runs at m = 50, one run once
+# m1 + m2 exceeds the budget. At m = 500 a block of 64 runs would hold 12 MB
+# of arrays (tracemalloc peak of `test --m1 500 --runs 64`), this one 2.5 MB.
+_BLOCK_POINTS = 12_800
 
 
-def _test_block(start: int, drawn: list, alpha: float):
+def _block_runs(m1: int, m2: int) -> int:
+    """Runs per block for samples of sizes m1 and m2 (at least one)."""
+    return max(1, _BLOCK_POINTS // (m1 + m2))
+
+
+def _test_block(start: int, s1, s2, q, alpha: float):
     """Both procedures for consecutive runs from start; raises for the first failing run."""
-    s1, s2, q = (np.stack(a) for a in zip(*drawn))
     try:
         procedures = batch_procedures(s1, s2, q, alpha)
     except SphereCovError as exc:
         # The projection pass fails as a whole; test run by run to name the first failure.
-        if len(drawn) == 1:
+        if len(q) == 1:
             raise type(exc)(f"run {start}: {exc}") from exc
-        for r in range(len(drawn)):
-            _test_block(start + r, drawn[r:r + 1], alpha)
+        for r in range(len(q)):
+            _test_block(start + r, s1[r:r + 1], s2[r:r + 1], q[r:r + 1], alpha)
         raise
     tested = [p for p in procedures if p is not None]
     bad = np.flatnonzero(np.any([p.degenerate for p in tested], axis=0))
@@ -217,7 +224,7 @@ def _test_block(start: int, drawn: list, alpha: float):
         r = int(bad[0])
         msg = next(filter(None, (p.error(r) for p in tested)))
         raise TooFewPairsError(f"run {start + r}: {msg}")
-    return q, procedures
+    return procedures
 
 
 _PROCEDURE_COLUMNS = ("T_xi", "p_xi", "T_d", "p_d", "W_xi", "pW_xi", "W_d", "pW_d")
@@ -240,20 +247,42 @@ def _rank_test_counts(procedures) -> dict:
     return {"exact": exact, "normal_approx": tested - exact}
 
 
-def _block_values(start: int, drawn: list, alpha: float, rejections: Counter,
-                  methods: Counter) -> tuple:
-    """q.T (3, n) and _procedure_values of a block of runs; tallies rejections and test methods."""
-    q, procedures = _test_block(start, drawn, alpha)
+def _test_runs(args, start: int, seeds: list, draw_rows, fixed, rejections: Counter,
+               methods: Counter) -> tuple:
+    """Draws and tests the block of runs from start, one per seed (None in file mode).
+
+    Returns q.T (3, n) and _procedure_values of the block, and tallies its
+    rejections and test methods. A run whose q cannot be drawn raises after
+    the earlier runs of the block are tested, as in run order. The block's
+    arrays are freed on return, before the next block is drawn.
+    """
+    # every generator draws s1, then s2, then its q: the order of a run drawn alone
+    rngs = [None if c is None else np.random.default_rng(c) for c in seeds]
+    s1, s2 = draw_rows(rngs)
+    qs, failure = [], None
+    for r, rng in enumerate(rngs):
+        try:
+            qs.append(_resolve_q(args, rng, s1[r], s2[r], fixed))
+        except SphereCovError as exc:
+            failure = exc
+            break
+    if qs:
+        n, q = len(qs), np.stack(qs)
+        if args.rotate2 is not None:
+            s2 = np.stack([rotate_points(p, c, args.rotate2) for p, c in zip(s2, q)])
+        procedures = _test_block(start, s1[:n], s2[:n], q, args.alpha)
+    if failure is not None:
+        raise type(failure)(f"run {start + len(qs)}: {failure}") from failure
     for p, (xi_name, d_name) in zip(procedures, (("T_xi", "T_d"), ("W_xi", "W_d"))):
         if p is not None:
             rejections.update({xi_name: int(np.count_nonzero(p.reject)),
-                               d_name: int(np.count_nonzero(p.d_test.p_value < alpha))})
+                               d_name: int(np.count_nonzero(p.d_test.p_value < args.alpha))})
     methods.update(_rank_test_counts(procedures))
-    return (q.T, *_procedure_values(procedures, len(q)))
+    return (q.T, *_procedure_values(procedures, n))
 
 
 def cmd_test(args) -> int:
-    draw_rows, stochastic, desc, tally = _sample_source(args)
+    draw_rows, stochastic, desc, tally, sizes = _sample_source(args)
     stochastic = stochastic or args.q_mode != "fixed"
     seed = _require_seed(args, "the run is stochastic") if stochastic else args.seed
     if args.runs <= 0:
@@ -264,29 +293,12 @@ def cmd_test(args) -> int:
     fixed = _fixed_q(args)
     children = np.random.SeedSequence(seed).spawn(args.runs) if stochastic else [None] * args.runs
 
-    blocks = []
     rejections = Counter()
     methods = Counter(exact=0, normal_approx=0)
-    for start in range(0, args.runs, _BLOCK_RUNS):
-        # every generator draws s1, then s2, then its q: the order of a run drawn alone
-        rngs = [None if c is None else np.random.default_rng(c)
-                for c in children[start:start + _BLOCK_RUNS]]
-        s1, s2 = draw_rows(rngs)
-        drawn, failure = [], None
-        for r, rng in enumerate(rngs):
-            try:
-                q = _resolve_q(args, rng, s1[r], s2[r], fixed)
-                s2r = s2[r] if args.rotate2 is None else rotate_points(s2[r], q, args.rotate2)
-                drawn.append((s1[r], s2r, q))
-            except SphereCovError as exc:
-                # raised after the earlier runs of the block are tested, as in run order
-                failure = (start + r, exc)
-                break
-        if drawn:
-            blocks.append(_block_values(start, drawn, args.alpha, rejections, methods))
-        if failure is not None:
-            idx, exc = failure
-            raise type(exc)(f"run {idx}: {exc}") from exc
+    block = _block_runs(*sizes)
+    blocks = [_test_runs(args, start, children[start:start + block], draw_rows, fixed,
+                         rejections, methods)
+              for start in range(0, args.runs, block)]
 
     out = _out_dir(args)
     q, values, blank = (np.hstack(a) for a in zip(*blocks))
@@ -310,7 +322,7 @@ def cmd_test(args) -> int:
 # ------------------------------------------------------------------ scan ---
 
 def cmd_scan(args) -> int:
-    draw_rows, _, desc, tally = _sample_source(args)
+    draw_rows, _, desc, tally, _ = _sample_source(args)
     seed = _require_seed(args, "the candidate grid is random")
     _require_grid(args)
     _require_alpha(args)
@@ -342,7 +354,7 @@ def cmd_scan(args) -> int:
 # --------------------------------------------------------------- profile ---
 
 def cmd_profile(args) -> int:
-    draw_rows, stochastic, desc, _ = _sample_source(args)
+    draw_rows, stochastic, desc, _, _ = _sample_source(args)
     needs_rng = stochastic or args.q_extreme is not None
     seed = _require_seed(args, "the run is stochastic") if needs_rng else args.seed
     if args.q_extreme is not None:

@@ -191,9 +191,12 @@ def _log_coords(q, pts):
     if np.any(d >= _ANTIPODAL_DIST):
         raise AntipodalPointError("log map undefined at an antipodal point")
     # log_q p = (d/s)(p - c q), and p - c q = (q x p) x q has the frame
-    # coordinates (<q x p, e2>, -<q x p, e1>); d = 0 wherever s = 0.
-    scale = d / np.where(s > 0.0, s, 1.0)
-    return scale[..., None] * (cross @ np.stack([e2, -e1], axis=-1)), d
+    # coordinates (<q x p, e2>, -<q x p, e1>); d = 0 wherever s = 0, so s
+    # becomes 1 there, then the scale d/s, in place.
+    s[s == 0.0] = 1.0
+    coords = cross @ np.stack([e2, -e1], axis=-1)
+    coords *= np.divide(d, s, out=s)[..., None]
+    return coords, d
 
 
 def log_map(q, p) -> TangentVec:

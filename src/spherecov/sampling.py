@@ -87,7 +87,8 @@ def ring_density_unnormalized(p, params: RingDensity) -> float:
 
 # Proposals per round that one batched pass may hold; rows beyond it are drawn
 # in further passes, so the sampler's working memory does not grow with R * n.
-_ROUND_PROPOSALS = 1 << 14
+# At n = 50 a pass holds 64 rows, half of one of test's blocks.
+_ROUND_PROPOSALS = 12_800
 
 
 def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:

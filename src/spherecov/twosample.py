@@ -104,11 +104,11 @@ def _log_images(q, sample1, sample2):
 
     q is the caller's point (3,) or batch (R, 3), normalised once, inside
     log_map_coords; the samples are (m, 3), or (R, m, 3) stacks paired with
-    a batch q. Returns (u1, d1, u2, d2, lhat), batched over leading axes.
+    a batch q. Both samples are normalised once, as one concatenated stack.
+    Returns (u1, d1, u2, d2, lhat), batched over leading axes.
     """
-    s1, s2 = unit_points(sample1), unit_points(sample2)
-    u, d = log_map_coords(q, np.concatenate([s1, s2], axis=-2))
-    m1 = s1.shape[-2]
+    u, d = log_map_coords(q, unit_points(np.concatenate([sample1, sample2], axis=-2)))
+    m1 = np.shape(sample1)[-2]
     u1, u2 = u[..., :m1, :], u[..., m1:, :]
     lhat = _op_sums(u1) / m1 - _op_sums(u2) / u2.shape[-2]
     return u1, d[..., :m1], u2, d[..., m1:], lhat

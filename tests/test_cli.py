@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -705,11 +706,11 @@ def test_test_block_names_the_first_failing_run():
     antipodal[4] = -q
     drawn[3] = (antipodal, drawn[3][1], q)
     with pytest.raises(AntipodalPointError, match="^run 13: log map undefined"):
-        cli._test_block(10, drawn, 0.05)
+        cli._test_block(10, *map(np.stack, zip(*drawn)), 0.05)
     # an earlier degenerate run is reported before the antipodal one
     drawn[1] = (drawn[1][0], drawn[1][0], q)
     with pytest.raises(TooFewPairsError, match="^run 11: 0 nonzero differences"):
-        cli._test_block(10, drawn, 0.05)
+        cli._test_block(10, *map(np.stack, zip(*drawn)), 0.05)
 
 
 @pytest.mark.parametrize("same, runs, failing_draw, message", [
@@ -720,9 +721,11 @@ def test_test_block_names_the_first_failing_run():
     pytest.param(False, 70, 66, "run 65: log map undefined", id="second-block")])
 def test_test_draw_failure_waits_for_earlier_runs(tmp_path, monkeypatch, capsys,
                                                   same, runs, failing_draw, message):
+    # samples of 100 points make blocks of 64 runs, so run 65 lies in the second block
+    assert cli._block_runs(100, 100) == 64
     paths = []
     for name, a, seed in (("a", "0.2", "1"), ("b", "0.5", "2")):
-        assert main(["sample", "--a", a, "--n", "20", "--seed", seed,
+        assert main(["sample", "--a", a, "--n", "100", "--seed", seed,
                      "--out", str(tmp_path / name)]) == 0
         paths.append(str(tmp_path / name / "points.csv"))
     resolve = cli._resolve_q
@@ -844,16 +847,70 @@ def test_grid_is_ignored_where_unused(tmp_path, argv):
 
 
 def test_test_block_outputs_are_pinned(tmp_path):
-    # one full block of runs; the values were written by the per-run sampler loop
+    # the first 64 runs were written by the per-run sampler loop, run 129 by blocks of 64 runs
     out = tmp_path / "t"
     assert main(["test", "--a1", "0.2", "--a2", "0.3", "--m1", "50", "--q", "0,0,1",
                  "--runs", "64", "--seed", "0", "--out", str(out)]) == 0
     assert read_json(out / "run.json")["stats"]["proposals"] == 32328
     header, rows = read_table(out / "runs.csv")
+    # 130 runs span two blocks of 128; every run depends on its own seed alone
+    longer = tmp_path / "t130"
+    assert main(["test", "--a1", "0.2", "--a2", "0.3", "--m1", "50", "--q", "0,0,1",
+                 "--runs", "130", "--seed", "0", "--out", str(longer)]) == 0
+    assert cli._block_runs(50, 50) == 128
+    assert read_json(longer / "run.json")["stats"]["proposals"] == 64296
+    header130, rows130 = read_table(longer / "runs.csv")
+    assert header130 == header and rows130[:64] == rows
     pinned = [(0, "p_xi", 0.29715485844530987), (32, "pW_xi", 0.23983620757666801),
-              (63, "pW_d", 0.78009157004985918)]
+              (63, "pW_d", 0.78009157004985918), (129, "p_d", 0.64310822538177281)]
     for run, column, value in pinned:
-        assert float(rows[run][header.index(column)]) == pytest.approx(value, rel=0.0, abs=1e-12)
+        assert float(rows130[run][header.index(column)]) == pytest.approx(value, rel=0.0, abs=1e-12)
+
+
+def test_block_runs_fit_the_point_budget():
+    budget = cli._BLOCK_POINTS
+    assert cli._block_runs(50, 50) == budget // 100 == 128
+    assert cli._block_runs(40, 30) == budget // 70 == 182
+    # a run larger than the budget is a block of its own
+    assert cli._block_runs(budget, 1) == cli._block_runs(budget // 2, budget // 2) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--m1", "400", "--m2", "300", "--q", "0,0,1", "--runs", "40", "--seed", "0"],
+                 id="unequal-big"),
+    pytest.param(["--m1", "40", "--m2", "30", "--q", "0.3,0.1,1", "--runs", "190", "--seed", "1"],
+                 id="unequal"),
+    pytest.param(["--m1", "300", "--q-mode", "scan-best", "--grid", "20", "--runs", "30",
+                  "--seed", "2"], id="scan-best"),
+    pytest.param(["--q-mode", "uniform", "--rotate2", "0.7", "--runs", "130", "--seed", "3"],
+                 id="uniform-rotate2")])
+def test_test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, argv):
+    args = cli.build_parser().parse_args(["test", "--a1", "0.2", "--a2", "0.3", *argv])
+    run_points = args.m1 + (args.m2 or args.m1)
+    default = cli._BLOCK_POINTS
+    files = {}
+    for name, budget in (("one", run_points), ("sixty-four", 64 * run_points),
+                         ("default", default)):
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", budget)
+        out = tmp_path / name
+        assert main(["test", "--a1", "0.2", "--a2", "0.3", *argv, "--out", str(out)]) == 0
+        files[name] = [(out / f).read_bytes() for f in ("runs.csv", "summary.json", "run.json")]
+    # the default blocks split the runs differently from both others
+    assert 1 < cli._block_runs(args.m1, args.m2 or args.m1) < args.runs
+    assert files["one"] == files["sixty-four"] == files["default"]
+
+
+def test_test_memory_stays_bounded_at_large_samples(tmp_path):
+    # blocks of a fixed 64 runs hold 12 MB of arrays here at the peak
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["test", "--a1", "0.2", "--a2", "0.3", "--m1", "500", "--q", "0,0,1",
+                     "--runs", "64", "--seed", "0", "--out", str(tmp_path / "t")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_test_and_scan_manifests_carry_stats(tmp_path):
