@@ -267,7 +267,7 @@ def _model_rows(F, problem: InterpProblem, kernels: PrecomputedKernels, exact=Fa
     """Matrix of the quadratic model of H at each row of F (n, k), shape
     (n, k, k), and the mask of rows where it is defined.
 
-    trdif: its constant Hessian. lik and trln2: sum_s alpha_s sum_j
+    trdif: its constant Hessian 2 K K'. lik and trln2: sum_s alpha_s sum_j
     R diag(c) R', where R holds the components (t^2, b^2, t b) of the
     whitened u_i rotated into the eigenbasis (top, low) of M_j^s. The
     gradient is sum u_i' phi(M) u_i, and its derivative along u_l u_l'
@@ -285,7 +285,7 @@ def _model_rows(F, problem: InterpProblem, kernels: PrecomputedKernels, exact=Fa
     at M applied to u_i u_i'.
     """
     if problem.invariant == "trdif":
-        hess = hessian_H(None, problem, kernels)
+        hess = 2.0 * kernels.K @ kernels.K.T
         return np.broadcast_to(hess, (len(F), *hess.shape)), np.ones(len(F), dtype=bool)
     lam_min, lam_max, c, s = _eigensystem(_field_rows(F, kernels))
     pd = _pd_rows(lam_min)
@@ -309,17 +309,24 @@ def _model_rows(F, problem: InterpProblem, kernels: PrecomputedKernels, exact=Fa
     return (rows * coef.reshape(len(F), 1, -1)) @ rows.transpose(0, 2, 1), pd
 
 
+def _one_row(rows, f, problem, kernels, *args):
+    """Row 0 of rows(F, problem, kernels, *args) at the one row F = [f],
+    precomputing the kernels on demand; raises NotPositiveDefiniteError where
+    the row is not defined."""
+    if kernels is None:
+        kernels = precompute(problem)
+    value, ok = rows(np.asarray(f, dtype=float)[None], problem, kernels, *args)
+    _require_pd(ok)
+    return value[0]
+
+
 def eval_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None) -> float:
     """Objective value at f (f is not required to lie on the simplex).
 
     Raises:
         NotPositiveDefiniteError: trln2/lik with a singular operator at f.
     """
-    if kernels is None:
-        kernels = precompute(problem)
-    value, ok = _objective_rows(np.asarray(f, dtype=float)[None], problem, kernels)
-    _require_pd(ok)
-    return float(value[0])
+    return float(_one_row(_objective_rows, f, problem, kernels))
 
 
 def grad_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None) -> np.ndarray:
@@ -330,31 +337,18 @@ def grad_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None)
     Raises:
         NotPositiveDefiniteError: trln2/lik with a singular operator at f.
     """
-    if kernels is None:
-        kernels = precompute(problem)
-    g, ok = _gradient_rows(np.asarray(f, dtype=float)[None], problem, kernels)
-    _require_pd(ok)
-    return g[0]
+    return _one_row(_gradient_rows, f, problem, kernels)
 
 
 def hessian_H(f, problem: InterpProblem, kernels: PrecomputedKernels | None = None) -> np.ndarray:
-    """Analytic Hessian for trdif (constant) and lik.
+    """Exact Hessian of eval_H at f, the exact model matrix of _model_rows
+    for every invariant. trdif: the constant 2 sum_j K_.j K_.j' (f may be
+    None). lik: positive semidefinite. trln2: indefinite in general.
 
-    trdif: 2 sum_j K_.j K_.j'. lik: sum_s alpha_s sum_j of squared whitened
-    cross projections (u_i' M^-1 u_l)^2, positive semidefinite (see
-    _model_rows). trln2 raises: its exact Hessian, which _model_rows also
-    forms, is indefinite in general, and the solver uses it only where its
-    move descends along positive curvature.
+    Raises:
+        NotPositiveDefiniteError: trln2/lik with a singular operator at f.
     """
-    if kernels is None:
-        kernels = precompute(problem)
-    if problem.invariant == "trdif":
-        return 2.0 * kernels.K @ kernels.K.T
-    if problem.invariant != "lik":
-        raise ValueError("analytic Hessian available for trdif and lik only")
-    h, ok = _model_rows(np.asarray(f, dtype=float)[None], problem, kernels)
-    _require_pd(ok)
-    return h[0]
+    return _one_row(_model_rows, f, problem, kernels, True)
 
 
 # lower_bound: cut once another start converged at H's lower bound 0
@@ -751,7 +745,7 @@ def rank_check(problem: InterpProblem, kernels: PrecomputedKernels | None = None
     k = problem.k
     rank_a = _numerical_rank(kernels.A, k)
     rank_b = _numerical_rank(kernels.B, k)
-    needed = rank_a if kernels.K is kernels.A else rank_b
+    needed = rank_a if problem.weight == "unit" else rank_b
     return {"rank_A": rank_a, "rank_B": rank_b, "admissible": needed == k}
 
 
@@ -780,14 +774,9 @@ def consistency_sweep(problem: InterpProblem, alpha_path, kernels=None, **solve_
 
 
 def _simplex_tangent_basis(k: int) -> np.ndarray:
-    """Orthonormal (k, k-1) basis of the hyperplane sum x = 0."""
-    full = np.zeros((k, k))
-    full[:, 0] = 1.0 / np.sqrt(k)
-    q, _ = np.linalg.qr(np.eye(k) - np.outer(full[:, 0], full[:, 0]))
-    # drop the column closest to the normal direction
-    dots = np.abs(q.T @ full[:, 0])
-    keep = np.argsort(dots)[: k - 1]
-    return q[:, np.sort(keep)]
+    """Orthonormal (k, k-1) basis of the hyperplane sum x = 0: the QR of the
+    differences e_i - e_(i+1), which span it."""
+    return np.linalg.qr(np.eye(k, k - 1) - np.eye(k, k - 1, -1))[0]
 
 
 def convexity_probe(problem: InterpProblem, n_points: int = 100,
@@ -795,23 +784,18 @@ def convexity_probe(problem: InterpProblem, n_points: int = 100,
                     kernels: PrecomputedKernels | None = None) -> dict:
     """Minimum Hessian eigenvalue over random interior simplex points.
 
-    Every invariant uses its analytic Hessian (trdif is constant so one
-    evaluation suffices; trln2 takes the exact, not the Gauss-Newton, model
-    of _model_rows). trln2's is projected onto the simplex tangent plane,
-    which is how its negative curvature is searched for. The certificate is
-    true when every sampled eigenvalue stays above -1e-8.
+    Every invariant takes its exact Hessian (hessian_H, for trln2 the exact
+    and not the Gauss-Newton model of _model_rows) at n_points draws from
+    rng, projected onto the simplex tangent plane: the curvature of H along
+    the simplex, where a full-space eigenvalue could only under-certify.
+    The certificate is true when every sampled eigenvalue stays above -1e-8.
     """
     if kernels is None:
         kernels = precompute(problem)
     if rng is None:
         rng = np.random.default_rng(0)
-    if problem.invariant == "trdif":
-        hess, ok = hessian_H(None, problem, kernels), True
-    else:
-        hess, ok = _model_rows(random_pmfs(rng, problem.k, n_points), problem, kernels, exact=True)
-        if problem.invariant == "trln2":
-            basis = _simplex_tangent_basis(problem.k)
-            hess = basis.T @ hess @ basis
+    hess, ok = _model_rows(random_pmfs(rng, problem.k, n_points), problem, kernels, exact=True)
     _require_pd(ok)
-    min_eig = float(np.linalg.eigvalsh(hess).min())
+    basis = _simplex_tangent_basis(problem.k)
+    min_eig = float(np.linalg.eigvalsh(basis.T @ hess @ basis).min())
     return {"min_hessian_eig": min_eig, "convex_certificate": min_eig >= -1e-8}

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
@@ -286,6 +286,7 @@ def test_batched_rows_equal_single_point_calls_bitwise(qs, n, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), c=st.floats(0.5, 2.0))
+@example(seed=4758, c=0.8609886675578077)  # a point 0.0137 rad from q
 def test_log_map_coords_do_not_depend_on_the_target_norm(seed, c):
     # the antipodal test reads the distance, which does not depend on |p|
     local = np.random.default_rng(seed)
@@ -295,8 +296,11 @@ def test_log_map_coords_do_not_depend_on_the_target_norm(seed, c):
     u1, d1 = log_map_coords(q, p)
     u2, d2 = log_map_coords(q, c * p)
     norm = np.linalg.norm(u1, axis=-1)
-    assert np.all(np.linalg.norm(u2 - u1, axis=-1) <= 1e-14 * norm)
-    assert np.all(np.abs(d2 - d1) <= 1e-14 * d1)
+    # q x p cancels for a point near q, which leaves rounding of about eps
+    # absolute; points at least 0.1 rad from q keep the relative bound alone
+    floor = np.where(d1 < 0.1, 2.0 * np.finfo(float).eps, 0.0)
+    assert np.all(np.linalg.norm(u2 - u1, axis=-1) <= 1e-14 * norm + floor)
+    assert np.all(np.abs(d2 - d1) <= 1e-14 * d1 + floor)
     for target in (-q, -c * q):
         with pytest.raises(AntipodalPointError):
             log_map_coords(q, target[None, :])

@@ -158,6 +158,9 @@ def test_rank_check_judges_the_kernel_of_the_problem_weight(invariant, weight, a
     domain = np.vstack([base, -base[:1]])
     prob = make_problem(domain, random_pmfs(local, 6, 2), [0.5, 0.5], invariant, weight=weight)
     assert rank_check(prob) == {"rank_A": 6, "rank_B": 5, "admissible": admissible}
+    # the verdict reads the weight, not which array the active kernel is
+    kernels = precompute(prob)
+    assert rank_check(prob, kernels._replace(K=kernels.K.copy()))["admissible"] == admissible
 
 
 def test_default_observation_points():
@@ -198,12 +201,14 @@ def test_gradient_matches_finite_differences():
 def test_hessians():
     prob = _admissible_problem(31, "trdif")
     kern = precompute(prob)
+    f = np.full(prob.k, 1.0 / prob.k)
     H = hessian_H(None, prob, kern)
-    npt.assert_allclose(H, 2.0 * kern.K @ kern.K.T, atol=1e-14)
+    npt.assert_array_equal(H, 2.0 * kern.K @ kern.K.T)
+    npt.assert_array_equal(hessian_H(f, prob, kern), H)
     lik = _admissible_problem(31, "lik")
     lk = precompute(lik)
-    f = np.full(lik.k, 1.0 / lik.k)
     Hl = hessian_H(f, lik, lk)
+    npt.assert_array_equal(Hl, interpolation._model_rows(f[None], lik, lk)[0][0])
     npt.assert_allclose(Hl, Hl.T, atol=1e-12)
     assert np.linalg.eigvalsh(Hl).min() >= -1e-10
     # finite-difference cross-check of the analytic likelihood Hessian
@@ -213,8 +218,21 @@ def test_hessians():
         e[i] = h
         fd = (grad_H(f + e, lik, lk) - grad_H(f - e, lik, lk)) / (2 * h)
         npt.assert_allclose(Hl[:, i], fd, rtol=5e-4, atol=1e-6)
-    with pytest.raises(ValueError):
-        hessian_H(f, _admissible_problem(31, "trln2"))
+    with pytest.raises(NotPositiveDefiniteError):
+        hessian_H(np.zeros(lik.k), _admissible_problem(31, "trln2"))
+
+
+@pytest.mark.parametrize("k", [6, 50])
+@pytest.mark.parametrize("invariant", ["trdif", "lik", "trln2"])
+def test_hessian_is_the_central_difference_of_the_gradient(invariant, k):
+    prob = _admissible_problem(31, invariant, k=k).with_alpha(np.array([0.3, 0.7]))
+    kern = precompute(prob)
+    h = 1e-5
+    for f in 0.9 * random_pmfs(np.random.default_rng(k), k, 2) + 0.1 / k:  # interior
+        got = hessian_H(f, prob, kern)
+        fd = np.stack([(grad_H(f + e, prob, kern) - grad_H(f - e, prob, kern)) / (2.0 * h)
+                       for e in h * np.eye(k)], axis=1)
+        npt.assert_allclose(got, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
 
 
 def _log_field_rows(F, kernels):
@@ -907,6 +925,21 @@ def test_convexity_certificates():
     rep = convexity_probe(lik, n_points=30, rng=np.random.default_rng(0))
     assert rep["convex_certificate"]
     assert rep["min_hessian_eig"] >= -1e-8
+
+
+@pytest.mark.parametrize("k", [6, 50])
+@pytest.mark.parametrize("invariant", ["trdif", "lik", "trln2"])
+def test_convexity_probe_reads_the_tangent_plane_for_every_invariant(invariant, k):
+    prob = _admissible_problem(41, invariant, k=k)
+    kern = precompute(prob)
+    rep = convexity_probe(prob, n_points=8, rng=np.random.default_rng(9), kernels=kern)
+    hess = np.stack([hessian_H(f, prob, kern) for f in random_pmfs(np.random.default_rng(9), k, 8)])
+    # an orthonormal basis of sum x = 0 drawn apart from the probe's
+    basis = np.linalg.svd(np.ones((1, k)))[2][1:].T
+    tangent = np.linalg.eigvalsh(basis.T @ hess @ basis).min()
+    scale = np.abs(hess).max()
+    assert rep["min_hessian_eig"] == pytest.approx(tangent, rel=1e-9, abs=1e-12 * scale)
+    assert rep["min_hessian_eig"] >= np.linalg.eigvalsh(hess).min() - 1e-12 * scale
 
 
 def test_trln2_nonconvex_on_fixture():
