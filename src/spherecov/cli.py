@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from . import io
 from .errors import IterationLimitError, SphereCovError, TooFewPairsError
 from .fields import weight_value
-from .geometry import rotate_points, uniform_sample, unit_point
+from .geometry import rotate_points, uniform_sample, unit_point, unit_points
 from .interpolation import (
     STOP_REASONS,
     consistency_sweep,
@@ -46,9 +45,11 @@ from .sampling import RingDensity, rejection_sample, rejection_sample_rows
 from .simplex import random_pmfs
 from .spd import h_lik, h_lnpr, h_trdif, h_trln2
 from .twosample import (
-    _scan,
+    _block_rows,
+    _candidate_blocks,
+    _row_blocks,
+    _scan_order,
     _tr2,
-    batch_procedures,
     operator_profile,
     projections_at,
     sample_profile,
@@ -193,92 +194,72 @@ def _resolve_q(args, rng, s1, s2, fixed):
     return _tr2_pick(rng, args.grid, s1, s2, np.argmax)
 
 
-# Sample points per block of runs. A block is drawn in one sampler call and
-# tested in one projection pass, with one rank-test call per statistic, so
-# larger blocks mean fewer passes. A budget of points, not of runs, keeps the
-# block's arrays the same size at every m: 128 runs at m = 50, one run once
-# m1 + m2 exceeds the budget. At m = 500 a block of 64 runs would hold 12 MB
-# of arrays (tracemalloc peak of `test --m1 500 --runs 64`), this one 2.5 MB.
-_BLOCK_POINTS = 12_800
+def _run_blocks(args, children: list, draw_rows, fixed, size: int):
+    """(q, s1, s2) blocks of up to size consecutive runs, one per seed (None in file mode).
 
-
-def _block_runs(m1: int, m2: int) -> int:
-    """Runs per block for samples of sizes m1 and m2 (at least one)."""
-    return max(1, _BLOCK_POINTS // (m1 + m2))
-
-
-def _test_block(start: int, s1, s2, q, alpha: float):
-    """Both procedures for consecutive runs from start; raises for the first failing run."""
-    try:
-        procedures = batch_procedures(s1, s2, q, alpha)
-    except SphereCovError as exc:
-        # The projection pass fails as a whole; test run by run to name the first failure.
-        if len(q) == 1:
-            raise type(exc)(f"run {start}: {exc}") from exc
-        for r in range(len(q)):
-            _test_block(start + r, s1[r:r + 1], s2[r:r + 1], q[r:r + 1], alpha)
-        raise
-    tested = [p for p in procedures if p is not None]
-    bad = np.flatnonzero(np.any([p.degenerate for p in tested], axis=0))
-    if len(bad):
-        r = int(bad[0])
-        msg = next(filter(None, (p.error(r) for p in tested)))
-        raise TooFewPairsError(f"run {start + r}: {msg}")
-    return procedures
+    A run whose q cannot be drawn raises once the earlier runs of its block
+    are yielded, so they are tested first, as in run order.
+    """
+    for start in range(0, len(children), size):
+        # every generator draws s1, then s2, then its q: the order of a run drawn alone
+        rngs = [None if c is None else np.random.default_rng(c) for c in children[start:start + size]]
+        s1, s2 = draw_rows(rngs)
+        qs, failure = [], None
+        for r, rng in enumerate(rngs):
+            try:
+                qs.append(_resolve_q(args, rng, s1[r], s2[r], fixed))
+            except SphereCovError as exc:
+                failure = exc
+                break
+        if qs:
+            n, q = len(qs), np.stack(qs)
+            if args.rotate2 is not None:
+                s2 = np.stack([rotate_points(p, c, args.rotate2) for p, c in zip(s2, q)])
+            yield q, s1[:n], s2[:n]
+            del s1, s2  # so the block's samples are freed before the next one is drawn
+        if failure is not None:
+            raise failure
 
 
 _PROCEDURE_COLUMNS = ("T_xi", "p_xi", "T_d", "p_d", "W_xi", "pW_xi", "W_d", "pW_d")
 
 
-def _procedure_values(procedures, n: int):
-    """T_*/W_* values (8, n) of (paired, unpaired) and the mask of blanks: absent or degenerate."""
-    values = [np.zeros((4, n)) if p is None else
-              np.stack([p.stat_xi, p.min_p, p.d_test.statistic, p.d_test.p_value])
-              for p in procedures]
-    blank = [np.broadcast_to(True if p is None else p.degenerate, (4, n)) for p in procedures]
-    return np.concatenate(values), np.concatenate(blank)
-
-
-def _rank_test_counts(procedures) -> dict:
-    """Counts of exact and normal-approximation rank tests over the non-degenerate rows."""
-    tests = [(t.exact, ~p.degenerate) for p in procedures if p is not None for t in p.tests]
-    exact = sum(int(np.count_nonzero(e & ok)) for e, ok in tests)
-    tested = sum(int(np.count_nonzero(ok)) for _, ok in tests)
+def _rank_test_stats(counts: list) -> dict:
+    """The manifest's rank_tests entry from the blocks' (exact, all) test counts."""
+    exact, tested = np.sum(counts, axis=0).tolist()
     return {"exact": exact, "normal_approx": tested - exact}
 
 
-def _test_runs(args, start: int, seeds: list, draw_rows, fixed, rejections: Counter,
-               methods: Counter) -> tuple:
-    """Draws and tests the block of runs from start, one per seed (None in file mode).
+def _joined(parts: list) -> list:
+    """The per-row fields of consecutive blocks, each joined along its row axis.
 
-    Returns q.T (3, n) and _procedure_values of the block, and tallies its
-    rejections and test methods. A run whose q cannot be drawn raises after
-    the earlier runs of the block are tested, as in run order. The block's
-    arrays are freed on return, before the next block is drawn.
+    parts holds one tuple of fields per block and is emptied, so each field's
+    blocks are freed as soon as that field is joined.
     """
-    # every generator draws s1, then s2, then its q: the order of a run drawn alone
-    rngs = [None if c is None else np.random.default_rng(c) for c in seeds]
-    s1, s2 = draw_rows(rngs)
-    qs, failure = [], None
-    for r, rng in enumerate(rngs):
-        try:
-            qs.append(_resolve_q(args, rng, s1[r], s2[r], fixed))
-        except SphereCovError as exc:
-            failure = exc
-            break
-    if qs:
-        n, q = len(qs), np.stack(qs)
-        if args.rotate2 is not None:
-            s2 = np.stack([rotate_points(p, c, args.rotate2) for p, c in zip(s2, q)])
-        procedures = _test_block(start, s1[:n], s2[:n], q, args.alpha)
-    if failure is not None:
-        raise type(failure)(f"run {start + len(qs)}: {failure}") from failure
-    for p, (xi_name, d_name) in zip(procedures, (("T_xi", "T_d"), ("W_xi", "W_d"))):
-        if p is not None:
-            rejections.update({xi_name: int(np.count_nonzero(p.reject)),
-                               d_name: int(np.count_nonzero(p.d_test.p_value < args.alpha))})
-    methods.update(_rank_test_counts(procedures))
-    return (q.T, *_procedure_values(procedures, n))
+    fields = [list(f) for f in zip(*parts)]
+    parts.clear()
+    return [np.hstack(fields.pop(0)) for _ in range(len(fields))]
+
+
+def _tested_runs(blocks, alpha: float) -> tuple:
+    """q.T (3, R), the T/W values and blank mask (8, R) and the rank_tests stats of the
+    test runs in blocks; the first failure ends the test, named by its run, once the
+    runs before it are tested."""
+    columns, counts, done = [], [], 0
+    try:
+        for block in _row_blocks(blocks, alpha):
+            bad = np.flatnonzero(np.not_equal(block.errors, None))
+            if len(bad):
+                done += int(bad[0])
+                # the message of the run's first degenerate procedure
+                raise TooFewPairsError(block.errors[bad[0]].partition("; ")[0])
+            columns.append((block.q.T, block.values, block.blank))
+            counts.append(block.counts)
+            done += len(block.q)
+            del block
+    except SphereCovError as exc:
+        raise type(exc)(f"run {done}: {exc}") from exc
+    return (*_joined(columns), _rank_test_stats(counts))
 
 
 def cmd_test(args) -> int:
@@ -293,24 +274,22 @@ def cmd_test(args) -> int:
     fixed = _fixed_q(args)
     children = np.random.SeedSequence(seed).spawn(args.runs) if stochastic else [None] * args.runs
 
-    rejections = Counter()
-    methods = Counter(exact=0, normal_approx=0)
-    block = _block_runs(*sizes)
-    blocks = [_test_runs(args, start, children[start:start + block], draw_rows, fixed,
-                         rejections, methods)
-              for start in range(0, args.runs, block)]
-
+    q, values, blank, methods = _tested_runs(
+        _run_blocks(args, children, draw_rows, fixed, _block_rows(*sizes)), args.alpha)
     out = _out_dir(args)
-    q, values, blank = (np.hstack(a) for a in zip(*blocks))
     columns = {"run": np.arange(args.runs), **dict(zip(("qx", "qy", "qz"), q)),
                **dict(zip(_PROCEDURE_COLUMNS, zip(values, blank)))}
     runs_path = io.write_table(out / "runs", columns, args.format)
-    rates = {name: n / args.runs for name, n in rejections.items()}
+    # rejections of the procedures that ran: min p below alpha/2 (xi), p below alpha (d)
+    rates = {name: np.count_nonzero(values[col] < cut) / args.runs
+             for name, col, cut in (("T_xi", 1, args.alpha / 2.0), ("T_d", 3, args.alpha),
+                                    ("W_xi", 5, args.alpha / 2.0), ("W_d", 7, args.alpha))
+             if not blank[col].any()}
     summary = {"alpha": args.alpha, "runs": args.runs, "rejection_rates": rates}
     summary_path = io.write_json(out / "summary.json", summary)
 
     # a run with too few nonzero differences ends the command, so none is left
-    stats = {"rank_tests": dict(methods), "degenerate_rows": 0, **_sampler_stats(tally)}
+    stats = {"rank_tests": methods, "degenerate_rows": 0, **_sampler_stats(tally)}
     params = dict(desc, q=args.q, q_mode=args.q_mode, grid=args.grid,
                   rotate2=args.rotate2, runs=args.runs, alpha=args.alpha,
                   format=args.format)
@@ -329,20 +308,26 @@ def cmd_scan(args) -> int:
     rng = np.random.default_rng(seed)
     s1, s2 = (s[0] for s in draw_rows([rng]))
     grid = uniform_sample(rng, args.grid)
-    q, proj, tr2, det, procedures, errors, order = _scan(s1, s2, grid, args.criterion, args.alpha)
-    values, blank = _procedure_values(procedures, len(q))
-    q, lam = q[order].T, proj.eigvals[order].T
-    columns = {**dict(zip(("qx", "qy", "qz"), q)), "tr2": tr2[order], "det": det[order],
+    parts, counts = [], []
+    for block in _row_blocks(_candidate_blocks(grid, s1, s2), args.alpha):
+        parts.append((block.tr2, block.det, block.proj.eigvals.T, block.values, block.blank,
+                      block.errors))
+        counts.append(block.counts)
+    tr2, det, lam, values, blank, errors = _joined(parts)
+    q = unit_points(grid).T
+    order = _scan_order(args.criterion, tr2, det)
+    for a in (tr2, det, errors, *q, *lam, *values, *blank):
+        a[:] = a[order]  # in place, one column's copy at a time
+    columns = {**dict(zip(("qx", "qy", "qz"), q)), "tr2": tr2, "det": det,
                "lambda1": lam[0], "lambda2": lam[1],
-               **dict(zip(_PROCEDURE_COLUMNS, zip(values[:, order], blank[:, order]))),
-               "error": errors[order]}
+               **dict(zip(_PROCEDURE_COLUMNS, zip(values, blank))), "error": errors}
     out = _out_dir(args)
     scan_path = io.write_table(out / "scan", columns, args.format)
     area_pos = float(np.mean(det > 0.0))
     summary = {"criterion": args.criterion, "grid": args.grid,
                "det_area_positive": area_pos, "det_area_negative": 1.0 - area_pos}
     summary_path = io.write_json(out / "summary.json", summary)
-    stats = {"rank_tests": _rank_test_counts(procedures),
+    stats = {"rank_tests": _rank_test_stats(counts),
              "degenerate_rows": sum(e is not None for e in errors), **_sampler_stats(tally)}
     params = dict(desc, grid=args.grid, criterion=args.criterion,
                   alpha=args.alpha, format=args.format)

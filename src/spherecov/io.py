@@ -69,8 +69,8 @@ def _quoted(cell: str) -> str:
     return '"%s"' % cell.replace('"', '""') if _needs_quotes(cell) else cell
 
 
-def _column(col) -> tuple[list, list, str]:
-    """One table column as (JSON values, CSV cells, CSV row-format slot); see write_table.
+def _column(col, rows=slice(None)) -> tuple[list, list, str]:
+    """Rows of one table column as (JSON values, CSV cells, CSV row-format slot); see write_table.
 
     A float column without blank cells keeps its floats as cells, for a
     FLOAT_FMT slot. Any other column becomes str cells for a "%s" slot: bools
@@ -78,6 +78,7 @@ def _column(col) -> tuple[list, list, str]:
     and quoted as csv.writer quotes them, blanks and None as "".
     """
     values, blank = col if isinstance(col, tuple) else (col, None)
+    values, blank = values[rows], None if blank is None else blank[rows]
     kind = np.asarray(values).dtype.kind
     values = values.tolist() if isinstance(values, np.ndarray) else list(values)
     blanks = [] if blank is None else np.flatnonzero(blank).tolist()
@@ -96,6 +97,10 @@ def _column(col) -> tuple[list, list, str]:
     return values, cells, "%s"
 
 
+# CSV rows per chunk: a table's cells are Python objects only one chunk at a time.
+_CHUNK_ROWS = 1024
+
+
 def write_table(base: Path, columns: dict, fmt: str = "csv") -> Path:
     """Write equal-length columns as CSV or as a JSON array of records.
 
@@ -105,27 +110,32 @@ def write_table(base: Path, columns: dict, fmt: str = "csv") -> Path:
     of these whose masked cells are blank (null in JSON).
 
     CSV rows are written one `%` operation each, through one row format per
-    table (a FLOAT_FMT slot per float column without blanks, "%s" for the
-    rest), and streamed to the file. Header names and str cells are quoted
-    as csv.writer quotes them (QUOTE_MINIMAL): a cell holding a comma, a
-    quote, CR or LF is wrapped in quotes with its quotes doubled, and the
-    empty cell of a one-column row is written as "". The bytes equal those
-    of csv.writer with CRLF line endings, each row ended with LF instead.
+    chunk of _CHUNK_ROWS rows (a FLOAT_FMT slot per float column without
+    blanks in it, "%s" for the rest), and streamed to the file. Header names
+    and str cells are quoted as csv.writer quotes them (QUOTE_MINIMAL): a cell
+    holding a comma, a quote, CR or LF is wrapped in quotes with its quotes
+    doubled, and the empty cell of a one-column row is written as "". The
+    bytes equal those of csv.writer with CRLF line endings, each row ended
+    with LF instead.
     """
     path = table_path(Path(base), fmt)
-    values, cells, slots = zip(*map(_column, columns.values()))
-    if fmt == "csv":
-        header = [_quoted(name) for name in columns]
-        if len(header) == 1:
-            # a lone empty cell would read as a blank line
-            header = [header[0] or '""']
-            cells = [[c or '""' for c in cells[0]] if slots[0] == "%s" else cells[0]]
-        row = ",".join(slots) + "\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(map(row.__mod__, zip(*cells)))
-    else:
-        write_json(path, [dict(zip(columns, rec)) for rec in zip(*values)])
+    if fmt == "json":
+        values = zip(*(_column(col)[0] for col in columns.values()))
+        return write_json(path, [dict(zip(columns, rec)) for rec in values])
+    header = [_quoted(name) for name in columns]
+    if len(header) == 1:
+        # a lone empty cell would read as a blank line
+        header = [header[0] or '""']
+    first = next(iter(columns.values()))
+    rows = len(first[0] if isinstance(first, tuple) else first)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, rows, _CHUNK_ROWS):
+            _, cells, slots = zip(*(_column(col, slice(lo, lo + _CHUNK_ROWS))
+                                    for col in columns.values()))
+            if len(header) == 1 and slots[0] == "%s":
+                cells = [[c or '""' for c in cells[0]]]
+            fh.writelines(map((",".join(slots) + "\n").__mod__, zip(*cells)))
     return path
 
 

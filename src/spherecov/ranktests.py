@@ -191,8 +191,9 @@ def _two_sided_normal(stat, mean, var, normal) -> np.ndarray:
     zstat = np.maximum(np.abs(stat - mean) - 0.5, 0.0) / np.sqrt(np.where(positive, var, 1.0))
     p = np.where(normal, 1.0, np.nan)
     tested = normal & positive
-    tail = 2.0 * _norm_sf(zstat[tested])
-    p[tested] = np.where(tail < 1.0, tail, 1.0)  # min(1.0, tail), NaN included
+    if tested.any():  # an exact signed-rank call often has none
+        tail = 2.0 * _norm_sf(zstat[tested])
+        p[tested] = np.where(tail < 1.0, tail, 1.0)  # min(1.0, tail), NaN included
     return p
 
 

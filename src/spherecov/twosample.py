@@ -12,13 +12,12 @@ Rejection rule: the test along each eigenvector yields a two-sided p-value;
 the null is rejected when the smaller one is below alpha/2 (union test over
 the two directions with a Bonferroni-corrected threshold).
 
-The procedures run on batches (ProjectionData with a leading axis).
-observation_scan projects one sample pair at all candidate points at once,
-and paired_projections projects R sample pairs, each at its own point. Each
-procedure then makes one batched rank-test call per statistic over all rows
-(ranktests.signed_rank_rows / rank_sum_rows); `test` and `scan` write their
-tables from these per-row arrays, observation_scan materialises ScanRows for
-library callers, and test_procedure_1/2 are the same code on a single point.
+The procedures run on batches (ProjectionData with a leading axis), and one
+private block engine runs them for `test`, `scan` and observation_scan: each
+block of rows, sized by a budget of sample points, makes one projection pass
+and one batched rank-test call per statistic, and yields per-row columns.
+paired_projections projects R sample pairs, each at its own point, and
+test_procedure_1/2 are the same code on a single point.
 
 Each function normalises the caller's q (one point or a batch) exactly once,
 inside log_map_coords: tangent coordinates are in tangent_frame(q), and a
@@ -31,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SampleSizeMismatchError
+from .errors import SampleSizeMismatchError, SphereCovError
 from .fields import _op_sums
 from .geometry import (
     TangentFrame, TangentVec, log_map_coords, tangent_frame, tangent_frames, unit_point, unit_points,
@@ -281,6 +280,83 @@ def _procedures(proj: ProjectionData, alpha: float):
             _rank_procedure(proj, False, alpha))
 
 
+# Sample points per block of rows: the runs of `test`, or the candidates of a
+# scan (`scan`, observation_scan, tr2_scores and det_sign_areas). A block is
+# projected in one pass, with one rank-test call per statistic, so larger
+# blocks mean fewer passes. A budget of points, not of rows, keeps the block's
+# arrays the same size at every m: 128 rows at m = 50, 320 at m = 20, one row
+# once m1 + m2 exceeds the budget. At m = 500 a block of 64 runs would hold
+# 12 MB of arrays (tracemalloc peak of `test --m1 500 --runs 64`), this one
+# 2.5 MB; `scan --m1 20 --grid 20000` in one batch held 59 MB.
+_BLOCK_POINTS = 12_800
+
+
+def _block_rows(m1: int, m2: int) -> int:
+    """Rows per block for samples of sizes m1 and m2 (at least one)."""
+    return max(1, _BLOCK_POINTS // (m1 + m2))
+
+
+class _Block(NamedTuple):
+    """Both procedures over one block of rows, with the per-row columns of `test` and `scan`."""
+
+    q: np.ndarray            # the block's batch of points, as given
+    proj: ProjectionData     # their projections; eigvals holds each row's lambda
+    procedures: tuple        # (paired, unpaired) of _procedures
+    tr2: np.ndarray          # (n,) squared trace of each operator difference
+    det: np.ndarray          # (n,) its determinant
+    values: np.ndarray       # (8, n) T_xi, p_xi, T_d, p_d, W_xi, pW_xi, W_d, pW_d
+    blank: np.ndarray        # (8, n) set where the procedure is absent or its row degenerate
+    errors: np.ndarray       # (n,) "; "-joined too-few messages of a degenerate row, else None
+    counts: np.ndarray       # (2,) exact tests and all tests of the non-degenerate rows
+
+
+def _row_blocks(blocks, alpha: float):
+    """The block engine: both procedures over each (q, samples1, samples2) block of rows.
+
+    q is a batch (R, 3); the samples are (R, m, 3) stacks or (m, 3) samples shared by
+    every row. A block whose projection pass fails (a point antipodal to its row's q) is
+    run again row by row, so the rows before the first failing one are yielded first.
+    """
+    for q, s1, s2 in blocks:
+        try:
+            proj = _projections(q, s1, s2)
+        except SphereCovError:
+            if len(q) == 1:
+                raise
+            yield from _row_blocks([(q[r:r + 1], *(s if np.ndim(s) == 2 else s[r:r + 1]
+                                                   for s in (s1, s2))) for r in range(len(q))],
+                                   alpha)
+            raise
+        procedures, n = _procedures(proj, alpha), len(q)
+        tested = [(p, p.degenerate) for p in procedures if p is not None]
+        errors = np.full(n, None)
+        for r in np.flatnonzero(np.any([bad for _, bad in tested], axis=0)):
+            errors[r] = "; ".join(filter(None, (p.error(r) for p, _ in tested)))
+        counts = np.sum([(np.count_nonzero(t.exact & ~bad), np.count_nonzero(~bad))
+                         for p, bad in tested for t in p.tests], axis=0)
+        values = [np.zeros((4, n)) if p is None else
+                  np.stack([p.stat_xi, p.min_p, p.d_test.statistic, p.d_test.p_value])
+                  for p in procedures]
+        blank = [np.broadcast_to(p is None or p.degenerate, (4, n)) for p in procedures]
+        yield _Block(q, proj, procedures, _tr2(proj.lhat), _det2(_sym_comps(proj.lhat)),
+                     np.concatenate(values), np.concatenate(blank), errors, counts)
+        del s1, s2, proj  # so the block's arrays are freed before the next one is drawn
+
+
+def _candidate_blocks(candidates, sample1, sample2) -> list:
+    """(q, sample1, sample2) blocks of consecutive candidates, sized by the point budget."""
+    if len(candidates) == 0:
+        raise ValueError("candidate list is empty")
+    size = _block_rows(np.shape(sample1)[-2], np.shape(sample2)[-2])
+    return [(candidates[i:i + size], sample1, sample2) for i in range(0, len(candidates), size)]
+
+
+def _scan_order(criterion: str, tr2, det) -> np.ndarray:
+    """Order of a scan's rows: by decreasing tr2 or det, stable ("uniform" keeps the input)."""
+    key = {"tr2": tr2, "det": det}.get(criterion, np.zeros(len(tr2)))
+    return np.argsort(-key, kind="stable")
+
+
 class ScanRow(NamedTuple):
     """Criteria and test outcomes at one candidate observation point."""
 
@@ -293,55 +369,31 @@ class ScanRow(NamedTuple):
     error: str | None
 
 
-def _scan(sample1, sample2, candidates, criterion: str, alpha: float):
-    """Columns of an observation scan in candidate order, and the order of its rows.
-
-    Returns (q, proj, tr2, det, procedures, errors, order). q holds the unit
-    candidates, the bases of tangent_frames(candidates), proj the batched
-    projections with their eigvals, and errors the message of each
-    degenerate row (None elsewhere).
-    """
-    if criterion not in ("tr2", "det", "uniform"):
-        raise ValueError(f"unknown scan criterion: {criterion!r}")
-    proj = _projections(_candidates(candidates), sample1, sample2)
-    tr2, det = _tr2(proj.lhat), _det2(_sym_comps(proj.lhat))
-    procedures = _procedures(proj, alpha)
-    errors = np.full(len(tr2), None)
-    for c in np.flatnonzero(np.any([p.degenerate for p in procedures if p is not None], axis=0)):
-        errors[c] = "; ".join(filter(None, (p.error(c) for p in procedures if p is not None)))
-    # a stable sort on the constant "uniform" key keeps the input order
-    key = {"tr2": tr2, "det": det}.get(criterion, np.zeros(len(tr2)))
-    order = np.argsort(-key, kind="stable")
-    return unit_points(candidates), proj, tr2, det, procedures, errors, order
-
-
 def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
                      alpha: float = 0.05) -> list:
     """Evaluate both procedures at each candidate point; sort by criterion.
 
-    The log images, operator differences and projections are computed once
-    for all candidates, and each rank test runs once over all of them.
+    The candidates are projected and ranked in blocks of the point budget.
     criterion "tr2" or "det" sorts rows in decreasing order of that column
     (stable, so input order breaks ties); "uniform" keeps the input order.
     """
-    _, batch, tr2, det, procs, errors, order = _scan(sample1, sample2, candidates, criterion, alpha)
-    frames = tangent_frames(candidates)
-    rows = []
-    for c in order:
-        proj = batch.row(c, frames[c])
-        # Degenerate candidates (for instance identical samples) keep their
-        # criterion columns; the affected test outcomes stay empty.
-        paired, unpaired = (None if p is None or p.error(c) else p.outcome(c, proj) for p in procs)
-        rows.append(ScanRow(q=frames[c].base, tr2=float(tr2[c]), det=float(det[c]),
-                            eigvals=proj.eigvals, paired=paired, unpaired=unpaired,
-                            error=errors[c]))
-    return rows
-
-
-def _candidates(candidates):
-    if len(candidates) == 0:
-        raise ValueError("candidate list is empty")
-    return candidates
+    if criterion not in ("tr2", "det", "uniform"):
+        raise ValueError(f"unknown scan criterion: {criterion!r}")
+    blocks = _row_blocks(_candidate_blocks(candidates, sample1, sample2), alpha)
+    frames, rows = tangent_frames(candidates), []
+    for block in blocks:
+        for r, (tr2, det, error) in enumerate(zip(block.tr2, block.det, block.errors)):
+            frame = frames[len(rows)]
+            proj = block.proj.row(r, frame)
+            # Degenerate candidates (for instance identical samples) keep their
+            # criterion columns; the affected test outcomes stay empty.
+            paired, unpaired = (None if p is None or p.error(r) else p.outcome(r, proj)
+                                for p in block.procedures)
+            rows.append(ScanRow(q=frame.base, tr2=float(tr2), det=float(det),
+                                eigvals=proj.eigvals, paired=paired, unpaired=unpaired,
+                                error=error))
+    tr2, det = (np.array([getattr(row, k) for row in rows]) for k in ("tr2", "det"))
+    return [rows[c] for c in _scan_order(criterion, tr2, det)]
 
 
 def _tr2(lhats) -> np.ndarray:
@@ -353,19 +405,23 @@ def tr2_scores(sample1, sample2, candidates) -> np.ndarray:
     """Squared trace of the operator difference at each candidate point.
 
     The same values as observation_scan's tr2 column, in input order, from
-    one batched operator difference and without any rank test; a stable
-    argmax picks the row observation_scan(..., criterion="tr2") ranks first.
+    the operator differences of the scan's candidate blocks and without any
+    rank test; a stable argmax picks the row observation_scan(...,
+    criterion="tr2") ranks first.
     """
-    return _tr2(_log_images(_candidates(candidates), sample1, sample2)[4])
+    return np.concatenate([_tr2(_log_images(*block)[4])
+                           for block in _candidate_blocks(candidates, sample1, sample2)])
 
 
 def det_sign_areas(sample1, sample2, grid) -> tuple[float, float]:
     """Fractions of grid points with det of the operator difference > 0 / <= 0.
 
     With a uniform grid these estimate the spherical area fractions of the
-    two determinant-sign regions; the pair always sums to 1.
+    two determinant-sign regions; the pair always sums to 1. The grid is
+    taken in the scan's candidate blocks.
     """
-    pos = float(np.mean(_det2(_sym_comps(_log_images(grid, sample1, sample2)[4])) > 0.0))
+    pos = sum(int(np.count_nonzero(_det2(_sym_comps(_log_images(*block)[4])) > 0.0))
+              for block in _candidate_blocks(grid, sample1, sample2)) / len(grid)
     return pos, 1.0 - pos
 
 

@@ -701,16 +701,22 @@ def test_test_block_names_the_first_failing_run():
         return (unit_points(q + 0.3 * local.normal(size=(12, 3))),
                 unit_points(q + 0.4 * local.normal(size=(12, 3))), q)
 
+    def block(runs):
+        s1, s2, qs = map(np.stack, zip(*runs))
+        return qs, s1, s2
+
     drawn = [run() for _ in range(5)]
+    # ten good runs in a block before, so the failing block starts at run 10
+    first = block([run() for _ in range(10)])
     antipodal = drawn[3][0].copy()
     antipodal[4] = -q
     drawn[3] = (antipodal, drawn[3][1], q)
     with pytest.raises(AntipodalPointError, match="^run 13: log map undefined"):
-        cli._test_block(10, *map(np.stack, zip(*drawn)), 0.05)
+        cli._tested_runs([first, block(drawn)], 0.05)
     # an earlier degenerate run is reported before the antipodal one
     drawn[1] = (drawn[1][0], drawn[1][0], q)
     with pytest.raises(TooFewPairsError, match="^run 11: 0 nonzero differences"):
-        cli._test_block(10, *map(np.stack, zip(*drawn)), 0.05)
+        cli._tested_runs([first, block(drawn)], 0.05)
 
 
 @pytest.mark.parametrize("same, runs, failing_draw, message", [
@@ -722,7 +728,7 @@ def test_test_block_names_the_first_failing_run():
 def test_test_draw_failure_waits_for_earlier_runs(tmp_path, monkeypatch, capsys,
                                                   same, runs, failing_draw, message):
     # samples of 100 points make blocks of 64 runs, so run 65 lies in the second block
-    assert cli._block_runs(100, 100) == 64
+    assert twosample._block_rows(100, 100) == 64
     paths = []
     for name, a, seed in (("a", "0.2", "1"), ("b", "0.5", "2")):
         assert main(["sample", "--a", a, "--n", "100", "--seed", seed,
@@ -857,7 +863,7 @@ def test_test_block_outputs_are_pinned(tmp_path):
     longer = tmp_path / "t130"
     assert main(["test", "--a1", "0.2", "--a2", "0.3", "--m1", "50", "--q", "0,0,1",
                  "--runs", "130", "--seed", "0", "--out", str(longer)]) == 0
-    assert cli._block_runs(50, 50) == 128
+    assert twosample._block_rows(50, 50) == 128
     assert read_json(longer / "run.json")["stats"]["proposals"] == 64296
     header130, rows130 = read_table(longer / "runs.csv")
     assert header130 == header and rows130[:64] == rows
@@ -868,11 +874,11 @@ def test_test_block_outputs_are_pinned(tmp_path):
 
 
 def test_block_runs_fit_the_point_budget():
-    budget = cli._BLOCK_POINTS
-    assert cli._block_runs(50, 50) == budget // 100 == 128
-    assert cli._block_runs(40, 30) == budget // 70 == 182
+    budget = twosample._BLOCK_POINTS
+    assert twosample._block_rows(50, 50) == budget // 100 == 128
+    assert twosample._block_rows(40, 30) == budget // 70 == 182
     # a run larger than the budget is a block of its own
-    assert cli._block_runs(budget, 1) == cli._block_runs(budget // 2, budget // 2) == 1
+    assert twosample._block_rows(budget, 1) == twosample._block_rows(budget // 2, budget // 2) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -886,31 +892,85 @@ def test_block_runs_fit_the_point_budget():
                  id="uniform-rotate2")])
 def test_test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, argv):
     args = cli.build_parser().parse_args(["test", "--a1", "0.2", "--a2", "0.3", *argv])
-    run_points = args.m1 + (args.m2 or args.m1)
-    default = cli._BLOCK_POINTS
-    files = {}
-    for name, budget in (("one", run_points), ("sixty-four", 64 * run_points),
-                         ("default", default)):
-        monkeypatch.setattr(cli, "_BLOCK_POINTS", budget)
-        out = tmp_path / name
-        assert main(["test", "--a1", "0.2", "--a2", "0.3", *argv, "--out", str(out)]) == 0
-        files[name] = [(out / f).read_bytes() for f in ("runs.csv", "summary.json", "run.json")]
+    m1, m2 = args.m1, args.m2 or args.m1
     # the default blocks split the runs differently from both others
-    assert 1 < cli._block_runs(args.m1, args.m2 or args.m1) < args.runs
+    assert 1 < twosample._block_rows(m1, m2) < args.runs
+    _assert_outputs_do_not_depend_on_the_block_size(
+        tmp_path, monkeypatch, ["test", "--a1", "0.2", "--a2", "0.3", *argv], m1 + m2,
+        ("runs.csv", "summary.json", "run.json"))
+
+
+def _assert_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, argv, row_points,
+                                                    names):
+    """The named outputs of argv are the same bytes with blocks of one row, 64 rows and
+    the default budget, row_points being the sample points of one row."""
+    files = {}
+    for name, budget in (("one", row_points), ("sixty-four", 64 * row_points),
+                         ("default", twosample._BLOCK_POINTS)):
+        monkeypatch.setattr(twosample, "_BLOCK_POINTS", budget)
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        files[name] = [(out / f).read_bytes() for f in names]
     assert files["one"] == files["sixty-four"] == files["default"]
+
+
+@pytest.mark.parametrize("argv, m1, m2", [
+    pytest.param(["--a1", "0.2", "--a2", "0.3", "--m1", "20", "--grid", "700", "--seed", "0"],
+                 20, 20, id="tr2"),
+    pytest.param(["--a1", "0.2", "--a2", "0.3", "--m1", "30", "--m2", "20", "--grid", "600",
+                  "--criterion", "det", "--format", "json", "--seed", "1"], 30, 20, id="det-json"),
+    # every row degenerate in both procedures: blank cells and "; "-joined error messages
+    pytest.param(["identical", "--grid", "1700", "--criterion", "uniform", "--seed", "2"],
+                 4, 4, id="identical-uniform")])
+def test_scan_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, argv, m1, m2):
+    if argv[0] == "identical":
+        assert main(["sample", "--a", "0.3", "--n", str(m1), "--seed", "8",
+                     "--out", str(tmp_path / "pts")]) == 0
+        pts = str(tmp_path / "pts" / "points.csv")
+        argv = ["--sample1", pts, "--sample2", pts, *argv[1:]]
+    args = cli.build_parser().parse_args(["scan", *argv])
+    # the default splits the grid into more than one block
+    assert 1 < twosample._block_rows(m1, m2) < args.grid
+    table = "scan.json" if args.format == "json" else "scan.csv"
+    _assert_outputs_do_not_depend_on_the_block_size(
+        tmp_path, monkeypatch, ["scan", *argv], m1 + m2, (table, "summary.json", "run.json"))
+
+
+def _traced_peak(argv) -> int:
+    """Bytes that one main(argv) call allocates at its peak, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def test_test_memory_stays_bounded_at_large_samples(tmp_path):
     # blocks of a fixed 64 runs hold 12 MB of arrays here at the peak
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert main(["test", "--a1", "0.2", "--a2", "0.3", "--m1", "500", "--q", "0,0,1",
-                     "--runs", "64", "--seed", "0", "--out", str(tmp_path / "t")]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(["test", "--a1", "0.2", "--a2", "0.3", "--m1", "500", "--q", "0,0,1",
+                         "--runs", "64", "--seed", "0", "--out", str(tmp_path / "t")])
     assert peak < 5e6
+
+
+def test_scan_memory_grows_only_with_its_table(tmp_path):
+    # The scan sorts all rows before it writes the first, so it holds its table (15 float
+    # columns, the blank mask and the error column: 136 bytes a row) and its grid (24
+    # bytes a row); any other growth with --grid must stay below 2 MB. One batch of
+    # 20,000 candidates peaked at 59.5 MB, against 1.5 MB at --grid 500.
+    argv = ["scan", "--a1", "0.2", "--a2", "0.3", "--m1", "20", "--seed", "0"]
+    small = _traced_peak([*argv, "--grid", "500", "--out", str(tmp_path / "s")])
+    large = _traced_peak([*argv, "--grid", "20000", "--out", str(tmp_path / "l")])
+    assert large <= small + 2e6 + 160 * (20000 - 500)
+
+
+def test_profile_memory_does_not_grow_with_the_grid(tmp_path):
+    # the tr2 pick log-maps the grid in candidate blocks; in one batch it peaked at 146 MB
+    argv = ["profile", "--a1", "0.2", "--a2", "0.3", "--q-extreme", "max", "--seed", "0"]
+    small = _traced_peak([*argv, "--grid", "500", "--out", str(tmp_path / "s")])
+    large = _traced_peak([*argv, "--grid", "20000", "--out", str(tmp_path / "l")])
+    assert large <= small + 2e6
 
 
 def test_test_and_scan_manifests_carry_stats(tmp_path):

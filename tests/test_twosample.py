@@ -26,7 +26,7 @@ from spherecov import (
 from spherecov import test_procedure_1 as procedure_1
 from spherecov import test_procedure_2 as procedure_2
 from spherecov.spd import _det2, _sym_comps
-from spherecov.twosample import _scan
+from spherecov.twosample import _candidate_blocks, _row_blocks
 
 rng = np.random.default_rng(2024)
 
@@ -95,7 +95,8 @@ def test_tangent_quantities_are_in_the_frame_at_the_callers_point(seed, c):
         u2, _ = log_map_coords(q, unit_points(s2))
         npt.assert_array_equal(proj.lhat, (u1.T @ u1) / len(u1) - (u2.T @ u2) / len(u2))
     rows = observation_scan(s1, s2, cands, criterion="uniform")
-    scan_q = _scan(s1, s2, cands, "uniform", 0.05)[0]
+    scan_q = np.vstack([unit_points(b.q) for b in _row_blocks(_candidate_blocks(cands, s1, s2),
+                                                               0.05)])
     batch = paired_projections(cands, np.stack([s1] * 6), np.stack([s2] * 6))
     for r, q in enumerate(cands):
         npt.assert_array_equal(rows[r].q, unit_point(q))
