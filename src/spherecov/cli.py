@@ -416,7 +416,7 @@ def cmd_interp(args) -> int:
         solver["tol"] = args.tol
     if args.restarts is not None:
         solver["restarts"] = args.restarts
-    seed = args.seed if args.seed is not None else solver.get("seed", 0)
+    seed = args.seed if args.seed is not None else solver["seed"]
     kernels = precompute(problem)
     check = rank_check(problem, kernels)
     if not check["admissible"]:

@@ -10,6 +10,7 @@ reproduced byte-for-byte; nothing time- or host-dependent goes in.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 import sys
 from pathlib import Path
@@ -97,8 +98,11 @@ def _column(col, rows=slice(None)) -> tuple[list, list, str]:
     return values, cells, "%s"
 
 
-# CSV rows per chunk: a table's cells are Python objects only one chunk at a time.
+# Rows per chunk: a table's cells are Python objects only one chunk at a time.
 _CHUNK_ROWS = 1024
+
+# One JSON record as json.dump(records, indent=2, sort_keys=True) writes it, less its indent.
+_encode_record = json.JSONEncoder(indent=2, sort_keys=True, default=_json_default).encode
 
 
 def write_table(base: Path, columns: dict, fmt: str = "csv") -> Path:
@@ -109,33 +113,37 @@ def write_table(base: Path, columns: dict, fmt: str = "csv") -> Path:
     list of str/int/None (None blank), or a (values, blank_mask) pair of one
     of these whose masked cells are blank (null in JSON).
 
-    CSV rows are written one `%` operation each, through one row format per
-    chunk of _CHUNK_ROWS rows (a FLOAT_FMT slot per float column without
-    blanks in it, "%s" for the rest), and streamed to the file. Header names
-    and str cells are quoted as csv.writer quotes them (QUOTE_MINIMAL): a cell
-    holding a comma, a quote, CR or LF is wrapped in quotes with its quotes
-    doubled, and the empty cell of a one-column row is written as "". The
-    bytes equal those of csv.writer with CRLF line endings, each row ended
-    with LF instead.
+    Both formats convert and stream the rows in chunks of _CHUNK_ROWS. CSV
+    rows are written one `%` operation each, through one row format per chunk
+    (a FLOAT_FMT slot per float column without blanks in it, "%s" for the
+    rest). Header names and str cells are quoted as csv.writer quotes them
+    (QUOTE_MINIMAL): a cell holding a comma, a quote, CR or LF is wrapped in
+    quotes with its quotes doubled, and the empty cell of a one-column row is
+    written as "". The bytes equal those of csv.writer with CRLF line endings,
+    each row ended with LF instead. JSON records are encoded one at a time,
+    and the file holds the bytes of write_json(path, records).
     """
     path = table_path(Path(base), fmt)
-    if fmt == "json":
-        values = zip(*(_column(col)[0] for col in columns.values()))
-        return write_json(path, [dict(zip(columns, rec)) for rec in values])
-    header = [_quoted(name) for name in columns]
-    if len(header) == 1:
-        # a lone empty cell would read as a blank line
-        header = [header[0] or '""']
-    first = next(iter(columns.values()))
+    first = next(iter(columns.values()), [])
     rows = len(first[0] if isinstance(first, tuple) else first)
+    # a lone empty header cell would read as a blank line
+    header = ",".join(map(_quoted, columns)) or '""'
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write("[" if fmt == "json" else header + "\n")
         for lo in range(0, rows, _CHUNK_ROWS):
-            _, cells, slots = zip(*(_column(col, slice(lo, lo + _CHUNK_ROWS))
-                                    for col in columns.values()))
-            if len(header) == 1 and slots[0] == "%s":
-                cells = [[c or '""' for c in cells[0]]]
-            fh.writelines(map((",".join(slots) + "\n").__mod__, zip(*cells)))
+            values, cells, slots = zip(*(_column(col, slice(lo, lo + _CHUNK_ROWS))
+                                         for col in columns.values()))
+            if fmt == "json":
+                records = (dict(zip(columns, rec)) for rec in zip(*values))
+                fh.writelines(("," if lo or i else "") + "\n  "
+                              + _encode_record(rec).replace("\n", "\n  ")
+                              for i, rec in enumerate(records))
+            else:
+                if len(columns) == 1 and slots[0] == "%s":
+                    cells = [[c or '""' for c in cells[0]]]
+                fh.writelines(map((",".join(slots) + "\n").__mod__, zip(*cells)))
+        if fmt == "json":
+            fh.write("\n]\n" if rows else "]\n")
     return path
 
 
@@ -185,10 +193,36 @@ def read_json(path):
 DEFAULT_SOLVER = {"max_iter": 500, "tol": 1e-9, "restarts": None, "seed": 0}
 
 
+def _solver_settings(block) -> dict:
+    """DEFAULT_SOLVER updated by a problem file's solver block, each setting checked for its type.
+
+    A missing or null block leaves the defaults. max_iter and seed are
+    integers, restarts an integer or null, and tol a real number; a bool is
+    none of these. Raises ValueError naming the first unknown or mistyped
+    setting.
+    """
+    block = {} if block is None else block
+    if not isinstance(block, dict):
+        raise ValueError(f"the problem file's 'solver' block must be an object, got {block!r}")
+    for key in block:
+        if key not in DEFAULT_SOLVER:
+            raise ValueError(f"unknown solver setting {key!r}")
+    solver = dict(DEFAULT_SOLVER, **block)
+    for key, value in solver.items():
+        kind = numbers.Real if key == "tol" else numbers.Integral
+        if isinstance(value, bool) or not (isinstance(value, kind)
+                                           or key == "restarts" and value is None):
+            what = "a real number" if key == "tol" else "an integer"
+            raise ValueError(f"solver setting {key!r} must be {what}, got {value!r}")
+    return solver
+
+
 def problem_from_dict(data: dict):
     """Build (InterpProblem, solver settings) from a problem dictionary."""
     from .interpolation import make_problem
 
+    if not isinstance(data, dict):
+        raise ValueError(f"a problem file holds a JSON object, got {type(data).__name__}")
     for key in ("domain", "endpoints", "alpha", "invariant"):
         if key not in data:
             raise ValueError(f"problem file is missing the {key!r} field")
@@ -200,9 +234,7 @@ def problem_from_dict(data: dict):
         obs=None if data.get("obs") is None else np.asarray(data["obs"], dtype=float),
         weight=data.get("weight"),
     )
-    solver = dict(DEFAULT_SOLVER)
-    solver.update(data.get("solver") or {})
-    return problem, solver
+    return problem, _solver_settings(data.get("solver"))
 
 
 def load_problem(path):

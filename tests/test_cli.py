@@ -32,7 +32,8 @@ from spherecov import cli, twosample
 from spherecov.cli import main
 from spherecov import test_procedure_1 as procedure_1
 from spherecov import test_procedure_2 as procedure_2
-from spherecov.io import dump_problem, fmt_float, load_problem, read_json, read_points, read_table
+from spherecov.io import (dump_problem, fmt_float, load_problem, read_json, read_points, read_table,
+                          write_json)
 
 FIXTURE = Path(__file__).resolve().parents[1] / "src" / "spherecov" / "fixtures" / "bimodal_k6.json"
 
@@ -378,15 +379,37 @@ def test_interp_sweep_needs_two_endpoints(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", [{"max_iter": -1}, {"tol": -1.0}, {"tol": float("nan")}])
+@pytest.mark.parametrize("setting", [
+    {"max_iter": -1}, {"tol": -1.0}, {"tol": float("nan")},
+    # mistyped or unknown: a null seed drew the starts from OS entropy, and each
+    # other setting was ignored, ran, or raised TypeError (exit 1)
+    {"seed": None}, {"max_iter": None}, {"tol": "1e-9"}, {"restarts": 2.0}, {"max_iter": True},
+    {"seed": 1.5}, {"max_iters": 100},
+    # "solver" stands for the whole block
+    {"solver": [1, 2]}, {"solver": 3}])
 @pytest.mark.parametrize("alpha_steps", [[], ["--alpha-steps", "3"]])
 def test_interp_rejects_impossible_solver_block(tmp_path, capsys, setting, alpha_steps):
     prob, solver = load_problem(FIXTURE)
     ppath = tmp_path / "problem.json"
-    dump_problem(ppath, prob, dict(solver, **setting))
+    dump_problem(ppath, prob)
+    data = read_json(ppath)
+    data["solver"] = setting["solver"] if "solver" in setting else dict(solver, **setting)
+    write_json(ppath, data)
     out = tmp_path / "never"
     assert main(["interp", "--problem", str(ppath)] + alpha_steps + ["--out", str(out)]) == 2
     assert next(iter(setting)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["interp"], ["check", "--seed", "0"]])
+@pytest.mark.parametrize("top", [[1, 2], None, 5, "domain"])
+def test_problem_file_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, command, top):
+    ppath = tmp_path / "problem.json"
+    write_json(ppath, top)
+    out = tmp_path / "never"
+    assert main([*command, "--problem", str(ppath), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: a problem file holds a JSON object, got {type(top).__name__}\n")
     assert not out.exists()
 
 
@@ -954,15 +977,24 @@ def test_test_memory_stays_bounded_at_large_samples(tmp_path):
     assert peak < 5e6
 
 
-def test_scan_memory_grows_only_with_its_table(tmp_path):
+def _assert_scan_memory_grows_only_with_its_table(tmp_path, fmt):
     # The scan sorts all rows before it writes the first, so it holds its table (15 float
     # columns, the blank mask and the error column: 136 bytes a row) and its grid (24
     # bytes a row); any other growth with --grid must stay below 2 MB. One batch of
     # 20,000 candidates peaked at 59.5 MB, against 1.5 MB at --grid 500.
-    argv = ["scan", "--a1", "0.2", "--a2", "0.3", "--m1", "20", "--seed", "0"]
+    argv = ["scan", "--a1", "0.2", "--a2", "0.3", "--m1", "20", "--format", fmt, "--seed", "0"]
     small = _traced_peak([*argv, "--grid", "500", "--out", str(tmp_path / "s")])
     large = _traced_peak([*argv, "--grid", "20000", "--out", str(tmp_path / "l")])
     assert large <= small + 2e6 + 160 * (20000 - 500)
+
+
+def test_scan_memory_grows_only_with_its_table(tmp_path):
+    _assert_scan_memory_grows_only_with_its_table(tmp_path, "csv")
+
+
+def test_scan_json_memory_grows_only_with_its_table(tmp_path):
+    # a whole-table JSON writer held one dict per row: 22.8 MB at --grid 20000
+    _assert_scan_memory_grows_only_with_its_table(tmp_path, "json")
 
 
 def test_profile_memory_does_not_grow_with_the_grid(tmp_path):

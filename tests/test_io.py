@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spherecov.io as sio
 from spherecov import make_problem, random_pmfs, solve, uniform_sample
 from spherecov.io import (
     dump_problem,
@@ -140,10 +142,7 @@ def _column(draw, n):
     return text, text
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_column_writer_equals_row_writer(tmp_path_factory, fmt, data):
+def _column_and_row_writers_agree(tmp_path_factory, fmt, data):
     n = data.draw(st.integers(min_value=0, max_value=6))
     width = data.draw(st.integers(min_value=1, max_value=5))
     drawn = [data.draw(_column(n)) for _ in range(width)]
@@ -153,6 +152,23 @@ def test_column_writer_equals_row_writer(tmp_path_factory, fmt, data):
     ref = tmp / ("rows" + got.suffix)
     _write_rows(ref, header, list(zip(*(cells for _, cells in drawn))), fmt)
     assert got.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_column_writer_equals_row_writer(tmp_path_factory, fmt, data):
+    _column_and_row_writers_agree(tmp_path_factory, fmt, data)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_column_writer_equals_row_writer_across_chunks(tmp_path_factory, fmt, chunk_rows, data):
+    # up to 6 rows in chunks of 1 or 2: rows and records on both sides of chunk boundaries
+    with mock.patch.object(sio, "_CHUNK_ROWS", chunk_rows):
+        _column_and_row_writers_agree(tmp_path_factory, fmt, data)
 
 
 @pytest.mark.parametrize("header, column, cells", [
