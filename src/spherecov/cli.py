@@ -41,7 +41,8 @@ from .interpolation import (
     solve,
     sqroot_interp,
 )
-from .sampling import RingDensity, rejection_sample, rejection_sample_rows
+from .sampling import (RingDensity, rejection_sample, rejection_sample_rows, spawn_states,
+                       state_generators)
 from .simplex import random_pmfs
 from .spd import h_lik, h_lnpr, h_trdif, h_trln2
 from .twosample import (
@@ -89,6 +90,11 @@ def _require_grid(args) -> None:
 def _require_alpha(args) -> None:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie in (0, 1)")
+
+
+def _require_rotate2(args) -> None:
+    if args.rotate2 is not None and not np.isfinite(args.rotate2):
+        raise ValueError("--rotate2 must be finite")
 
 
 def _ring_params(a, mu, concentration) -> RingDensity:
@@ -194,15 +200,17 @@ def _resolve_q(args, rng, s1, s2, fixed):
     return _tr2_pick(rng, args.grid, s1, s2, np.argmax)
 
 
-def _run_blocks(args, children: list, draw_rows, fixed, size: int):
-    """(q, s1, s2) blocks of up to size consecutive runs, one per seed (None in file mode).
+def _run_blocks(args, states, draw_rows, fixed, size: int):
+    """(q, s1, s2) blocks of up to size consecutive runs, one per row of spawn_states'
+    words (states is None in file mode with a fixed q, where no run draws).
 
     A run whose q cannot be drawn raises once the earlier runs of its block
     are yielded, so they are tested first, as in run order.
     """
-    for start in range(0, len(children), size):
+    for start in range(0, args.runs, size):
+        stop = min(start + size, args.runs)
         # every generator draws s1, then s2, then its q: the order of a run drawn alone
-        rngs = [None if c is None else np.random.default_rng(c) for c in children[start:start + size]]
+        rngs = [None] * (stop - start) if states is None else state_generators(states[start:stop])
         s1, s2 = draw_rows(rngs)
         qs, failure = [], None
         for r, rng in enumerate(rngs):
@@ -269,13 +277,15 @@ def cmd_test(args) -> int:
     if args.runs <= 0:
         raise ValueError("--runs must be positive")
     _require_alpha(args)
+    _require_rotate2(args)
     if args.q_mode == "scan-best":
         _require_grid(args)
     fixed = _fixed_q(args)
-    children = np.random.SeedSequence(seed).spawn(args.runs) if stochastic else [None] * args.runs
+    # run r draws from the generator of SeedSequence(seed).spawn(runs)[r]
+    states = spawn_states(seed, args.runs) if stochastic else None
 
     q, values, blank, methods = _tested_runs(
-        _run_blocks(args, children, draw_rows, fixed, _block_rows(*sizes)), args.alpha)
+        _run_blocks(args, states, draw_rows, fixed, _block_rows(*sizes)), args.alpha)
     out = _out_dir(args)
     columns = {"run": np.arange(args.runs), **dict(zip(("qx", "qy", "qz"), q)),
                **dict(zip(_PROCEDURE_COLUMNS, zip(values, blank)))}

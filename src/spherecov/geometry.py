@@ -230,7 +230,9 @@ def exp_map(q, v: TangentVec) -> np.ndarray:
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis."""
+    """Rodrigues rotation matrix about a unit axis; raises ValueError for a non-finite angle."""
+    if not np.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle}")
     axis = unit_point(axis)
     k = np.array(
         [

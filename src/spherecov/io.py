@@ -217,6 +217,14 @@ def _solver_settings(block) -> dict:
     return solver
 
 
+def _float_field(data: dict, key: str) -> np.ndarray:
+    """A problem field as a float array; raises ValueError naming the field if it is not numeric."""
+    try:
+        return np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"the problem file's {key!r} field is not numeric: {exc}") from exc
+
+
 def problem_from_dict(data: dict):
     """Build (InterpProblem, solver settings) from a problem dictionary."""
     from .interpolation import make_problem
@@ -227,11 +235,11 @@ def problem_from_dict(data: dict):
         if key not in data:
             raise ValueError(f"problem file is missing the {key!r} field")
     problem = make_problem(
-        domain=np.asarray(data["domain"], dtype=float),
-        endpoints=np.asarray(data["endpoints"], dtype=float),
-        alpha=np.asarray(data["alpha"], dtype=float),
+        domain=_float_field(data, "domain"),
+        endpoints=_float_field(data, "endpoints"),
+        alpha=_float_field(data, "alpha"),
         invariant=data["invariant"],
-        obs=None if data.get("obs") is None else np.asarray(data["obs"], dtype=float),
+        obs=None if data.get("obs") is None else _float_field(data, "obs"),
         weight=data.get("weight"),
     )
     return problem, _solver_settings(data.get("solver"))

@@ -10,11 +10,13 @@ density is bounded by 1 exactly, so a uniform proposal p is accepted with
 probability equal to the density value. rejection_sample_rows draws one
 sample per generator, batching the arithmetic of all generators while each
 one makes exactly the draws of a one-generator call; rejection_sample is its
-one-row call.
+one-row call. spawn_states and state_generators give the generators of
+np.random.SeedSequence(seed).spawn(runs) from one vectorized hash over all runs.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +29,8 @@ __all__ = [
     "ring_density_unnormalized",
     "rejection_sample",
     "rejection_sample_rows",
+    "spawn_states",
+    "state_generators",
 ]
 
 # The power of d in each concentration. A ring d = a^(1/power) beyond pi, or a NaN a,
@@ -149,11 +153,15 @@ def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
         dens = _density_values(params, np.arccos(dens, out=dens), out=dens)
         accept = ((u[: len(pending), :width] < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
                   & (np.arange(width) < chunks[:, None]))
-        rank = np.cumsum(accept, axis=1)
-        j, k = np.nonzero(accept & (rank <= need[:, None]))
+        # each accepted proposal's place among its row's accepted ones; the first need are kept
+        j, k = np.nonzero(accept)
+        counts = np.bincount(j, minlength=len(pending))
+        pos = np.arange(len(j)) - (np.cumsum(counts) - counts)[j]
+        keep = pos < need[j]
+        j, k, pos = j[keep], k[keep], pos[keep]
         r = pending[j]
-        out[r, got[r] + rank[j, k] - 1] = pts[j, k]
-        got[pending] += np.minimum(need, rank[:, -1])
+        out[r, got[r] + pos] = pts[j, k]
+        got[pending] += np.minimum(need, counts)
         proposals[pending] += chunks
         pending = pending[got[pending] < n]
     return proposals
@@ -170,3 +178,83 @@ def rejection_sample(params: RingDensity, n: int, rng: np.random.Generator,
     if return_proposals:
         return points[0], int(proposals[0])
     return points[0]
+
+
+# The constants of numpy's SeedSequence (O'Neill's seed_seq hash, 32-bit words, pool of 4).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(const: int, mult: int):
+    """seed_seq's hashmix over uint32 arrays; each call advances the running constant."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return value ^ value >> 16
+
+
+def spawn_states(seed: int, runs: int) -> np.ndarray:
+    """The (runs, 4) uint64 PCG64 seeding words of np.random.SeedSequence(seed).spawn(runs).
+
+    Row r is children[r].generate_state(4, np.uint64) for the spawned
+    children, computed for all runs in one pass of uint32 array arithmetic:
+    the words of the seed (zero-padded to the pool size) are shape-(1,)
+    arrays, and only the spawn key r, the last entropy word of child r,
+    spans the runs. A seed of any size is split into 32-bit words as numpy
+    splits it. runs must be below 2**32, where a spawn key takes one word.
+
+    Raises ValueError for a negative seed, with numpy's message.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.array([w], dtype=np.uint32) for w in words + [0] * (4 - len(words))]
+    entropy.append(np.arange(runs, dtype=np.uint32))
+    # SeedSequence.mix_entropy: the first 4 words fill the pool, every pool word is mixed
+    # into every other, and each remaining word into every pool word
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # SeedSequence.generate_state(4, np.uint64): 8 words cycled from the pool, paired little-endian
+    hashout = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashout(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def state_generators(states) -> list:
+    """One np.random.Generator(np.random.PCG64) per row of spawn_states' words.
+
+    The generator of row r of spawn_states(seed, runs) equals
+    np.random.default_rng(np.random.SeedSequence(seed).spawn(runs)[r]): the
+    same state and the same stream.
+    """
+    # imported here, so that importing spherecov leaves numpy.random unloaded
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """Hands PCG64 one run's precomputed seeding words."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return [np.random.Generator(np.random.PCG64(Words(w))) for w in states]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,23 @@ def test_problem_file_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, c
     assert main([*command, "--problem", str(ppath), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"usage error: a problem file holds a JSON object, got {type(top).__name__}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["interp"], ["check", "--seed", "0"]])
+@pytest.mark.parametrize("field", ["domain", "obs", "endpoints", "alpha"])
+def test_problem_field_that_is_not_numeric_is_a_named_usage_error(tmp_path, capsys, command,
+                                                                  field):
+    # an object there raised TypeError from the float conversion: a traceback and exit 1
+    data = read_json(FIXTURE)
+    data[field] = {"a": 1}
+    ppath = tmp_path / "problem.json"
+    write_json(ppath, data)
+    out = tmp_path / "never"
+    assert main([*command, "--problem", str(ppath), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: the problem file's {field!r} field is not numeric: float() argument "
+        "must be a string or a real number, not 'dict'\n")
     assert not out.exists()
 
 
@@ -822,6 +840,29 @@ def test_bad_dirs_and_alpha_are_named_usage_errors_before_sampling(tmp_path, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+def test_non_finite_rotate2_is_a_named_usage_error_before_sampling(tmp_path, monkeypatch, capsys,
+                                                                   angle):
+    monkeypatch.setattr(cli, "rejection_sample_rows", lambda *a: pytest.fail("sampled"))
+    out = tmp_path / "never"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["test", "--a1", "0.2", "--a2", "0.3", "--q", "0,0,1", f"--rotate2={angle}",
+                     "--runs", "3", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: --rotate2 must be finite\n"
+    assert not out.exists()
+    assert [str(w.message) for w in caught] == []
+
+
+def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main(["test", "--a1", "0.2", "--a2", "0.3", "--q", "0,0,1", "--runs", "3",
+                 "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: expected non-negative integer\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["test", "--q", "0,0,1"],
     ["test", "--q-mode", "scan-best", "--grid", "4"],
@@ -1110,3 +1151,13 @@ def test_start_up_loads_neither_dataclasses_nor_csv(tmp_path):
                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == [["dataclasses", "csv"], True]
+
+
+def test_start_up_leaves_numpy_random_unloaded():
+    # a test command imports numpy.random where it seeds its generators, after start-up
+    src = str(Path(spherecov.__file__).resolve().parents[1])
+    code = "import sys\nfrom spherecov import cli\ncli.build_parser()\nprint('numpy.random' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

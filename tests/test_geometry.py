@@ -148,6 +148,12 @@ def test_rotation_about_matches_scipy():
         npt.assert_allclose(mine, ref, atol=1e-13)
 
 
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+def test_rotation_about_rejects_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="rotation angle must be finite"):
+        rotation_about([0.0, 0.0, 1.0], angle)
+
+
 def test_rotate_points_preserves_distances():
     pts = uniform_sample(rng, 30)
     axis = uniform_sample(rng, 1)[0]

@@ -14,6 +14,8 @@ from spherecov import (
     rejection_sample_rows,
     ring_density_unnormalized,
     rotate_points,
+    spawn_states,
+    state_generators,
     uniform_sample,
     unit_point,
 )
@@ -260,3 +262,32 @@ def test_rejection_sample_is_the_one_row_call():
     assert type(proposals) is int and proposals == count
     with pytest.raises(ValueError):
         rejection_sample_rows(params, 0, [np.random.default_rng(0)])
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5, 99999999999999999999999]),
+                   st.integers(0, 2**32 - 1), st.integers(0, 2**160))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, runs=st.integers(1, 300))
+def test_spawned_states_and_generators_equal_numpys_spawned_children(seed, runs):
+    # numpy's own SeedSequence is the oracle, multi-word seeds and spawn keys included
+    children = np.random.SeedSequence(seed).spawn(runs)
+    states = spawn_states(seed, runs)
+    assert states.shape == (runs, 4) and states.dtype == np.uint64
+    npt.assert_array_equal(states, [c.generate_state(4, np.uint64) for c in children])
+    gens = state_generators(states)
+    assert len(gens) == runs
+    for gen, child in zip(gens, children):
+        ref = np.random.default_rng(child)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert gen.standard_normal() == ref.standard_normal()
+        assert gen.random() == ref.random()
+
+
+def test_spawn_states_rejects_a_negative_seed_with_numpys_message():
+    with pytest.raises(ValueError) as numpys:
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError) as ours:
+        spawn_states(-1, 3)
+    assert str(ours.value) == str(numpys.value) == "expected non-negative integer"
