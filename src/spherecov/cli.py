@@ -46,9 +46,10 @@ from .sampling import (RingDensity, rejection_sample, rejection_sample_rows, spa
 from .simplex import random_pmfs
 from .spd import h_lik, h_lnpr, h_trdif, h_trln2
 from .twosample import (
+    _PROCEDURE_COLUMNS,
+    _block,
     _block_rows,
     _candidate_blocks,
-    _row_blocks,
     _scan_order,
     _tr2,
     operator_profile,
@@ -124,6 +125,17 @@ def cmd_sample(args) -> int:
 
 # ------------------------------------------------------------------ test ---
 
+def _read_sample(path, flag: str) -> np.ndarray:
+    """The (n, 3) points of a sample file, n >= 1; a bad file is a ValueError naming it."""
+    try:
+        points = io.read_points(path)
+    except TypeError as exc:  # a null JSON cell
+        raise ValueError(f"{path}: {exc}") from exc
+    if not len(points):
+        raise ValueError(f"{flag} {path} holds no points")
+    return points
+
+
 def _sample_source(args):
     """Returns (draw_rows, stochastic, description dict, tally, sizes).
 
@@ -136,8 +148,7 @@ def _sample_source(args):
     if file_mode:
         if not (args.sample1 and args.sample2):
             raise ValueError("--sample1 and --sample2 must be given together")
-        s1 = io.read_points(args.sample1)
-        s2 = io.read_points(args.sample2)
+        s1, s2 = _read_sample(args.sample1, "--sample1"), _read_sample(args.sample2, "--sample2")
         desc = {"sample1": args.sample1, "sample2": args.sample2}
 
         def draw_files(rngs):
@@ -229,9 +240,6 @@ def _run_blocks(args, states, draw_rows, fixed, size: int):
             raise failure
 
 
-_PROCEDURE_COLUMNS = ("T_xi", "p_xi", "T_d", "p_d", "W_xi", "pW_xi", "W_d", "pW_d")
-
-
 def _rank_test_stats(counts: list) -> dict:
     """The manifest's rank_tests entry from the blocks' (exact, all) test counts."""
     exact, tested = np.sum(counts, axis=0).tolist()
@@ -251,20 +259,27 @@ def _joined(parts: list) -> list:
 
 def _tested_runs(blocks, alpha: float) -> tuple:
     """q.T (3, R), the T/W values and blank mask (8, R) and the rank_tests stats of the
-    test runs in blocks; the first failure ends the test, named by its run, once the
-    runs before it are tested."""
+    test runs in (q, samples1, samples2) blocks; the first failure ends the test, named by
+    its run, once the runs before it are tested (a block whose projection pass fails is
+    tested again run by run)."""
     columns, counts, done = [], [], 0
     try:
-        for block in _row_blocks(blocks, alpha):
-            bad = np.flatnonzero(np.not_equal(block.errors, None))
-            if len(bad):
-                done += int(bad[0])
-                # the message of the run's first degenerate procedure
-                raise TooFewPairsError(block.errors[bad[0]].partition("; ")[0])
-            columns.append((block.q.T, block.values, block.blank))
-            counts.append(block.counts)
-            done += len(block.q)
-            del block
+        for q, s1, s2 in blocks:
+            try:
+                tested = [_block(q, s1, s2, alpha)]
+            except SphereCovError:
+                tested = (_block(*(a[r:r + 1] for a in (q, s1, s2)), alpha) for r in range(len(q)))
+            for block in tested:
+                bad = np.flatnonzero(np.not_equal(block.errors, None))
+                if len(bad):
+                    done += int(bad[0])
+                    # the message of the run's first degenerate procedure
+                    raise TooFewPairsError(next(filter(None, (
+                        p.error(bad[0]) for p in block.procedures if p is not None))))
+                columns.append((block.q.T, block.values, block.blank))
+                counts.append(block.counts)
+                done += len(block.q)
+            del q, s1, s2, tested, block  # freed before the next block is drawn
     except SphereCovError as exc:
         raise type(exc)(f"run {done}: {exc}") from exc
     return (*_joined(columns), _rank_test_stats(counts))
@@ -291,10 +306,10 @@ def cmd_test(args) -> int:
                **dict(zip(_PROCEDURE_COLUMNS, zip(values, blank)))}
     runs_path = io.write_table(out / "runs", columns, args.format)
     # rejections of the procedures that ran: min p below alpha/2 (xi), p below alpha (d)
-    rates = {name: np.count_nonzero(values[col] < cut) / args.runs
-             for name, col, cut in (("T_xi", 1, args.alpha / 2.0), ("T_d", 3, args.alpha),
-                                    ("W_xi", 5, args.alpha / 2.0), ("W_d", 7, args.alpha))
-             if not blank[col].any()}
+    rates = {name: np.count_nonzero(columns[p][0] < cut) / args.runs
+             for name, p, cut in (("T_xi", "p_xi", args.alpha / 2.0), ("T_d", "p_d", args.alpha),
+                                  ("W_xi", "pW_xi", args.alpha / 2.0), ("W_d", "pW_d", args.alpha))
+             if not columns[p][1].any()}
     summary = {"alpha": args.alpha, "runs": args.runs, "rejection_rates": rates}
     summary_path = io.write_json(out / "summary.json", summary)
 
@@ -319,7 +334,7 @@ def cmd_scan(args) -> int:
     s1, s2 = (s[0] for s in draw_rows([rng]))
     grid = uniform_sample(rng, args.grid)
     parts, counts = [], []
-    for block in _row_blocks(_candidate_blocks(grid, s1, s2), args.alpha):
+    for block in (_block(*rows, args.alpha) for rows in _candidate_blocks(grid, s1, s2)):
         parts.append((block.tr2, block.det, block.proj.eigvals.T, block.values, block.blank,
                       block.errors))
         counts.append(block.counts)
@@ -420,12 +435,8 @@ def _solver_stats(results) -> dict:
 
 def cmd_interp(args) -> int:
     problem, solver = io.load_problem(args.problem)
-    if args.max_iter is not None:
-        solver["max_iter"] = args.max_iter
-    if args.tol is not None:
-        solver["tol"] = args.tol
-    if args.restarts is not None:
-        solver["restarts"] = args.restarts
+    overrides = {"max_iter": args.max_iter, "tol": args.tol, "restarts": args.restarts}
+    solver.update((key, value) for key, value in overrides.items() if value is not None)
     seed = args.seed if args.seed is not None else solver["seed"]
     kernels = precompute(problem)
     check = rank_check(problem, kernels)
@@ -436,8 +447,7 @@ def cmd_interp(args) -> int:
             file=sys.stderr,
         )
         return 3
-    solve_kw = dict(max_iter=solver["max_iter"], tol=solver["tol"],
-                    restarts=solver["restarts"], seed=seed)
+    solve_kw = dict(solver, seed=seed)
     if args.alpha_steps is not None:
         if problem.m != 2:
             raise ValueError("--alpha-steps sweeps need exactly two endpoints")

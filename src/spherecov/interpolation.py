@@ -374,6 +374,8 @@ _ARMIJO_C = 1e-4
 # H by less than this share: Gauss-Newton converges only linearly there
 _SLOW_CUT = 0.2
 _MAX_HALVINGS = 50
+# halvings an Armijo search round tests with one objective call
+_ROUND_HALVINGS = 4
 _ROUNDING_FACTOR = 4.0
 
 
@@ -466,17 +468,18 @@ def _newton_targets(F, G, hess):
     return targets, settled
 
 
-def _armijo_search(evaluate, trial, f, g, obj, first, per_round=4):
+def _armijo_search(evaluate, trial, f, g, obj, first):
     """Monotone Armijo search of every row of f (n, k): row r takes the first
     step first_r / 2^h, h = 0.._MAX_HALVINGS, whose trial(rows, etas) point is
     defined and decreases H by at least _ARMIJO_C g.(f - trial). One
-    evaluate(points) -> (H, defined) call per round tests the next per_round
+    evaluate(points) -> (H, defined) call per round tests the next _ROUND_HALVINGS
     halvings of every row still searching, so each row accepts the step a
     one-at-a-time search would. Returns (accepted, step, point, H, rounds)."""
     found, eta, f_new, obj_new = np.zeros(len(f), dtype=bool), np.zeros(len(f)), f.copy(), obj.copy()
     rows = np.arange(len(f))
-    for h0 in range(0, _MAX_HALVINGS + 1, per_round):
-        etas = first[rows, None] * 0.5 ** np.arange(h0, min(h0 + per_round, _MAX_HALVINGS + 1))
+    for h0 in range(0, _MAX_HALVINGS + 1, _ROUND_HALVINGS):
+        stop = min(h0 + _ROUND_HALVINGS, _MAX_HALVINGS + 1)
+        etas = first[rows, None] * 0.5 ** np.arange(h0, stop)
         x = trial(np.repeat(rows, etas.shape[1]), etas.ravel())
         vals, ok = (a.reshape(etas.shape) for a in evaluate(x))
         x = x.reshape(*etas.shape, -1)
@@ -489,7 +492,7 @@ def _armijo_search(evaluate, trial, f, g, obj, first, per_round=4):
         rows = rows[~hit]
         if not len(rows):
             break
-    return found, eta, f_new, obj_new, h0 // per_round + 1
+    return found, eta, f_new, obj_new, h0 // _ROUND_HALVINGS + 1
 
 
 # per start: last accepted iterate and objective, iterations, converged (for

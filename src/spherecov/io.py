@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .interpolation import make_problem, solve
+
 __all__ = [
     "FLOAT_FMT",
     "fmt_float",
@@ -152,6 +154,8 @@ def read_table(path) -> tuple:
     path = Path(path)
     if path.suffix == ".json":
         records = read_json(path)
+        if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
+            raise ValueError(f"{path}: expected a JSON array of records")
         if not records:
             return [], []
         header = list(records[0].keys())
@@ -170,11 +174,17 @@ def write_points(base: Path, points: np.ndarray, fmt: str = "csv") -> Path:
 
 
 def read_points(path) -> np.ndarray:
-    """The (n, 3) points of a table with columns x, y, z, each cell parsed by float()."""
+    """The (n, 3) points of a table with columns x, y, z, each cell parsed by float().
+
+    A header-only table gives (0, 3); a row without 3 cells raises ValueError.
+    """
     header, rows = read_table(path)
     if list(header) != ["x", "y", "z"]:
         raise ValueError(f"{path}: expected point columns x,y,z, got {header}")
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
+    for i, row in enumerate(rows, 1):
+        if len(row) != 3:
+            raise ValueError(f"{path}: point row {i} has {len(row)} cells, expected 3")
+    return np.array([[float(v) for v in row] for row in rows], dtype=float).reshape(-1, 3)
 
 
 def write_json(path, obj) -> Path:
@@ -190,7 +200,8 @@ def read_json(path):
         return json.load(fh)
 
 
-DEFAULT_SOLVER = {"max_iter": 500, "tol": 1e-9, "restarts": None, "seed": 0}
+# A problem file's solver settings, with solve's defaults.
+DEFAULT_SOLVER = {key: solve.__kwdefaults__[key] for key in ("max_iter", "tol", "restarts", "seed")}
 
 
 def _solver_settings(block) -> dict:
@@ -227,8 +238,6 @@ def _float_field(data: dict, key: str) -> np.ndarray:
 
 def problem_from_dict(data: dict):
     """Build (InterpProblem, solver settings) from a problem dictionary."""
-    from .interpolation import make_problem
-
     if not isinstance(data, dict):
         raise ValueError(f"a problem file holds a JSON object, got {type(data).__name__}")
     for key in ("domain", "endpoints", "alpha", "invariant"):

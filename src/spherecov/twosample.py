@@ -15,7 +15,7 @@ the two directions with a Bonferroni-corrected threshold).
 The procedures run on batches (ProjectionData with a leading axis), and one
 private block engine runs them for `test`, `scan` and observation_scan: each
 block of rows, sized by a budget of sample points, makes one projection pass
-and one batched rank-test call per statistic, and yields per-row columns.
+and one batched rank-test call per statistic, and returns per-row columns.
 paired_projections projects R sample pairs, each at its own point, and
 test_procedure_1/2 are the same code on a single point.
 
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SampleSizeMismatchError, SphereCovError
+from .errors import SampleSizeMismatchError
 from .fields import _op_sums
 from .geometry import (
     TangentFrame, TangentVec, log_map_coords, tangent_frame, tangent_frames, unit_point, unit_points,
@@ -296,6 +296,9 @@ def _block_rows(m1: int, m2: int) -> int:
     return max(1, _BLOCK_POINTS // (m1 + m2))
 
 
+_PROCEDURE_COLUMNS = ("T_xi", "p_xi", "T_d", "p_d", "W_xi", "pW_xi", "W_d", "pW_d")
+
+
 class _Block(NamedTuple):
     """Both procedures over one block of rows, with the per-row columns of `test` and `scan`."""
 
@@ -304,43 +307,33 @@ class _Block(NamedTuple):
     procedures: tuple        # (paired, unpaired) of _procedures
     tr2: np.ndarray          # (n,) squared trace of each operator difference
     det: np.ndarray          # (n,) its determinant
-    values: np.ndarray       # (8, n) T_xi, p_xi, T_d, p_d, W_xi, pW_xi, W_d, pW_d
+    values: np.ndarray       # (8, n) the rows named in _PROCEDURE_COLUMNS
     blank: np.ndarray        # (8, n) set where the procedure is absent or its row degenerate
     errors: np.ndarray       # (n,) "; "-joined too-few messages of a degenerate row, else None
     counts: np.ndarray       # (2,) exact tests and all tests of the non-degenerate rows
 
 
-def _row_blocks(blocks, alpha: float):
-    """The block engine: both procedures over each (q, samples1, samples2) block of rows.
+def _block(q, s1, s2, alpha: float) -> _Block:
+    """The block engine: both procedures over one block of rows, from one projection
+    pass and one batched rank-test call per statistic.
 
     q is a batch (R, 3); the samples are (R, m, 3) stacks or (m, 3) samples shared by
-    every row. A block whose projection pass fails (a point antipodal to its row's q) is
-    run again row by row, so the rows before the first failing one are yielded first.
+    every row. Raises AntipodalPointError when a point is antipodal to its row's q.
     """
-    for q, s1, s2 in blocks:
-        try:
-            proj = _projections(q, s1, s2)
-        except SphereCovError:
-            if len(q) == 1:
-                raise
-            yield from _row_blocks([(q[r:r + 1], *(s if np.ndim(s) == 2 else s[r:r + 1]
-                                                   for s in (s1, s2))) for r in range(len(q))],
-                                   alpha)
-            raise
-        procedures, n = _procedures(proj, alpha), len(q)
-        tested = [(p, p.degenerate) for p in procedures if p is not None]
-        errors = np.full(n, None)
-        for r in np.flatnonzero(np.any([bad for _, bad in tested], axis=0)):
-            errors[r] = "; ".join(filter(None, (p.error(r) for p, _ in tested)))
-        counts = np.sum([(np.count_nonzero(t.exact & ~bad), np.count_nonzero(~bad))
-                         for p, bad in tested for t in p.tests], axis=0)
-        values = [np.zeros((4, n)) if p is None else
-                  np.stack([p.stat_xi, p.min_p, p.d_test.statistic, p.d_test.p_value])
-                  for p in procedures]
-        blank = [np.broadcast_to(p is None or p.degenerate, (4, n)) for p in procedures]
-        yield _Block(q, proj, procedures, _tr2(proj.lhat), _det2(_sym_comps(proj.lhat)),
-                     np.concatenate(values), np.concatenate(blank), errors, counts)
-        del s1, s2, proj  # so the block's arrays are freed before the next one is drawn
+    proj = _projections(q, s1, s2)
+    procedures, n = _procedures(proj, alpha), len(q)
+    tested = [(p, p.degenerate) for p in procedures if p is not None]
+    errors = np.full(n, None)
+    for r in np.flatnonzero(np.any([bad for _, bad in tested], axis=0)):
+        errors[r] = "; ".join(filter(None, (p.error(r) for p, _ in tested)))
+    counts = np.sum([(np.count_nonzero(t.exact & ~bad), np.count_nonzero(~bad))
+                     for p, bad in tested for t in p.tests], axis=0)
+    values = [np.zeros((4, n)) if p is None else
+              np.stack([p.stat_xi, p.min_p, p.d_test.statistic, p.d_test.p_value])
+              for p in procedures]
+    blank = [np.broadcast_to(p is None or p.degenerate, (4, n)) for p in procedures]
+    return _Block(q, proj, procedures, _tr2(proj.lhat), _det2(_sym_comps(proj.lhat)),
+                  np.concatenate(values), np.concatenate(blank), errors, counts)
 
 
 def _candidate_blocks(candidates, sample1, sample2) -> list:
@@ -379,9 +372,9 @@ def observation_scan(sample1, sample2, candidates, criterion: str = "tr2",
     """
     if criterion not in ("tr2", "det", "uniform"):
         raise ValueError(f"unknown scan criterion: {criterion!r}")
-    blocks = _row_blocks(_candidate_blocks(candidates, sample1, sample2), alpha)
     frames, rows = tangent_frames(candidates), []
-    for block in blocks:
+    for q, s1, s2 in _candidate_blocks(candidates, sample1, sample2):
+        block = _block(q, s1, s2, alpha)
         for r, (tr2, det, error) in enumerate(zip(block.tr2, block.det, block.errors)):
             frame = frames[len(rows)]
             proj = block.proj.row(r, frame)

@@ -884,6 +884,32 @@ def test_non_finite_file_points_fail_before_any_rank_test(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, text, message", [
+    pytest.param("empty.csv", "x,y,z\n", "{flag} {path} holds no points", id="header-only"),
+    pytest.param("two.csv", "x,y,z\n1,2\n0,1\n",
+                 "{path}: point row 1 has 2 cells, expected 3", id="two-cells"),
+    pytest.param("null.json", '[{"x": 1.0, "y": null, "z": 0.0}]',
+                 "{path}: float() argument must be a string or a real number, not 'NoneType'",
+                 id="null-cell"),
+    pytest.param("rows.json", "[[1, 2, 3]]", "{path}: expected a JSON array of records",
+                 id="json-rows")])
+@pytest.mark.parametrize("command", [["test", "--q", "0,0,1"], ["scan", "--seed", "0"],
+                                     ["profile", "--q", "0,0,1"]])
+@pytest.mark.parametrize("flag", ["--sample1", "--sample2"])
+def test_malformed_point_file_is_a_usage_error_naming_it(tmp_path, capsys, name, text, message,
+                                                         command, flag):
+    bad, good = tmp_path / name, tmp_path / "good.csv"
+    bad.write_text(text)
+    good.write_text("x,y,z\n0,0,1\n0,1,0\n1,0,0\n0.5,0.5,0.7\n0.1,0.2,0.9\n0.3,0.1,0.8\n")
+    files = {"--sample1": good, "--sample2": good, flag: bad}
+    out = tmp_path / "never"
+    assert main([*command, *(a for f, path in files.items() for a in (f, str(path))),
+                 "--out", str(out)]) == 2
+    expected = message.format(flag=flag, path=bad)
+    assert capsys.readouterr().err == f"usage error: {expected}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--a", "nan", "--n", "5"],
     ["test", "--a1", "nan", "--a2", "0.3", "--q", "0,0,1"],

@@ -1013,7 +1013,7 @@ def test_batching_leaves_each_start_unchanged(case):
         assert alone.converged[0] == batch.converged[i]
 
 
-def test_rounds_of_halvings_accept_the_sequential_step():
+def test_rounds_of_halvings_accept_the_sequential_step(monkeypatch):
     # Row r's trial point is (r, eta); it passes at eta <= 2^-h_r, and row 4
     # never does. Row 5 is singular above its step and passes at halving 5.
     passing = np.array([0, 3, 5, 9, -1, 5])
@@ -1030,8 +1030,10 @@ def test_rounds_of_halvings_accept_the_sequential_step():
         ok = (row != 5) | (eta <= threshold[5])
         return np.where(eta <= threshold[row], -1.0, 1.0), ok
 
-    results = {n: interpolation._armijo_search(evaluate, trial, f, g, obj, np.ones(6), per_round=n)
-               for n in (1, 4)}
+    results = {}
+    for n in (1, 4):
+        monkeypatch.setattr(interpolation, "_ROUND_HALVINGS", n)
+        results[n] = interpolation._armijo_search(evaluate, trial, f, g, obj, np.ones(6))
     for found, eta, f_new, obj_new, _ in results.values():
         npt.assert_array_equal(found, passing >= 0)
         npt.assert_array_equal(eta[found], threshold[found])

@@ -1,6 +1,8 @@
 import csv
+import inspect
 import io
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -255,6 +257,42 @@ def test_null_json_point_cell_is_rejected(tmp_path):
     path.write_text('[{"x": 1.0, "y": null, "z": 0.0}]')
     with pytest.raises(TypeError):
         read_points(path)
+
+
+def test_header_only_point_table_reads_as_no_points(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x,y,z\n")
+    assert read_points(path).shape == (0, 3)
+
+
+def test_point_row_without_three_cells_names_the_file(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("x,y,z\n1,2,3\n1,2,3,4\n")
+    message = f"{path}: point row 2 has 4 cells, expected 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_points(path)
+
+
+@pytest.mark.parametrize("text", ["[[1, 2, 3]]", '{"x": 1}', "[{}, 5]"])
+def test_json_table_that_is_not_an_array_of_records_names_the_file(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    message = f"{path}: expected a JSON array of records"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_table(path)
+
+
+def test_problem_file_solver_defaults_are_solves(tmp_path):
+    # a problem file without a solver block, or dumped without settings, solves as solve does
+    rng = np.random.default_rng(3)
+    prob = make_problem(uniform_sample(rng, 5), random_pmfs(rng, 5, 2), [0.5, 0.5], "trln2")
+    path = tmp_path / "problem.json"
+    dump_problem(path, prob)
+    data = read_json(path)
+    params = inspect.signature(solve).parameters
+    defaults = {key: params[key].default for key in ("max_iter", "tol", "restarts", "seed")}
+    assert data.pop("solver") == defaults
+    assert sio.problem_from_dict(data)[1] == defaults
 
 
 def test_problem_round_trip(tmp_path):

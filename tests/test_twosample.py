@@ -19,14 +19,16 @@ from spherecov import (
     sample_cov_operator,
     sample_profile,
     tangent_frame,
+    tr2_scores,
     uniform_sample,
     unit_point,
     unit_points,
 )
 from spherecov import test_procedure_1 as procedure_1
 from spherecov import test_procedure_2 as procedure_2
+from spherecov import twosample
 from spherecov.spd import _det2, _sym_comps
-from spherecov.twosample import _candidate_blocks, _row_blocks
+from spherecov.twosample import _block, _candidate_blocks
 
 rng = np.random.default_rng(2024)
 
@@ -95,8 +97,8 @@ def test_tangent_quantities_are_in_the_frame_at_the_callers_point(seed, c):
         u2, _ = log_map_coords(q, unit_points(s2))
         npt.assert_array_equal(proj.lhat, (u1.T @ u1) / len(u1) - (u2.T @ u2) / len(u2))
     rows = observation_scan(s1, s2, cands, criterion="uniform")
-    scan_q = np.vstack([unit_points(b.q) for b in _row_blocks(_candidate_blocks(cands, s1, s2),
-                                                               0.05)])
+    scan_q = np.vstack([unit_points(_block(*b, 0.05).q)
+                        for b in _candidate_blocks(cands, s1, s2)])
     batch = paired_projections(cands, np.stack([s1] * 6), np.stack([s2] * 6))
     for r, q in enumerate(cands):
         npt.assert_array_equal(rows[r].q, unit_point(q))
@@ -299,6 +301,20 @@ def test_batch_procedures_flag_degenerate_rows():
     s1[3, 0] = -unit_point(qs[3])
     with pytest.raises(AntipodalPointError):
         batch_procedures(s1, s2, qs)
+
+
+@pytest.mark.parametrize("at", [0, 4, 9])
+def test_scan_path_raises_for_an_antipodal_candidate_in_any_block(monkeypatch, at):
+    # a budget of 180 points makes blocks of 3 candidates at m1 = m2 = 30: the
+    # antipode lies in the first, second or last (one-candidate) block
+    monkeypatch.setattr(twosample, "_BLOCK_POINTS", 180)
+    assert [len(b[0]) for b in _candidate_blocks(np.zeros((10, 3)), S1, S2)] == [3, 3, 3, 1]
+    cands = uniform_sample(np.random.default_rng(12), 10)
+    cands[at] = -S2[7]
+    for scan in (lambda: observation_scan(S1, S2, cands), lambda: tr2_scores(S1, S2, cands),
+                 lambda: det_sign_areas(S1, S2, cands)):
+        with pytest.raises(AntipodalPointError):
+            scan()
 
 
 def test_scan_with_some_degenerate_rows():
