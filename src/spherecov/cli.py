@@ -682,8 +682,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value such as -0.3,0.1,1 as an option, not as the value of the flag before it
+_VECTOR_FLAGS = frozenset({"--q", "--mu", "--mu1", "--mu2"})
+
+
+def _join_vector_values(argv: list) -> list:
+    """argv with each vector flag joined to a following negative number list as FLAG=VALUE.
+
+    Only a token that starts with a minus and whose comma-separated parts all
+    parse as floats is joined. Unjoined, argparse rejects such a token as an
+    unknown option, or reads a lone negative number such as -1 as the same
+    value, so no command line that parses today changes its meaning.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _VECTOR_FLAGS and token.startswith("-"):
+            try:
+                [float(part) for part in token.split(",")]
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{joined[-1]}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_vector_values(sys.argv[1:] if argv is None else argv))
     try:
         return int(args.func(args) or 0)
     except (IterationLimitError, np.linalg.LinAlgError, FloatingPointError) as exc:

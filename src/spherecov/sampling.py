@@ -7,7 +7,16 @@ reading exp(-(d^2 - a)^2) is available as concentration="squared".
 
 Sampling is plain rejection from the uniform envelope: the unnormalized
 density is bounded by 1 exactly, so a uniform proposal p is accepted with
-probability equal to the density value. rejection_sample_rows draws one
+probability equal to the density value. A squeeze (Marsaglia 1977; Devroye,
+Non-Uniform Random Variate Generation, 1986, ch. II.3) decides most proposals
+without the density: the approximate cosine (z . mu) / |z| of the raw normal
+draw z picks a bin of a table of density bounds, u < lo accepts and u >= hi
+rejects. Only the undecided rest, under 1% of the proposals, are normalized
+and take the exact density, and only the kept points are normalized for the
+output. The bounds hold with room to spare for a cosine in the neighbouring
+bins and for 100 times the rounding of the density, so every decision, point
+and generator state is the one that testing each proposal exactly gives, bit
+for bit. rejection_sample_rows draws one
 sample per generator, batching the arithmetic of all generators while each
 one makes exactly the draws of a one-generator call; rejection_sample is its
 one-row call. spawn_states and state_generators give the generators of
@@ -16,6 +25,8 @@ np.random.SeedSequence(seed).spawn(runs) from one vectorized hash over all runs.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from typing import NamedTuple
 
@@ -94,6 +105,47 @@ def ring_density_unnormalized(p, params: RingDensity) -> float:
 # At n = 50 a pass holds 64 rows, half of one of test's blocks.
 _ROUND_PROPOSALS = 12_800
 
+# Cosine bins of the squeeze table: bin b holds the cosines in
+# [-1 + 2b / _COSINE_BINS, -1 + 2(b + 1) / _COSINE_BINS).
+_COSINE_BINS = 1024
+# Passes whose first round makes fewer proposals test every proposal exactly:
+# a table takes about 50 us to build, what the squeeze saves on some 2,000 proposals.
+_SQUEEZE_PROPOSALS = 1024
+# a point's three floats as one 24-byte item, so rows move by flat index in np.take and np.put
+_POINT = np.dtype((np.void, 24))
+
+
+@functools.lru_cache(maxsize=64)
+def _squeeze_table(a: float, concentration: str) -> np.ndarray:
+    """(2, _COSINE_BINS + 1) density bounds: lo in row 0, hi in row 1, column b for bin b.
+
+    The density is unimodal in the cosine c, so a bin's densities lie
+    between _density_values at its two edges, and up to 1 in the bins around
+    the mode cos(a^(1/power)). Each bound is widened to cover both
+    neighbouring bins, so that a cosine a few ulps from its bin's edge is
+    covered too, and then by a 1e-9 relative and a 1e-300 absolute margin:
+    about 100 times the rounding of arccos, pow and exp, and every subnormal
+    density. Bin 0 holds the antipodal tolerance, so its lo is 0: there the
+    squeeze rejects but never accepts. Column _COSINE_BINS holds c = 1.
+    """
+    edges = np.linspace(-1.0, 1.0, _COSINE_BINS + 1)
+    dens = _density_values(RingDensity(a, concentration=concentration), np.arccos(edges))
+    # column b spans the edges of bins b - 1, b and b + 1, the end edges repeated
+    dens = np.concatenate((dens[:1], dens, dens[-1:], dens[-1:]))
+    table = np.empty((2, _COSINE_BINS + 1))
+    lo, hi = table
+    np.minimum(np.minimum(dens[:-3], dens[1:-2]), np.minimum(dens[2:-1], dens[3:]), out=lo)
+    np.maximum(np.maximum(dens[:-3], dens[1:-2]), np.maximum(dens[2:-1], dens[3:]), out=hi)
+    mode = int((math.cos(a ** (1.0 / _POWERS[concentration])) + 1.0) * (_COSINE_BINS / 2))
+    hi[max(mode - 2, 0) : mode + 3] = 1.0
+    lo *= 1.0 - 1e-9
+    lo -= 1e-300
+    lo[0] = 0.0
+    hi *= 1.0 + 1e-9
+    hi += 1e-300
+    table.flags.writeable = False
+    return table
+
 
 def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """n i.i.d. draws from the ring density per generator, by uniform-envelope rejection.
@@ -105,10 +157,17 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
     (measure zero up to the antipodal tolerance) are always rejected. The
     first accepted points, in proposal order, fill the row. The draws go
     straight into shared buffers and the arithmetic runs once per round for
-    all rows of a pass: the normal draws are normalized in place (squares
-    summed in the order np.linalg.norm sums them) and the density overwrites
-    the clipped cosines. So each row and each generator's state afterwards
-    equal a one-generator call bit for bit. A pass takes as many rows as
+    all rows of a pass, with |z| summed in the order np.linalg.norm sums it.
+    In a pass of at least _SQUEEZE_PROPOSALS first-round proposals, the
+    squeeze table of (a, concentration) decides each proposal from its
+    approximate cosine (z . mu) / |z|: u < lo accepts, u >= hi rejects, and
+    only the undecided rest (0.3% of test's proposals) are normalized for
+    the exact cosine, the density and the antipodal test. A smaller pass
+    takes that exact test for every proposal, since there the table would
+    cost more than it saves. Both make the decisions of the exact test, and
+    only the kept points are divided by their norms, by the same division,
+    so each row and each generator's state afterwards equal a one-generator
+    call bit for bit. A pass takes as many rows as
     keep a first round within _ROUND_PROPOSALS proposals (at least one), so
     the working memory is about 0.1 KB per proposal of a round, not per
     proposal of the whole call.
@@ -131,40 +190,78 @@ def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
     rows, n = out.shape[:2]
     got = np.zeros(rows, dtype=np.int64)
     proposals = np.zeros(rows, dtype=np.int64)
-    # the first round fills every buffer row to full width, so padding never holds unset values
-    z = np.empty((rows, max(4 * n, 64), 3))
-    u = np.empty(z.shape[:2])
+    # each round holds its (pending, width) proposals in a prefix of these buffers; the first
+    # round fills them whole, so padding never holds unset values
+    z_buffer = np.empty(rows * max(4 * n, 64) * 3)
+    u_buffer = np.empty(len(z_buffer) // 3)
+    out_points = out.reshape(-1, 3).view(_POINT).reshape(-1)
+    squeeze = len(u_buffer) >= _SQUEEZE_PROPOSALS
+    if squeeze:
+        lo, hi = _squeeze_table(params.a, params.concentration)
+        to_bin = params.mu * (_COSINE_BINS / 2)
     pending = np.arange(rows)
     while len(pending):
         need = n - got[pending]
         chunks = np.maximum(4 * need, 64)
-        for j, (r, chunk) in enumerate(zip(pending.tolist(), chunks.tolist())):
+        sizes = chunks.tolist()
+        width = max(sizes)
+        z = z_buffer[: len(pending) * width * 3].reshape(len(pending), width, 3)
+        u = u_buffer[: len(pending) * width].reshape(len(pending), width)
+        for j, (r, chunk) in enumerate(zip(pending.tolist(), sizes)):
             rngs[r].standard_normal(out=z[j, :chunk])
             rngs[r].random(out=u[j, :chunk])
-        width = int(chunks.max())
-        pts = z[: len(pending), :width]
-        # |z| summed left to right, as np.linalg.norm sums it, and normalized in place
-        norms = pts[..., 0] * pts[..., 0]
-        norms += pts[..., 1] * pts[..., 1]
-        norms += pts[..., 2] * pts[..., 2]
-        pts /= np.sqrt(norms, out=norms)[..., None]
-        cosines = pts @ params.mu
-        dens = np.clip(cosines, -1.0, 1.0)
-        dens = _density_values(params, np.arccos(dens, out=dens), out=dens)
-        accept = ((u[: len(pending), :width] < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
-                  & (np.arange(width) < chunks[:, None]))
+        # |z| summed left to right, as np.linalg.norm sums it
+        norms = z[..., 0] * z[..., 0]
+        norms += z[..., 1] * z[..., 1]
+        norms += z[..., 2] * z[..., 2]
+        np.sqrt(norms, out=norms)
+        # the accepted proposals as flat indices into the (pending, width) arrays
+        if squeeze:
+            # each proposal's cosine bin from its approximate cosine (z . mu) / |z|; u >= hi rejects
+            bins = z @ to_bin
+            bins /= norms
+            bins += _COSINE_BINS / 2
+            bins = bins.astype(np.intp)
+            # only a NaN cosine (a zero draw) falls outside the table; "clip" sends it to bin 0,
+            # where lo = 0 leaves it to the exact test, which rejects it
+            cand = np.flatnonzero(u < hi.take(bins, mode="clip"))
+            # u < lo accepts; the undecided rest take the exact test on their normalized points
+            draws = u.take(cand)
+            accept = draws < lo.take(bins.take(cand), mode="clip")
+            undecided = ~accept
+            exact = cand[undecided]
+            if len(exact):
+                points = np.take(z.reshape(-1, 3), exact, axis=0) / norms.take(exact)[:, None]
+                accept[undecided] = _exact_accepts(params, points, draws[undecided])
+            cand = cand[accept]
+        else:
+            cand = np.flatnonzero(_exact_accepts(params, (z / norms[..., None]).reshape(-1, 3),
+                                                 u.reshape(-1)))
+        j = cand // width
+        if min(sizes) < width:
+            inside = cand - j * width < chunks[j]
+            cand, j = cand[inside], j[inside]
         # each accepted proposal's place among its row's accepted ones; the first need are kept
-        j, k = np.nonzero(accept)
         counts = np.bincount(j, minlength=len(pending))
         pos = np.arange(len(j)) - (np.cumsum(counts) - counts)[j]
         keep = pos < need[j]
-        j, k, pos = j[keep], k[keep], pos[keep]
-        r = pending[j]
-        out[r, got[r] + pos] = pts[j, k]
+        r = pending[j[keep]]
+        cand = cand[keep]
+        points = np.take(z.reshape(-1, 3), cand, axis=0) / norms.take(cand)[:, None]
+        np.put(out_points, r * n + got[r] + pos[keep], points.view(_POINT).reshape(-1))
         got[pending] += np.minimum(need, counts)
         proposals[pending] += chunks
         pending = pending[got[pending] < n]
     return proposals
+
+
+def _exact_accepts(params: RingDensity, pts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The rejection test u < density of (k, 3) unit points, antipodal ones rejected."""
+    # numpy takes one row's product as a dot, which rounds otherwise than the rows' gemv
+    cosines = (np.repeat(pts, 2, axis=0) @ params.mu)[:1] if len(pts) == 1 else pts @ params.mu
+    dens = np.minimum(np.maximum(cosines, -1.0), 1.0)
+    dens = _density_values(params, np.arccos(dens, out=dens), out=dens)
+    return (u < dens) & (cosines > -1.0 + ANTIPODAL_EPS)
 
 
 def rejection_sample(params: RingDensity, n: int, rng: np.random.Generator,

@@ -599,6 +599,34 @@ def test_module_entry_point():
     assert "sample" in res.stdout and "interp" in res.stdout
 
 
+@pytest.mark.parametrize("flag, value, argv", [
+    ("--q", "-0.3,0.1,1", ["test", "--a1", "0.2", "--a2", "0.3", "--runs", "5", "--seed", "1"]),
+    ("--mu1", "-0.3,0.5,0.8", ["test", "--a1", "0.7", "--a2", "2.0", "--concentration", "squared",
+                               "--m1", "40", "--q-mode", "uniform", "--runs", "5", "--seed", "4"]),
+    ("--mu", "-0.2,0.9,-0.1", ["sample", "--a", "0.2", "--n", "30", "--seed", "3"]),
+])
+def test_vector_flag_takes_a_leading_minus_value_spaced_or_joined(tmp_path, flag, value, argv):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main([*argv, flag, value, "--out", str(spaced)]) == 0
+    assert main([*argv, f"{flag}={value}", "--out", str(joined)]) == 0
+    names = sorted(p.name for p in joined.iterdir())
+    assert sorted(p.name for p in spaced.iterdir()) == names
+    for name in names:
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes(), name
+
+
+def test_only_negative_number_lists_after_vector_flags_are_joined(tmp_path, monkeypatch):
+    argv = ["test", "--q", "-h", "--mu1", "-0.1,x,1", "--seed", "-1", "--mu2", "0,-1,0",
+            "--q-mode", "-2"]
+    assert cli._join_vector_values(argv) == argv
+    joined = cli._join_vector_values(["sample", "--mu", "-1e-3,-inf,2"])
+    assert joined == ["sample", "--mu=-1e-3,-inf,2"]
+    # main() without argv reads sys.argv the same way
+    monkeypatch.setattr(sys, "argv", ["spherecov", "sample", "--a", "0.2", "--n", "5", "--mu",
+                                      "-0.2,0.9,-0.1", "--seed", "3", "--out", str(tmp_path / "s")])
+    assert main() == 0
+
+
 def test_build_parser_returns_one_shared_parser():
     assert cli.build_parser() is cli.build_parser()
 

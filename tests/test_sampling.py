@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -219,8 +221,16 @@ def _looped_sample(params, n, rng):
 
 _finite = st.floats(-1.0, 1.0, allow_nan=False)
 
+# ring parameters whose mode cosine cos(a^(1/power)) is the bin edge 0.25 exactly
+_EDGE_MODE_A = {"quartic": 3.0186629296673937, "squared": 1.7374299783494567}
+
 
 @settings(max_examples=40, deadline=None)
+@example(a=0.0, concentration="quartic", n=50, rows=8, mu=(0.3, -0.5, 0.8), seed=11)
+@example(a=_EDGE_MODE_A["quartic"], concentration="quartic", n=50, rows=8, mu=(-0.6, 0.2, 0.4),
+         seed=12)
+@example(a=_EDGE_MODE_A["squared"], concentration="squared", n=40, rows=12, mu=(0.1, 0.9, -0.3),
+         seed=13)
 @given(a=st.one_of(st.sampled_from([0.0, 0.2, 0.5, 2.0]), st.floats(0.0, 6.0)),
        concentration=st.sampled_from(["quartic", "squared"]),
        n=st.integers(1, 80), rows=st.integers(1, 70),
@@ -252,6 +262,110 @@ def test_rejection_sample_rows_split_into_passes_equal_the_looped_sampler(monkey
         expected, count = _looped_sample(params, n, np.random.default_rng(s))
         npt.assert_array_equal(points[r], expected)
         assert proposals[r] == count
+
+
+@pytest.mark.parametrize("n, rows", [(1, 9), (20, 9), (60, 3)])
+def test_squeeze_and_exact_passes_draw_the_same_rows(monkeypatch, n, rows):
+    # a zero threshold runs the squeeze on every pass, a huge one tests every proposal exactly
+    params = RingDensity(a=0.5, mu=[0.0, 0.4, 1.0], concentration="squared")
+    seeds = np.random.SeedSequence(n).spawn(rows)
+    drawn = []
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(sampling, "_SQUEEZE_PROPOSALS", threshold)
+        drawn.append(rejection_sample_rows(params, n, [np.random.default_rng(s) for s in seeds]))
+    for r, s in enumerate(seeds):
+        expected, count = _looped_sample(params, n, np.random.default_rng(s))
+        for points, proposals in drawn:
+            npt.assert_array_equal(points[r], expected)
+            assert proposals[r] == count
+
+
+def _exact_density(params, cosines):
+    return sampling._density_values(params, np.arccos(np.clip(cosines, -1.0, 1.0)))
+
+
+def test_exact_test_of_one_point_decides_as_in_a_batch():
+    # numpy takes a one-row product as a dot, which rounds otherwise than a batch's gemv; u on
+    # the batch's density decides each point on the last bit of its cosine
+    params = RingDensity(a=0.3, mu=[0.2, -0.7, 0.5])
+    z = np.random.default_rng(8).standard_normal((400, 3))
+    pts = z / np.linalg.norm(z, axis=1, keepdims=True)
+    dens = _exact_density(params, pts @ params.mu)
+    for u in (dens, np.nextafter(dens, 0.0)):
+        batch = sampling._exact_accepts(params, pts, u)
+        assert [sampling._exact_accepts(params, pts[i : i + 1], u[i : i + 1])[0]
+                for i in range(len(pts))] == batch.tolist()
+
+
+def _ulps(x, k):
+    """x moved k ulps toward +inf (k > 0) or -inf (k < 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+def test_edge_mode_rings_have_their_mode_on_a_bin_edge():
+    assert (0.25 + 1.0) * (sampling._COSINE_BINS / 2) == 640
+    for concentration, a in _EDGE_MODE_A.items():
+        assert math.cos(a ** (1.0 / sampling._POWERS[concentration])) == 0.25
+
+
+@st.composite
+def _rings(draw):
+    concentration = draw(st.sampled_from(["quartic", "squared"]))
+    top = np.pi ** sampling._POWERS[concentration]
+    return concentration, draw(st.one_of(st.sampled_from([0.0, top]), st.floats(0.0, top)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ring=_rings(), seed=st.integers(0, 2**32 - 1))
+@example(ring=("quartic", 0.0), seed=1)
+@example(ring=("squared", 0.0), seed=2)
+@example(ring=("quartic", _EDGE_MODE_A["quartic"]), seed=3)
+@example(ring=("squared", _EDGE_MODE_A["squared"]), seed=4)
+def test_squeeze_bounds_enclose_the_density_in_each_bin_and_its_neighbours(ring, seed):
+    concentration, a = ring
+    params = RingDensity(a, concentration=concentration)
+    lo, hi = sampling._squeeze_table(a, concentration)
+    bins = sampling._COSINE_BINS
+    assert lo.shape == hi.shape == (bins + 1,)
+    # random cosines in every bin, every edge and the mode, each also moved by up to 3 ulps
+    rng = np.random.default_rng(seed)
+    inside = -1.0 + 2.0 * (np.arange(bins)[:, None] + rng.random((bins, 4))).ravel() / bins
+    marks = np.append(np.linspace(-1.0, 1.0, bins + 1),
+                      math.cos(a ** (1.0 / sampling._POWERS[concentration])))
+    cosines = np.clip(np.concatenate([inside] + [_ulps(marks, k) for k in range(-3, 4)]), -1.0, 1.0)
+    dens = _exact_density(params, cosines)
+    # each cosine is bounded by the column of its bin and by both neighbouring columns
+    own = np.minimum(((cosines + 1.0) * (bins / 2)).astype(np.intp), bins)
+    for shift in (-1, 0, 1):
+        col = np.clip(own + shift, 0, bins)
+        assert np.all(lo[col] <= dens), (shift, cosines[lo[col] > dens][:3])
+        assert np.all(dens <= hi[col]), (shift, cosines[dens > hi[col]][:3])
+
+
+def test_squeeze_leaves_at_most_one_percent_of_test_fixed_proposals_to_the_exact_density(
+        monkeypatch):
+    # the proposals of test --a1 0.2 --a2 0.3 --m1 50 --runs 500 --seed 1, in test's 128-run blocks
+    params = [RingDensity(0.2), RingDensity(0.3)]
+    for p in params:
+        sampling._squeeze_table(p.a, p.concentration)
+    evaluated = [0]
+    density = sampling._density_values
+
+    def counted(params, dists, out=None):
+        evaluated[0] += np.size(dists)
+        return density(params, dists, out=out)
+
+    monkeypatch.setattr(sampling, "_density_values", counted)
+    states = spawn_states(1, 500)
+    proposals = 0
+    for start in range(0, 500, 128):
+        gens = state_generators(states[start : start + 128])
+        for p in params:
+            proposals += int(rejection_sample_rows(p, 50, gens)[1].sum())
+    assert proposals > 200_000
+    assert evaluated[0] <= 0.01 * proposals
 
 
 def test_rejection_sample_is_the_one_row_call():
