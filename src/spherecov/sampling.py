@@ -108,11 +108,6 @@ _ROUND_PROPOSALS = 12_800
 # Cosine bins of the squeeze table: bin b holds the cosines in
 # [-1 + 2b / _COSINE_BINS, -1 + 2(b + 1) / _COSINE_BINS).
 _COSINE_BINS = 1024
-# Passes whose first round makes fewer proposals test every proposal exactly:
-# a table takes about 50 us to build, what the squeeze saves on some 2,000 proposals.
-_SQUEEZE_PROPOSALS = 1024
-# a point's three floats as one 24-byte item, so rows move by flat index in np.take and np.put
-_POINT = np.dtype((np.void, 24))
 
 
 @functools.lru_cache(maxsize=64)
@@ -158,19 +153,16 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
     first accepted points, in proposal order, fill the row. The draws go
     straight into shared buffers and the arithmetic runs once per round for
     all rows of a pass, with |z| summed in the order np.linalg.norm sums it.
-    In a pass of at least _SQUEEZE_PROPOSALS first-round proposals, the
-    squeeze table of (a, concentration) decides each proposal from its
+    The squeeze table of (a, concentration) decides each proposal from its
     approximate cosine (z . mu) / |z|: u < lo accepts, u >= hi rejects, and
     only the undecided rest (0.3% of test's proposals) are normalized for
-    the exact cosine, the density and the antipodal test. A smaller pass
-    takes that exact test for every proposal, since there the table would
-    cost more than it saves. Both make the decisions of the exact test, and
-    only the kept points are divided by their norms, by the same division,
-    so each row and each generator's state afterwards equal a one-generator
-    call bit for bit. A pass takes as many rows as
-    keep a first round within _ROUND_PROPOSALS proposals (at least one), so
-    the working memory is about 0.1 KB per proposal of a round, not per
-    proposal of the whole call.
+    the exact cosine, the density and the antipodal test. These are the
+    decisions of the exact test, and only the kept points are divided by
+    their norms, by the same division, so each row and each generator's
+    state afterwards equal a one-generator call bit for bit. A pass takes
+    as many rows as keep a first round within _ROUND_PROPOSALS proposals (at
+    least one), so the working memory is about 0.1 KB per proposal of a
+    round, not per proposal of the whole call.
 
     Returns the (R, n, 3) samples and the (R,) proposal counts.
     """
@@ -194,11 +186,8 @@ def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
     # round fills them whole, so padding never holds unset values
     z_buffer = np.empty(rows * max(4 * n, 64) * 3)
     u_buffer = np.empty(len(z_buffer) // 3)
-    out_points = out.reshape(-1, 3).view(_POINT).reshape(-1)
-    squeeze = len(u_buffer) >= _SQUEEZE_PROPOSALS
-    if squeeze:
-        lo, hi = _squeeze_table(params.a, params.concentration)
-        to_bin = params.mu * (_COSINE_BINS / 2)
+    lo, hi = _squeeze_table(params.a, params.concentration)
+    to_bin = params.mu * (_COSINE_BINS / 2)
     pending = np.arange(rows)
     while len(pending):
         need = n - got[pending]
@@ -215,28 +204,24 @@ def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
         norms += z[..., 1] * z[..., 1]
         norms += z[..., 2] * z[..., 2]
         np.sqrt(norms, out=norms)
-        # the accepted proposals as flat indices into the (pending, width) arrays
-        if squeeze:
-            # each proposal's cosine bin from its approximate cosine (z . mu) / |z|; u >= hi rejects
-            bins = z @ to_bin
-            bins /= norms
-            bins += _COSINE_BINS / 2
-            bins = bins.astype(np.intp)
-            # only a NaN cosine (a zero draw) falls outside the table; "clip" sends it to bin 0,
-            # where lo = 0 leaves it to the exact test, which rejects it
-            cand = np.flatnonzero(u < hi.take(bins, mode="clip"))
-            # u < lo accepts; the undecided rest take the exact test on their normalized points
-            draws = u.take(cand)
-            accept = draws < lo.take(bins.take(cand), mode="clip")
-            undecided = ~accept
-            exact = cand[undecided]
-            if len(exact):
-                points = np.take(z.reshape(-1, 3), exact, axis=0) / norms.take(exact)[:, None]
-                accept[undecided] = _exact_accepts(params, points, draws[undecided])
-            cand = cand[accept]
-        else:
-            cand = np.flatnonzero(_exact_accepts(params, (z / norms[..., None]).reshape(-1, 3),
-                                                 u.reshape(-1)))
+        # each proposal's cosine bin from its approximate cosine (z . mu) / |z|; u >= hi rejects
+        bins = z @ to_bin
+        bins /= norms
+        bins += _COSINE_BINS / 2
+        bins = bins.astype(np.intp)
+        # the surviving proposals as flat indices into the (pending, width) arrays; only a NaN
+        # cosine (a zero draw) falls outside the table, and "clip" sends it to bin 0, where
+        # lo = 0 leaves it to the exact test, which rejects it
+        cand = np.flatnonzero(u < hi.take(bins, mode="clip"))
+        # u < lo accepts; the undecided rest take the exact test on their normalized points
+        draws = u.take(cand)
+        accept = draws < lo.take(bins.take(cand), mode="clip")
+        undecided = ~accept
+        exact = cand[undecided]
+        if len(exact):
+            points = np.take(z.reshape(-1, 3), exact, axis=0) / norms.take(exact)[:, None]
+            accept[undecided] = _exact_accepts(params, points, draws[undecided])
+        cand = cand[accept]
         j = cand // width
         if min(sizes) < width:
             inside = cand - j * width < chunks[j]
@@ -248,7 +233,7 @@ def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
         r = pending[j[keep]]
         cand = cand[keep]
         points = np.take(z.reshape(-1, 3), cand, axis=0) / norms.take(cand)[:, None]
-        np.put(out_points, r * n + got[r] + pos[keep], points.view(_POINT).reshape(-1))
+        out.reshape(-1, 3)[r * n + got[r] + pos[keep]] = points
         got[pending] += np.minimum(need, counts)
         proposals[pending] += chunks
         pending = pending[got[pending] < n]

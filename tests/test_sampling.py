@@ -264,37 +264,25 @@ def test_rejection_sample_rows_split_into_passes_equal_the_looped_sampler(monkey
         assert proposals[r] == count
 
 
-@pytest.mark.parametrize("n, rows", [(1, 9), (20, 9), (60, 3)])
-def test_squeeze_and_exact_passes_draw_the_same_rows(monkeypatch, n, rows):
-    # a zero threshold runs the squeeze on every pass, a huge one tests every proposal exactly
-    params = RingDensity(a=0.5, mu=[0.0, 0.4, 1.0], concentration="squared")
-    seeds = np.random.SeedSequence(n).spawn(rows)
-    drawn = []
-    for threshold in (0, 10**9):
-        monkeypatch.setattr(sampling, "_SQUEEZE_PROPOSALS", threshold)
-        drawn.append(rejection_sample_rows(params, n, [np.random.default_rng(s) for s in seeds]))
-    for r, s in enumerate(seeds):
-        expected, count = _looped_sample(params, n, np.random.default_rng(s))
-        for points, proposals in drawn:
-            npt.assert_array_equal(points[r], expected)
-            assert proposals[r] == count
-
-
 def _exact_density(params, cosines):
     return sampling._density_values(params, np.arccos(np.clip(cosines, -1.0, 1.0)))
 
 
-def test_exact_test_of_one_point_decides_as_in_a_batch():
-    # numpy takes a one-row product as a dot, which rounds otherwise than a batch's gemv; u on
-    # the batch's density decides each point on the last bit of its cosine
+def test_exact_test_of_a_few_points_decides_as_in_a_batch():
+    # numpy takes a one-row product as a dot, which rounds otherwise than a batch's gemv, and a
+    # gemv may treat the rows past its block size in tail code; u on the batch's density decides
+    # each point on the last bit of its cosine, so each slice of 1 to 9 points, at every offset,
+    # must decide as the whole batch does
     params = RingDensity(a=0.3, mu=[0.2, -0.7, 0.5])
     z = np.random.default_rng(8).standard_normal((400, 3))
     pts = z / np.linalg.norm(z, axis=1, keepdims=True)
     dens = _exact_density(params, pts @ params.mu)
     for u in (dens, np.nextafter(dens, 0.0)):
         batch = sampling._exact_accepts(params, pts, u)
-        assert [sampling._exact_accepts(params, pts[i : i + 1], u[i : i + 1])[0]
-                for i in range(len(pts))] == batch.tolist()
+        for k in range(1, 10):
+            for i in range(len(pts) - k + 1):
+                npt.assert_array_equal(sampling._exact_accepts(params, pts[i : i + k], u[i : i + k]),
+                                       batch[i : i + k], err_msg=f"{k} points from {i}")
 
 
 def _ulps(x, k):
