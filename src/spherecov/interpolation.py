@@ -365,7 +365,7 @@ class InterpResult(NamedTuple):
     trace: list | None  # rows (iteration, objective, step, grad_norm)
     stop_reasons: tuple = ()   # one of STOP_REASONS per start, in start order
     loop_trips: int = 0        # trips of the batched solver loop
-    objective_rounds: int = 0  # batched objective evaluations
+    objective_rounds: int = 0  # objective calls: one for the starts, one per halving tested
     searched_trips: int = 0    # loop trips that ran a line search
 
 
@@ -374,8 +374,6 @@ _ARMIJO_C = 1e-4
 # H by less than this share: Gauss-Newton converges only linearly there
 _SLOW_CUT = 0.2
 _MAX_HALVINGS = 50
-# halvings an Armijo search round tests with one objective call
-_ROUND_HALVINGS = 4
 _ROUNDING_FACTOR = 4.0
 
 
@@ -472,33 +470,29 @@ def _armijo_search(evaluate, trial, f, g, obj, first):
     """Monotone Armijo search of every row of f (n, k): row r takes the first
     step first_r / 2^h, h = 0.._MAX_HALVINGS, whose trial(rows, etas) point is
     defined and decreases H by at least _ARMIJO_C g.(f - trial). One
-    evaluate(points) -> (H, defined) call per round tests the next _ROUND_HALVINGS
-    halvings of every row still searching, so each row accepts the step a
-    one-at-a-time search would. Returns (accepted, step, point, H, rounds)."""
+    evaluate(points) -> (H, defined) call per halving tests every row still
+    searching; a lone trial point goes in as a two-row batch, since numpy
+    takes one row's product as a dot, which rounds otherwise than a row of a
+    batch. Returns (accepted, step, point, H, calls)."""
     found, eta, f_new, obj_new = np.zeros(len(f), dtype=bool), np.zeros(len(f)), f.copy(), obj.copy()
     rows = np.arange(len(f))
-    for h0 in range(0, _MAX_HALVINGS + 1, _ROUND_HALVINGS):
-        stop = min(h0 + _ROUND_HALVINGS, _MAX_HALVINGS + 1)
-        etas = first[rows, None] * 0.5 ** np.arange(h0, stop)
-        x = trial(np.repeat(rows, etas.shape[1]), etas.ravel())
-        vals, ok = (a.reshape(etas.shape) for a in evaluate(x))
-        x = x.reshape(*etas.shape, -1)
-        decrease = np.einsum("pk,phk->ph", g[rows], f[rows, None] - x)
-        passed = ok & (vals <= obj[rows, None] - _ARMIJO_C * decrease)
-        hit = passed.any(axis=1)
-        at = (np.flatnonzero(hit), passed.argmax(axis=1)[hit])
-        done = rows[hit]
-        found[done], eta[done], f_new[done], obj_new[done] = True, etas[at], x[at], vals[at]
-        rows = rows[~hit]
+    for h in range(_MAX_HALVINGS + 1):
+        etas = first[rows] * 0.5 ** h
+        x = trial(rows, etas)
+        vals, ok = (a[:len(x)] for a in evaluate(np.repeat(x, 2, axis=0) if len(x) == 1 else x))
+        passed = ok & (vals <= obj[rows] - _ARMIJO_C * np.einsum("pk,pk->p", g[rows], f[rows] - x))
+        done = rows[passed]
+        found[done], eta[done], f_new[done], obj_new[done] = True, etas[passed], x[passed], vals[passed]
+        rows = rows[~passed]
         if not len(rows):
             break
-    return found, eta, f_new, obj_new, h0 // _ROUND_HALVINGS + 1
+    return found, eta, f_new, obj_new, h + 1
 
 
 # per start: last accepted iterate and objective, iterations, converged (for
 # a start cut at the lower bound: whether its own objective is within it), an
 # entry of STOP_REASONS and the trace; per batch: loop trips, the trips that
-# ran a line search, and objective calls (one for the starts, one per round)
+# ran a line search, and objective calls (one for the starts, one per halving)
 _Descent = namedtuple("_Descent", "f obj iterations converged reasons traces trips searched rounds")
 
 
