@@ -17,10 +17,11 @@ output. The bounds hold with room to spare for a cosine in the neighbouring
 bins and for 100 times the rounding of the density, so every decision, point
 and generator state is the one that testing each proposal exactly gives, bit
 for bit. rejection_sample_rows draws one
-sample per generator, batching the arithmetic of all generators while each
-one makes exactly the draws of a one-generator call; rejection_sample is its
-one-row call. spawn_states and state_generators give the generators of
-np.random.SeedSequence(seed).spawn(runs) from one vectorized hash over all runs.
+sample per distinct generator, in rounds that batch the arithmetic of many
+generators while each one makes exactly the draws of a one-generator call;
+rejection_sample is its one-row call. spawn_states and state_generators give
+the generators of np.random.SeedSequence(seed).spawn(runs) from one
+vectorized hash over all runs.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ def ring_density_unnormalized(p, params: RingDensity) -> float:
     return float(_density_values(params, d)[0])
 
 
-# Proposals per round that one batched pass may hold; rows beyond it are drawn
-# in further passes, so the sampler's working memory does not grow with R * n.
-# At n = 50 a pass holds 64 rows, half of one of test's blocks.
+# Proposals that one sampler round may hold, unless one chunk alone exceeds it;
+# other generators wait for later rounds, so working memory does not grow with
+# R * n. At n = 50 a first round holds 64 generators, half of a test block.
 _ROUND_PROPOSALS = 12_800
 
 # Cosine bins of the squeeze table: bin b holds the cosines in
@@ -145,46 +146,37 @@ def _squeeze_table(a: float, concentration: str) -> np.ndarray:
 def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """n i.i.d. draws from the ring density per generator, by uniform-envelope rejection.
 
-    Each round, every generator still short of n points draws a chunk of
-    max(4 (n - got), 64) proposals: standard_normal((chunk, 3)), normalized
-    to uniform sphere points, then random(chunk). A proposal is accepted
-    with probability equal to the unnormalized density; antipodal proposals
-    (measure zero up to the antipodal tolerance) are always rejected. The
-    first accepted points, in proposal order, fill the row. The draws go
-    straight into shared buffers and the arithmetic runs once per round for
-    all rows of a pass, with |z| summed in the order np.linalg.norm sums it.
+    rngs are distinct generators. Each round, every generator still short of
+    n points draws a chunk of max(4 (n - got), 64) proposals:
+    standard_normal((chunk, 3)), normalized to uniform sphere points, then
+    random(chunk). A proposal is accepted with probability equal to the
+    unnormalized density; antipodal proposals (measure zero up to the
+    antipodal tolerance) are always rejected. The first accepted points, in
+    proposal order, fill the row. A round takes pending generators, in order,
+    while their chunks fit in _ROUND_PROPOSALS (at least one), lays the chunks
+    end to end in one buffer and runs the arithmetic once for all of them,
+    with |z| summed in the order np.linalg.norm sums it; so the working
+    memory is about 0.1 KB per proposal of a round, not of the whole call.
     The squeeze table of (a, concentration) decides each proposal from its
     approximate cosine (z . mu) / |z|: u < lo accepts, u >= hi rejects, and
-    only the undecided rest (0.3% of test's proposals) are normalized for
-    the exact cosine, the density and the antipodal test. These are the
-    decisions of the exact test, and only the kept points are divided by
-    their norms, by the same division, so each row and each generator's
-    state afterwards equal a one-generator call bit for bit. A pass takes
-    as many rows as keep a first round within _ROUND_PROPOSALS proposals (at
-    least one), so the working memory is about 0.1 KB per proposal of a
-    round, not per proposal of the whole call.
+    only the undecided rest (0.3% of test's proposals) are normalized for the
+    exact cosine, the density and the antipodal test. These are the decisions
+    of the exact test, and only the kept points are divided by their norms,
+    by the same division. A generator's draws and decisions depend on its own
+    proposals alone, so each row and each generator's state afterwards equal
+    a one-generator call bit for bit, whatever else its rounds hold.
 
     Returns the (R, n, 3) samples and the (R,) proposal counts.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = np.empty((len(rngs), n, 3))
-    proposals = np.zeros(len(rngs), dtype=np.int64)
-    rows = max(1, _ROUND_PROPOSALS // max(4 * n, 64))
-    for lo in range(0, len(rngs), rows):
-        hi = min(lo + rows, len(rngs))
-        proposals[lo:hi] = _fill_rows(params, rngs[lo:hi], out[lo:hi])
-    return out, proposals
-
-
-def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
-    """Fills out (R, n, 3) with one sample per generator; returns the proposal counts."""
-    rows, n = out.shape[:2]
+    rows = len(rngs)
+    out = np.empty((rows, n, 3))
     got = np.zeros(rows, dtype=np.int64)
     proposals = np.zeros(rows, dtype=np.int64)
-    # each round holds its (pending, width) proposals in a prefix of these buffers; the first
-    # round fills them whole, so padding never holds unset values
-    z_buffer = np.empty(rows * max(4 * n, 64) * 3)
+    # room for the largest round: the budget, all first chunks if less, or one larger first chunk
+    first = max(4 * n, 64)
+    z_buffer = np.empty(max(first, min(rows * first, _ROUND_PROPOSALS)) * 3)
     u_buffer = np.empty(len(z_buffer) // 3)
     lo, hi = _squeeze_table(params.a, params.concentration)
     to_bin = params.mu * (_COSINE_BINS / 2)
@@ -192,26 +184,27 @@ def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
     while len(pending):
         need = n - got[pending]
         chunks = np.maximum(4 * need, 64)
-        sizes = chunks.tolist()
-        width = max(sizes)
-        z = z_buffer[: len(pending) * width * 3].reshape(len(pending), width, 3)
-        u = u_buffer[: len(pending) * width].reshape(len(pending), width)
-        for j, (r, chunk) in enumerate(zip(pending.tolist(), sizes)):
-            rngs[r].standard_normal(out=z[j, :chunk])
-            rngs[r].random(out=u[j, :chunk])
+        ends = np.cumsum(chunks)
+        # the pending generators whose chunks fit in the budget, and at least one
+        taken = max(1, int(np.searchsorted(ends, _ROUND_PROPOSALS, side="right")))
+        pending, need, chunks, ends = pending[:taken], need[:taken], chunks[:taken], ends[:taken]
+        z = z_buffer[: ends[-1] * 3].reshape(-1, 3)
+        u = u_buffer[: ends[-1]]
+        for r, start, stop in zip(pending.tolist(), (ends - chunks).tolist(), ends.tolist()):
+            rngs[r].standard_normal(out=z[start:stop])
+            rngs[r].random(out=u[start:stop])
         # |z| summed left to right, as np.linalg.norm sums it
-        norms = z[..., 0] * z[..., 0]
-        norms += z[..., 1] * z[..., 1]
-        norms += z[..., 2] * z[..., 2]
+        norms = z[:, 0] * z[:, 0]
+        norms += z[:, 1] * z[:, 1]
+        norms += z[:, 2] * z[:, 2]
         np.sqrt(norms, out=norms)
         # each proposal's cosine bin from its approximate cosine (z . mu) / |z|; u >= hi rejects
         bins = z @ to_bin
         bins /= norms
         bins += _COSINE_BINS / 2
         bins = bins.astype(np.intp)
-        # the surviving proposals as flat indices into the (pending, width) arrays; only a NaN
-        # cosine (a zero draw) falls outside the table, and "clip" sends it to bin 0, where
-        # lo = 0 leaves it to the exact test, which rejects it
+        # the surviving proposals; only a NaN cosine (a zero draw) falls outside the table, and
+        # "clip" sends it to bin 0, where lo = 0 leaves it to the exact test, which rejects it
         cand = np.flatnonzero(u < hi.take(bins, mode="clip"))
         # u < lo accepts; the undecided rest take the exact test on their normalized points
         draws = u.take(cand)
@@ -219,25 +212,23 @@ def _fill_rows(params: RingDensity, rngs, out: np.ndarray) -> np.ndarray:
         undecided = ~accept
         exact = cand[undecided]
         if len(exact):
-            points = np.take(z.reshape(-1, 3), exact, axis=0) / norms.take(exact)[:, None]
+            points = np.take(z, exact, axis=0) / norms.take(exact)[:, None]
             accept[undecided] = _exact_accepts(params, points, draws[undecided])
         cand = cand[accept]
-        j = cand // width
-        if min(sizes) < width:
-            inside = cand - j * width < chunks[j]
-            cand, j = cand[inside], j[inside]
-        # each accepted proposal's place among its row's accepted ones; the first need are kept
-        counts = np.bincount(j, minlength=len(pending))
+        # each accepted proposal's chunk, and its place among its chunk's accepted ones; the
+        # first need are kept
+        j = np.searchsorted(ends, cand, side="right")
+        counts = np.bincount(j, minlength=taken)
         pos = np.arange(len(j)) - (np.cumsum(counts) - counts)[j]
         keep = pos < need[j]
         r = pending[j[keep]]
         cand = cand[keep]
-        points = np.take(z.reshape(-1, 3), cand, axis=0) / norms.take(cand)[:, None]
+        points = np.take(z, cand, axis=0) / norms.take(cand)[:, None]
         out.reshape(-1, 3)[r * n + got[r] + pos[keep]] = points
         got[pending] += np.minimum(need, counts)
         proposals[pending] += chunks
-        pending = pending[got[pending] < n]
-    return proposals
+        pending = np.flatnonzero(got < n)
+    return out, proposals
 
 
 def _exact_accepts(params: RingDensity, pts: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -295,11 +286,13 @@ def spawn_states(seed: int, runs: int) -> np.ndarray:
     spans the runs. A seed of any size is split into 32-bit words as numpy
     splits it. runs must be below 2**32, where a spawn key takes one word.
 
-    Raises ValueError for a negative seed, with numpy's message.
+    Raises ValueError for a negative seed (numpy's message) and for runs >= 2**32.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
+    if runs >= 2**32:
+        raise ValueError(f"runs must be below 2**32, got {runs}")
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     entropy = [np.array([w], dtype=np.uint32) for w in words + [0] * (4 - len(words))]
     entropy.append(np.arange(runs, dtype=np.uint32))

@@ -158,6 +158,21 @@ def test_test_command_validation(tmp_path):
     assert main(base + ["--runs", "2", "--q", "1,2"]) == 2
 
 
+def test_test_runs_beyond_one_spawn_key_word_exit_2_before_allocating(tmp_path, capsys):
+    # the run keys were one (runs,) uint32 array: a MemoryError here, or wrong keys with 16 GB
+    out = tmp_path / "never"
+    tracemalloc.start()
+    try:
+        code = main(["test", "--a1", "0.2", "--a2", "0.3", "--q", "0,0,1", "--runs", str(2**32),
+                     "--seed", "0", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1e6
+    assert capsys.readouterr().err == "usage error: runs must be below 2**32, got 4294967296\n"
+    assert not out.exists()
+
+
 def test_scan_sorted_by_criterion(tmp_path):
     out = tmp_path / "sc"
     code = main(["scan", "--a1", "0.2", "--a2", "0.5", "--m1", "15",

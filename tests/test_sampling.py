@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -251,17 +252,66 @@ def test_rejection_sample_rows_equal_the_looped_sampler(a, concentration, n, row
         assert gens[r].random() == rng.random()
 
 
-@pytest.mark.parametrize("n", [1, 20, 60])
-def test_rejection_sample_rows_split_into_passes_equal_the_looped_sampler(monkeypatch, n):
-    # a small round budget gives several passes, down to one row per pass at n = 60
-    monkeypatch.setattr(sampling, "_ROUND_PROPOSALS", 200)
+class _LoggedGenerator:
+    """Draws from rng and logs (row, buffer address, size) of each normal chunk it draws."""
+
+    def __init__(self, rng, row, log):
+        self.rng, self.row, self.log = rng, row, log
+
+    def standard_normal(self, out):
+        self.log.append((self.row, out.ctypes.data, len(out)))
+        return self.rng.standard_normal(out=out)
+
+    def random(self, out):
+        return self.rng.random(out=out)
+
+
+@pytest.mark.parametrize("n, budget, mixes", [
+    # a small round budget gives several rounds, down to one generator per round at n = 60
+    pytest.param(1, 200, False, id="1"),
+    pytest.param(20, 200, True, id="20"),
+    pytest.param(60, 200, False, id="60"),
+    # the second round holds generator 0 on its second chunk next to 3 and 4 on their first
+    pytest.param(20, 300, True, id="mixed"),
+    # every first chunk of 1,000 proposals alone exceeds the budget
+    pytest.param(250, 200, False, id="oversized"),
+])
+def test_rejection_sample_rows_split_into_rounds_equal_the_looped_sampler(monkeypatch, n, budget,
+                                                                          mixes):
+    monkeypatch.setattr(sampling, "_ROUND_PROPOSALS", budget)
     params = RingDensity(a=0.5, mu=[0.0, 0.4, 1.0], concentration="squared")
     seeds = np.random.SeedSequence(9).spawn(9)
-    points, proposals = rejection_sample_rows(params, n, [np.random.default_rng(s) for s in seeds])
+    log = []
+    gens = [_LoggedGenerator(np.random.default_rng(s), r, log) for r, s in enumerate(seeds)]
+    points, proposals = rejection_sample_rows(params, n, gens)
     for r, s in enumerate(seeds):
         expected, count = _looped_sample(params, n, np.random.default_rng(s))
         npt.assert_array_equal(points[r], expected)
         assert proposals[r] == count
+    # a round draws its first chunk at the start of the buffer; it holds one chunk or chunks
+    # within the budget, and mixes generators on different chunks of their own only if expected
+    rows = [row for row, _, _ in log]
+    stages = [rows[:i].count(row) for i, row in enumerate(rows)]
+    starts = [i for i, (_, address, _) in enumerate(log) if address == log[0][1]] + [len(log)]
+    rounds = [range(a, b) for a, b in zip(starts, starts[1:])]
+    assert all(len(rd) == 1 or sum(log[i][2] for i in rd) <= budget for rd in rounds)
+    assert any(len({stages[i] for i in rd}) > 1 for rd in rounds) == mixes
+
+
+@pytest.mark.parametrize("rows, n", [(200, 50), (2000, 50), (1, 3000)])
+def test_rejection_sample_rows_working_memory_does_not_grow_with_the_generators(rows, n):
+    # a round's buffers hold at most one round's budget of proposals, or one larger first chunk
+    params = RingDensity(0.2)
+    sampling._squeeze_table(params.a, params.concentration)
+    gens = state_generators(spawn_states(3, rows))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        points, _ = rejection_sample_rows(params, n, gens)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - points.nbytes < 2e6
 
 
 def _exact_density(params, cosines):
@@ -393,3 +443,9 @@ def test_spawn_states_rejects_a_negative_seed_with_numpys_message():
     with pytest.raises(ValueError) as ours:
         spawn_states(-1, 3)
     assert str(ours.value) == str(numpys.value) == "expected non-negative integer"
+
+
+def test_spawn_states_rejects_runs_whose_keys_take_two_words():
+    # numpy spawns keys of 2**32 and up as two words; the check comes before any array
+    with pytest.raises(ValueError, match="runs must be below 2"):
+        spawn_states(0, 2**32)
