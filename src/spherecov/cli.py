@@ -117,8 +117,7 @@ def cmd_sample(args) -> int:
         out, "sample",
         {"a": args.a, "mu": args.mu, "n": args.n,
          "concentration": args.concentration, "format": args.format},
-        seed, [path.name],
-        stats={"acceptance_rate": args.n / proposals, "proposals": proposals},
+        seed, [path.name], stats=_sampler_stats(args.n, proposals),
     )
     return 0
 
@@ -137,12 +136,11 @@ def _read_sample(path, flag: str) -> np.ndarray:
 
 
 def _sample_source(args):
-    """Returns (draw_rows, stochastic, description dict, tally, sizes).
+    """Returns (draw_rows, stochastic, description dict, sizes).
 
     draw_rows(rngs) gives one run per generator as stacks (R, m1, 3) and
-    (R, m2, 3); each generator draws s1, then s2. In generator mode tally
-    counts the points drawn and the sampler proposals made for them; in file
-    mode it is None. sizes is (m1, m2).
+    (R, m2, 3), and the sampler proposals made for them, 0 in file mode; each
+    generator draws s1, then s2. sizes is (m1, m2).
     """
     file_mode = args.sample1 is not None or args.sample2 is not None
     if file_mode:
@@ -153,9 +151,9 @@ def _sample_source(args):
 
         def draw_files(rngs):
             return (np.broadcast_to(s1, (len(rngs),) + s1.shape),
-                    np.broadcast_to(s2, (len(rngs),) + s2.shape))
+                    np.broadcast_to(s2, (len(rngs),) + s2.shape), 0)
 
-        return draw_files, False, desc, None, (len(s1), len(s2))
+        return draw_files, False, desc, (len(s1), len(s2))
     if args.a1 is None or args.a2 is None:
         raise ValueError("give --sample1/--sample2 files or --a1/--a2 generator parameters")
     p1 = _ring_params(args.a1, args.mu1, args.concentration)
@@ -164,25 +162,21 @@ def _sample_source(args):
     m2 = args.m2 if args.m2 is not None else m1
     if m1 <= 0 or m2 <= 0:
         raise ValueError("sample sizes must be positive")
-    tally = {"points": 0, "proposals": 0}
 
     def draw_rows(rngs):
         s1, n1 = rejection_sample_rows(p1, m1, rngs)
         s2, n2 = rejection_sample_rows(p2, m2, rngs)
-        tally["points"] += len(rngs) * (m1 + m2)
-        tally["proposals"] += int(n1.sum() + n2.sum())
-        return s1, s2
+        return s1, s2, int(n1.sum() + n2.sum())
 
     desc = {"a1": args.a1, "a2": args.a2, "mu1": args.mu1, "mu2": args.mu2,
             "m1": m1, "m2": m2, "concentration": args.concentration}
-    return draw_rows, True, desc, tally, (m1, m2)
+    return draw_rows, True, desc, (m1, m2)
 
 
-def _sampler_stats(tally) -> dict:
-    if tally is None:
-        return {}
-    return {"acceptance_rate": tally["points"] / tally["proposals"],
-            "proposals": tally["proposals"]}
+def _sampler_stats(points: int, proposals: int) -> dict:
+    """The manifest's sampler entries for points drawn from proposals; none for 0 proposals,
+    where the points come from files."""
+    return {"acceptance_rate": points / proposals, "proposals": proposals} if proposals else {}
 
 
 def _fixed_q(args):
@@ -211,35 +205,6 @@ def _resolve_q(args, rng, s1, s2, fixed):
     return _tr2_pick(rng, args.grid, s1, s2, np.argmax)
 
 
-def _run_blocks(args, states, draw_rows, fixed, size: int):
-    """(q, s1, s2) blocks of up to size consecutive runs, one per row of spawn_states'
-    words (states is None in file mode with a fixed q, where no run draws).
-
-    A run whose q cannot be drawn raises once the earlier runs of its block
-    are yielded, so they are tested first, as in run order.
-    """
-    for start in range(0, args.runs, size):
-        stop = min(start + size, args.runs)
-        # every generator draws s1, then s2, then its q: the order of a run drawn alone
-        rngs = [None] * (stop - start) if states is None else state_generators(states[start:stop])
-        s1, s2 = draw_rows(rngs)
-        qs, failure = [], None
-        for r, rng in enumerate(rngs):
-            try:
-                qs.append(_resolve_q(args, rng, s1[r], s2[r], fixed))
-            except SphereCovError as exc:
-                failure = exc
-                break
-        if qs:
-            n, q = len(qs), np.stack(qs)
-            if args.rotate2 is not None:
-                s2 = np.stack([rotate_points(p, c, args.rotate2) for p, c in zip(s2, q)])
-            yield q, s1[:n], s2[:n]
-            del s1, s2  # so the block's samples are freed before the next one is drawn
-        if failure is not None:
-            raise failure
-
-
 def _rank_test_stats(counts: list) -> dict:
     """The manifest's rank_tests entry from the blocks' (exact, all) test counts."""
     exact, tested = np.sum(counts, axis=0).tolist()
@@ -257,36 +222,60 @@ def _joined(parts: list) -> list:
     return [np.hstack(fields.pop(0)) for _ in range(len(fields))]
 
 
-def _tested_runs(blocks, alpha: float) -> tuple:
-    """q.T (3, R), the T/W values and blank mask (8, R) and the rank_tests stats of the
-    test runs in (q, samples1, samples2) blocks; the first failure ends the test, named by
-    its run, once the runs before it are tested (a block whose projection pass fails is
-    tested again run by run)."""
-    columns, counts, done = [], [], 0
+def _tested_runs(args, states, draw_rows, fixed, size: int) -> tuple:
+    """q.T (3, R), the T/W values and blank mask (8, R), the rank_tests stats and the sampler
+    proposals of the test runs, drawn and tested in blocks of up to size consecutive runs, one
+    per row of spawn_states' words (states is None in file mode with a fixed q, where no run
+    draws).
+
+    The first failure ends the test, named by its run, once the runs before it are tested: a
+    block whose projection pass fails is tested again run by run, and a run whose q cannot be
+    drawn fails after the earlier runs of its block.
+    """
+    columns, counts, done, proposals = [], [], 0, 0
     try:
-        for q, s1, s2 in blocks:
+        for start in range(0, args.runs, size):
+            # every generator draws s1, then s2, then its q: the order of a run drawn alone
+            rngs = (state_generators(states[start:start + size]) if states is not None
+                    else [None] * min(size, args.runs - start))
+            s1, s2, drawn = draw_rows(rngs)
+            proposals += drawn
+            qs, failure = [], None
             try:
-                tested = [_block(q, s1, s2, alpha)]
-            except SphereCovError:
-                tested = (_block(*(a[r:r + 1] for a in (q, s1, s2)), alpha) for r in range(len(q)))
-            for block in tested:
-                bad = np.flatnonzero(np.not_equal(block.errors, None))
-                if len(bad):
-                    done += int(bad[0])
-                    # the message of the run's first degenerate procedure
-                    raise TooFewPairsError(next(filter(None, (
-                        p.error(bad[0]) for p in block.procedures if p is not None))))
-                columns.append((block.q.T, block.values, block.blank))
-                counts.append(block.counts)
-                done += len(block.q)
-            del q, s1, s2, tested, block  # freed before the next block is drawn
+                for r, rng in enumerate(rngs):
+                    qs.append(_resolve_q(args, rng, s1[r], s2[r], fixed))
+            except SphereCovError as exc:
+                failure = exc
+            if qs:
+                q, s1, s2 = np.stack(qs), s1[:len(qs)], s2[:len(qs)]
+                if args.rotate2 is not None:
+                    s2 = np.stack([rotate_points(p, c, args.rotate2) for p, c in zip(s2, q)])
+                try:
+                    tested = [_block(q, s1, s2, args.alpha)]
+                except SphereCovError:
+                    tested = (_block(*(a[r:r + 1] for a in (q, s1, s2)), args.alpha)
+                              for r in range(len(q)))
+                for block in tested:
+                    bad = np.flatnonzero(np.not_equal(block.errors, None))
+                    if len(bad):
+                        done += int(bad[0])
+                        # the message of the run's first degenerate procedure
+                        raise TooFewPairsError(next(filter(None, (
+                            p.error(bad[0]) for p in block.procedures if p is not None))))
+                    columns.append((block.q.T, block.values, block.blank))
+                    counts.append(block.counts)
+                    done += len(block.q)
+                del q, tested, block
+            if failure is not None:
+                raise failure
+            del s1, s2  # so the block's samples are freed before the next one is drawn
     except SphereCovError as exc:
         raise type(exc)(f"run {done}: {exc}") from exc
-    return (*_joined(columns), _rank_test_stats(counts))
+    return (*_joined(columns), _rank_test_stats(counts), proposals)
 
 
 def cmd_test(args) -> int:
-    draw_rows, stochastic, desc, tally, sizes = _sample_source(args)
+    draw_rows, stochastic, desc, sizes = _sample_source(args)
     stochastic = stochastic or args.q_mode != "fixed"
     seed = _require_seed(args, "the run is stochastic") if stochastic else args.seed
     if args.runs <= 0:
@@ -299,8 +288,8 @@ def cmd_test(args) -> int:
     # run r draws from the generator of SeedSequence(seed).spawn(runs)[r]
     states = spawn_states(seed, args.runs) if stochastic else None
 
-    q, values, blank, methods = _tested_runs(
-        _run_blocks(args, states, draw_rows, fixed, _block_rows(*sizes)), args.alpha)
+    q, values, blank, methods, proposals = _tested_runs(
+        args, states, draw_rows, fixed, _block_rows(*sizes))
     out = _out_dir(args)
     columns = {"run": np.arange(args.runs), **dict(zip(("qx", "qy", "qz"), q)),
                **dict(zip(_PROCEDURE_COLUMNS, zip(values, blank)))}
@@ -314,7 +303,8 @@ def cmd_test(args) -> int:
     summary_path = io.write_json(out / "summary.json", summary)
 
     # a run with too few nonzero differences ends the command, so none is left
-    stats = {"rank_tests": methods, "degenerate_rows": 0, **_sampler_stats(tally)}
+    stats = {"rank_tests": methods, "degenerate_rows": 0,
+             **_sampler_stats(args.runs * sum(sizes), proposals)}
     params = dict(desc, q=args.q, q_mode=args.q_mode, grid=args.grid,
                   rotate2=args.rotate2, runs=args.runs, alpha=args.alpha,
                   format=args.format)
@@ -326,12 +316,12 @@ def cmd_test(args) -> int:
 # ------------------------------------------------------------------ scan ---
 
 def cmd_scan(args) -> int:
-    draw_rows, _, desc, tally, _ = _sample_source(args)
+    draw_rows, _, desc, sizes = _sample_source(args)
     seed = _require_seed(args, "the candidate grid is random")
     _require_grid(args)
     _require_alpha(args)
     rng = np.random.default_rng(seed)
-    s1, s2 = (s[0] for s in draw_rows([rng]))
+    (s1,), (s2,), proposals = draw_rows([rng])
     grid = uniform_sample(rng, args.grid)
     parts, counts = [], []
     for block in (_block(*rows, args.alpha) for rows in _candidate_blocks(grid, s1, s2)):
@@ -353,7 +343,8 @@ def cmd_scan(args) -> int:
                "det_area_positive": area_pos, "det_area_negative": 1.0 - area_pos}
     summary_path = io.write_json(out / "summary.json", summary)
     stats = {"rank_tests": _rank_test_stats(counts),
-             "degenerate_rows": sum(e is not None for e in errors), **_sampler_stats(tally)}
+             "degenerate_rows": sum(e is not None for e in errors),
+             **_sampler_stats(sum(sizes), proposals)}
     params = dict(desc, grid=args.grid, criterion=args.criterion,
                   alpha=args.alpha, format=args.format)
     io.write_run_manifest(out, "scan", params, seed,
@@ -364,7 +355,7 @@ def cmd_scan(args) -> int:
 # --------------------------------------------------------------- profile ---
 
 def cmd_profile(args) -> int:
-    draw_rows, stochastic, desc, _, _ = _sample_source(args)
+    draw_rows, stochastic, desc, _ = _sample_source(args)
     needs_rng = stochastic or args.q_extreme is not None
     seed = _require_seed(args, "the run is stochastic") if needs_rng else args.seed
     if args.q_extreme is not None:
@@ -372,7 +363,7 @@ def cmd_profile(args) -> int:
     if args.dirs < 3:
         raise ValueError("--dirs must be at least 3")
     rng = np.random.default_rng(seed) if needs_rng else None
-    s1, s2 = (s[0] for s in draw_rows([rng]))
+    (s1,), (s2,), _ = draw_rows([rng])
     if args.q_extreme is not None:
         q = _tr2_pick(rng, args.grid, s1, s2, np.argmin if args.q_extreme == "min" else np.argmax)
     elif args.q is not None:

@@ -241,7 +241,8 @@ def _objective_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
     """H at each row of F (n, k) and the mask of rows where it is defined."""
     alpha = problem.alpha
     if problem.invariant == "trdif":
-        resid = (F @ kernels.K)[:, None, :] - kernels.c_tr  # (n, m, k_obs)
+        # one product per row: a plain F @ K rounds each row by the size of the batch
+        resid = F[:, None, :] @ kernels.K - kernels.c_tr  # (n, m, k_obs)
         return (resid ** 2).sum(axis=2) @ alpha, np.ones(len(F), dtype=bool)
     lam = _eigvals2(_field_rows(F, kernels))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -254,8 +255,8 @@ def _gradient_rows(F, problem: InterpProblem, kernels: PrecomputedKernels):
     d tr ln^2(M) = tr(2 ln(M) M^-1 dM), d (tr M - ln|M|) = tr((I - M^-1) dM)."""
     alpha = problem.alpha
     if problem.invariant == "trdif":
-        resid = (F @ kernels.K)[:, None, :] - kernels.c_tr
-        return 2.0 * (alpha @ resid) @ kernels.K.T, np.ones(len(F), dtype=bool)
+        resid = F[:, None, :] @ kernels.K - kernels.c_tr
+        return 2.0 * ((alpha @ resid)[:, None, :] @ kernels.K.T)[:, 0], np.ones(len(F), dtype=bool)
     phi = (lambda x: 2.0 * np.log(x) / x) if problem.invariant == "trln2" else (lambda x: 1.0 - 1.0 / x)
     d, lam_min = _matrix_function(_field_rows(F, kernels), phi)
     pd = _pd_rows(lam_min)

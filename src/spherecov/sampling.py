@@ -152,8 +152,9 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
     random(chunk). A proposal is accepted with probability equal to the
     unnormalized density; antipodal proposals (measure zero up to the
     antipodal tolerance) are always rejected. The first accepted points, in
-    proposal order, fill the row. A round takes pending generators, in order,
-    while their chunks fit in _ROUND_PROPOSALS (at least one), lays the chunks
+    proposal order, fill the row. A round takes waiting generators, in order,
+    while their chunks fit in _ROUND_PROPOSALS (at least one), looking at no
+    more than _ROUND_PROPOSALS // 64 + 1 of them, lays the chunks
     end to end in one buffer and runs the arithmetic once for all of them,
     with |z| summed in the order np.linalg.norm sums it; so the working
     memory is about 0.1 KB per proposal of a round, not of the whole call.
@@ -180,14 +181,18 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
     u_buffer = np.empty(len(z_buffer) // 3)
     lo, hi = _squeeze_table(params.a, params.concentration)
     to_bin = params.mu * (_COSINE_BINS / 2)
-    pending = np.arange(rows)
-    while len(pending):
-        need = n - got[pending]
+    # the waiting generators, in order: those carried over from earlier rounds, then fresh on
+    carried, fresh = np.empty(0, dtype=np.intp), 0
+    while len(carried) or fresh < rows:
+        # every chunk holds at least 64 proposals, so no round takes more generators than these
+        top = min(fresh + _ROUND_PROPOSALS // 64 + 1 - len(carried), rows)
+        head, fresh = np.concatenate((carried, np.arange(fresh, top))), top
+        need = n - got[head]
         chunks = np.maximum(4 * need, 64)
         ends = np.cumsum(chunks)
-        # the pending generators whose chunks fit in the budget, and at least one
+        # the waiting generators whose chunks fit in the budget, and at least one
         taken = max(1, int(np.searchsorted(ends, _ROUND_PROPOSALS, side="right")))
-        pending, need, chunks, ends = pending[:taken], need[:taken], chunks[:taken], ends[:taken]
+        pending, need, chunks, ends = head[:taken], need[:taken], chunks[:taken], ends[:taken]
         z = z_buffer[: ends[-1] * 3].reshape(-1, 3)
         u = u_buffer[: ends[-1]]
         for r, start, stop in zip(pending.tolist(), (ends - chunks).tolist(), ends.tolist()):
@@ -227,7 +232,7 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
         out.reshape(-1, 3)[r * n + got[r] + pos[keep]] = points
         got[pending] += np.minimum(need, counts)
         proposals[pending] += chunks
-        pending = np.flatnonzero(got < n)
+        carried = np.concatenate((pending[got[pending] < n], head[taken:]))
     return out, proposals
 
 

@@ -22,7 +22,10 @@ from spherecov import (
     observation_scan,
     random_pmfs,
     rejection_sample,
+    rejection_sample_rows,
     rotate_points,
+    spawn_states,
+    state_generators,
     tr2_scores,
     uniform_sample,
     unit_point,
@@ -783,24 +786,34 @@ def test_test_block_names_the_first_failing_run():
 
     def run():
         return (unit_points(q + 0.3 * local.normal(size=(12, 3))),
-                unit_points(q + 0.4 * local.normal(size=(12, 3))), q)
+                unit_points(q + 0.4 * local.normal(size=(12, 3))))
 
-    def block(runs):
-        s1, s2, qs = map(np.stack, zip(*runs))
-        return qs, s1, s2
-
+    first = [run() for _ in range(10)]
     drawn = [run() for _ in range(5)]
-    # ten good runs in a block before, so the failing block starts at run 10
-    first = block([run() for _ in range(10)])
+
+    def tested_runs():
+        # blocks of ten runs at the fixed q, drawn by a stub in place of the sampler, so the
+        # second block starts at run 10
+        blocks = iter([first, drawn])
+
+        def draw_rows(rngs):
+            s1, s2 = map(np.stack, zip(*next(blocks)))
+            assert len(rngs) == len(s1)
+            return s1, s2, 0
+
+        args = cli.build_parser().parse_args(["test", "--q", "0,0,1", "--runs", "15"])
+        return cli._tested_runs(args, None, draw_rows, q, 10)
+
+    assert tested_runs()[0].shape == (3, 15)
     antipodal = drawn[3][0].copy()
     antipodal[4] = -q
-    drawn[3] = (antipodal, drawn[3][1], q)
+    drawn[3] = (antipodal, drawn[3][1])
     with pytest.raises(AntipodalPointError, match="^run 13: log map undefined"):
-        cli._tested_runs([first, block(drawn)], 0.05)
+        tested_runs()
     # an earlier degenerate run is reported before the antipodal one
-    drawn[1] = (drawn[1][0], drawn[1][0], q)
+    drawn[1] = (drawn[1][0], drawn[1][0])
     with pytest.raises(TooFewPairsError, match="^run 11: 0 nonzero differences"):
-        cli._tested_runs([first, block(drawn)], 0.05)
+        tested_runs()
 
 
 @pytest.mark.parametrize("same, runs, failing_draw, message", [
@@ -1142,6 +1155,43 @@ def test_test_and_scan_manifests_carry_stats(tmp_path):
                  "--seed", "2", "--out", str(out)]) == 0
     stats = read_json(out / "run.json")["stats"]
     assert stats == {"rank_tests": {"exact": 0, "normal_approx": 3 * 4}, "degenerate_rows": 4}
+
+
+def test_sampler_stats_equal_the_samplers_counts(tmp_path):
+    # 130 runs at m = 50 span two blocks of 128; each run's generator draws s1, then s2
+    p1, p2 = RingDensity(0.2), RingDensity(0.3)
+    out = tmp_path / "t"
+    assert main(["test", "--a1", "0.2", "--a2", "0.3", "--m1", "50", "--q", "0,0,1",
+                 "--runs", "130", "--seed", "4", "--out", str(out)]) == 0
+    rngs = state_generators(spawn_states(4, 130))
+    proposals = sum(int(rejection_sample_rows(p, 50, rngs)[1].sum()) for p in (p1, p2))
+    stats = read_json(out / "run.json")["stats"]
+    assert (stats["proposals"], stats["acceptance_rate"]) == (proposals, 130 * 100 / proposals)
+
+    out = tmp_path / "s"
+    assert main(["scan", "--a1", "0.2", "--a2", "0.3", "--m1", "20", "--m2", "30",
+                 "--grid", "30", "--seed", "5", "--out", str(out)]) == 0
+    rng = np.random.default_rng(5)
+    proposals = sum(int(rejection_sample_rows(p, m, [rng])[1].sum()) for p, m in ((p1, 20), (p2, 30)))
+    stats = read_json(out / "run.json")["stats"]
+    assert (stats["proposals"], stats["acceptance_rate"]) == (proposals, 50 / proposals)
+
+
+def test_file_mode_writes_no_sampler_stats(tmp_path):
+    paths = []
+    for name, a, seed in (("a", "0.2", "1"), ("b", "0.3", "2")):
+        assert main(["sample", "--a", a, "--n", "30", "--seed", seed,
+                     "--out", str(tmp_path / name)]) == 0
+        paths.append(str(tmp_path / name / "points.csv"))
+    files = ["--sample1", paths[0], "--sample2", paths[1]]
+    for argv in (["test", *files, "--q", "0,0,1", "--runs", "3"],
+                 ["test", *files, "--q-mode", "uniform", "--runs", "3", "--seed", "2"],
+                 ["scan", *files, "--grid", "5", "--seed", "2"]):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        stats = read_json(out / "run.json")["stats"]
+        assert "proposals" not in stats and "acceptance_rate" not in stats, argv
+        assert "rank_tests" in stats
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -1112,11 +1112,10 @@ def test_line_search_gives_every_solve_the_four_halving_rounds_bits(case, monkey
 
 @pytest.mark.parametrize("invariant, k", [
     ("trdif", 6), ("trln2", 6), ("lik", 6), ("trln2", 50), ("lik", 50),
-    # trdif's F @ K at k = 50 goes through a BLAS matrix product whose rows
-    # round by the batch size (row 0 one way up to 24 rows and another from
-    # 25) and by their place in it (row 2 of 3), so its multi-start solves
-    # there move by ulps with the size of a search call
-    pytest.param("trdif", 50, marks=pytest.mark.xfail(reason="trdif's F @ K rounds by batch size")),
+    # a plain F @ K at k = 50 is a BLAS matrix product whose rows round by the
+    # batch size (row 0 one way up to 24 rows and another from 25) and by their
+    # place in it (row 2 of 3); trdif takes one product per row
+    ("trdif", 50),
 ])
 def test_row_kernels_give_each_row_its_bits_in_any_batch_of_two_or_more(invariant, k):
     # The line search evaluates a lone trial point as a two-row batch and
