@@ -45,6 +45,36 @@ ANTIPODAL_EPS = 1e-9
 _ANTIPODAL_DIST = float(np.arccos(-1.0 + ANTIPODAL_EPS))
 
 
+def _norm(v) -> np.ndarray:
+    """|v| over the last axis of 3-vectors, with the bits of np.linalg.norm(v, axis=-1).
+
+    The squares are summed left to right, as np.linalg.norm sums them; one
+    (3,) point gives a scalar.
+    """
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    s = x * x
+    s += y * y
+    s += z * z
+    return np.sqrt(s)
+
+
+def _cross(a, b) -> np.ndarray:
+    """a x b over the last axis of broadcastable 3-vector arrays, with the bits of np.cross(a, b).
+
+    Each component is a product minus a product, as np.cross forms it, made
+    in two reused buffers and written into the interleaved result.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    left, right = np.empty(out.shape[:-1]), np.empty(out.shape[:-1])
+    for k, (w, x, y, z) in enumerate(((a1, b2, a2, b1), (a2, b0, a0, b2), (a0, b1, a1, b0))):
+        np.multiply(w, x, out=left)
+        np.multiply(y, z, out=right)
+        np.subtract(left, right, out=out[..., k])
+    return out
+
+
 def unit_point(p) -> np.ndarray:
     """Return p as a unit 3-vector, renormalizing if needed."""
     p = np.asarray(p, dtype=float)
@@ -58,7 +88,7 @@ def unit_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim < 2 or pts.shape[-1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {pts.shape}")
-    norms = np.linalg.norm(pts, axis=-1)
+    norms = _norm(pts)
     if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
         raise ValueError("cannot normalize zero or non-finite rows")
     return pts / norms[..., None]
@@ -108,8 +138,8 @@ def _frame_axes(q):
     """(e1, e2) of the deterministic frame at each unit base point in q."""
     axis = (np.arange(3) == np.argmin(np.abs(q), axis=-1)[..., None]).astype(float)
     e1 = axis - np.sum(axis * q, axis=-1, keepdims=True) * q
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    return e1, np.cross(q, e1)
+    e1 /= _norm(e1)[..., None]
+    return e1, _cross(q, e1)
 
 
 def tangent_frame(q) -> TangentFrame:
@@ -139,13 +169,13 @@ def _cross_dot(q, pts):
     one (k, 3) @ (3, n) product would round differently in some rows.
     """
     c = (q[..., None, :] @ np.swapaxes(pts, -1, -2))[..., 0, :]
-    return np.cross(q[..., None, :], pts), c
+    return _cross(q[..., None, :], pts), c
 
 
 def _geodesics(q, pts):
     """q x p, |q x p| and the distance atan2(|q x p|, <q, p>) for unit base points q (see _cross_dot)."""
     cross, c = _cross_dot(q, pts)
-    s = np.linalg.norm(cross, axis=-1)
+    s = _norm(cross)
     return cross, s, np.arctan2(s, c)
 
 
@@ -255,7 +285,7 @@ def uniform_sample(rng: np.random.Generator, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be at least 1")
     z = rng.standard_normal((n, 3))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    return z / _norm(z)[:, None]
 
 
 def geographic_metric(theta: float) -> np.ndarray:

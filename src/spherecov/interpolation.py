@@ -41,6 +41,7 @@ Y_j^s above, so logs and inverses stay symmetric in floating point.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -581,7 +582,12 @@ def _descend(problem, kernels, starts, max_iter, tol, record_trace) -> _Descent:
     return _Descent(f, obj, iterations, converged, reasons, traces, trips, searched, rounds)
 
 
-def _starts(problem, restarts, rng):
+def _starts(problem, restarts, seed):
+    """The linear, square-root and uniform starts, then Dirichlet draws seeded by seed.
+
+    Only the draws need a generator, so fewer than four starts leave
+    numpy.random unloaded.
+    """
     linear = linear_interp(problem.alpha, problem.endpoints)
     try:
         root = sqroot_interp(problem.alpha, problem.endpoints)
@@ -590,7 +596,7 @@ def _starts(problem, restarts, rng):
     named = [linear, root, np.full(problem.k, 1.0 / problem.k)]
     starts = named[:restarts]
     if restarts > len(named):
-        starts.extend(random_pmfs(rng, problem.k, restarts - len(named)))
+        starts.extend(random_pmfs(np.random.default_rng(seed), problem.k, restarts - len(named)))
     return starts
 
 
@@ -625,8 +631,8 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
     dropped.
 
     Raises:
-        ValueError: restarts below 1, max_iter below 0, or a tol that is
-            negative or not finite (no stop test could pass).
+        ValueError: restarts below 1, max_iter below 0, a negative seed, or
+            a tol that is negative or not finite (no stop test could pass).
         NotPositiveDefiniteError: every start meets a singular operator.
     """
     if kernels is None:
@@ -639,8 +645,10 @@ def solve(problem: InterpProblem, kernels: PrecomputedKernels | None = None, *,
         raise ValueError("max_iter must be at least 0")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError("tol must be finite and at least 0")
-    rng = np.random.default_rng(seed)
-    starts = _starts(problem, restarts, rng)
+    # numpy's check and message, for every restart count
+    if operator.index(seed) < 0:
+        raise ValueError("expected non-negative integer")
+    starts = _starts(problem, restarts, seed)
     if f0 is not None:
         starts.insert(0, f0)
     run = _descend(problem, kernels, starts, max_iter, tol, record_trace)

@@ -6,10 +6,12 @@ midranks for ties and report two-sided p-values, and the signed-rank test
 drops exact zeros. The signed-rank null distribution is computed exactly (by
 the subset-sum recursion over doubled ranks) up to 25 effective pairs and by
 a tie-corrected normal approximation with continuity correction beyond that.
-A call groups its exact rows by their null (zero count and doubled ranks),
-with one cached lookup and one gather of p-values per group: all tie-free rows
-of one size share one recursion and one lookup. The rank-sum test always uses
-the normal approximation.
+A call groups its exact rows by their null, with one cached lookup and one
+gather of p-values per group: a tie-free row's doubled ranks are 2, 4, ...,
+2n, so those rows are grouped by their size n alone, and tied rows by their
+zero count and doubled ranks. The rank-sum test always uses the normal
+approximation. The twosample procedures prepare their three tests apart and
+take the normal tails of all three from one call (_normal_tails).
 
 signed_rank_rows and rank_sum_rows flag rows with too few observations in a
 per-row mask; the scalar signed_rank and rank_sum test one row and raise
@@ -163,38 +165,54 @@ def _norm_sf(z) -> np.ndarray:
     """Upper tails P(N(0, 1) > z) at each element of z >= 0, as scipy.stats.norm.sf gives them.
 
     Above z = 37.677 scipy returns 0, and this keeps the subnormal tail. Each
-    ndtr branch runs over its elements in the scalar operation order.
+    ndtr branch runs over its elements in the scalar operation order, and a
+    branch without elements is skipped (z >= 11.3 is rare in practice).
     exp is math.exp per element: np.exp may differ from libm by an ulp.
     """
     x = np.asarray(z, dtype=float) * _SQRT_HALF
     sf = np.empty_like(x)
     small = x < 1.0
-    xs = x[small]
-    zz = xs * xs
-    erf = xs * _horner(zz, _ERF_T) / _horner(zz, _ERF_U)
-    sf[small] = np.where(xs < _SQRT_HALF, 0.5 - 0.5 * erf, 0.5 * (1.0 - erf))
+    if small.any():
+        xs = x[small]
+        zz = xs * xs
+        erf = xs * _horner(zz, _ERF_T) / _horner(zz, _ERF_U)
+        sf[small] = np.where(xs < _SQRT_HALF, 0.5 - 0.5 * erf, 0.5 * (1.0 - erf))
     mid = x < 8.0
     for sel, p, q in ((~small & mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
+        if not sel.any():
+            continue
         xt = x[sel]
         e = np.fromiter(map(math.exp, (-xt * xt).tolist()), float, len(xt))
         sf[sel] = 0.5 * (e * _horner(xt, p) / _horner(xt, q))
     return sf
 
 
-def _two_sided_normal(stat, mean, var, normal) -> np.ndarray:
-    """Continuity-corrected two-sided normal p-values at the rows in mask normal.
+def _normal_tails(pending) -> list:
+    """The RankTestBatch of each pending test, its normal rows' p-values filled in.
 
-    Rows with var <= 0 (all observations tied) get p = 1; every other row
-    takes its tail from _norm_sf, so p-values equal scipy's bit for bit.
+    A pending test is (batch, mean, var): batch.p_value holds the exact rows'
+    p-values and NaN elsewhere, and every row neither exact nor too_few takes
+    the continuity-corrected two-sided normal p-value of (statistic - mean) /
+    sqrt(var): 1 where var <= 0 (all observations tied), else its tail from
+    _norm_sf, so p-values equal scipy's bit for bit. The tests share one
+    batch shape and are stacked, so a whole procedure takes one pass of
+    _norm_sf, with the bits of one call per test (every step is elementwise).
     """
+    batches, means, variances = zip(*pending)
+    shape = batches[0].statistic.shape
+    p = np.stack([b.p_value for b in batches])
+    stat = np.stack([b.statistic for b in batches])
+    mean = np.stack([np.broadcast_to(m, shape) for m in means])
+    var = np.stack([np.broadcast_to(v, shape) for v in variances])
+    normal = np.stack([~(b.exact | b.too_few) for b in batches])
     positive = var > 0.0
     zstat = np.maximum(np.abs(stat - mean) - 0.5, 0.0) / np.sqrt(np.where(positive, var, 1.0))
-    p = np.where(normal, 1.0, np.nan)
+    p[normal] = 1.0
     tested = normal & positive
     if tested.any():  # an exact signed-rank call often has none
         tail = 2.0 * _norm_sf(zstat[tested])
         p[tested] = np.where(tail < 1.0, tail, 1.0)  # min(1.0, tail), NaN included
-    return p
+    return [b._replace(p_value=p[i, ...]) for i, b in enumerate(batches)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -229,10 +247,8 @@ def signed_rank_exact_cdf(ranks) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(cdf)) / 2.0, cdf.copy()
 
 
-# signed_rank and rank_sum call these kernels directly, not through the public
-# *_rows functions, so that a traced one-row test keeps midranks as its first
-# child span (perfbench/tracer.py).
-def _signed_rank_rows(z, min_pairs: int) -> RankTestBatch:
+def _signed_rank_pending(z, min_pairs: int = 5) -> tuple:
+    """The signed-rank tests of the rows of z as a pending test (see _normal_tails)."""
     z = np.asarray(z, dtype=float)
     nonzero = z != 0.0
     zeros = z.shape[-1] - np.count_nonzero(nonzero, axis=-1)
@@ -243,22 +259,39 @@ def _signed_rank_rows(z, min_pairs: int) -> RankTestBatch:
     t = np.sum(np.where(z > 0.0, ranks, 0.0), axis=-1)
     too_few = n < min_pairs
     exact = (n <= EXACT_LIMIT) & ~too_few
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_sum(ranks, n) / 48.0
-    p = _two_sided_normal(t, n * (n + 1) / 4.0, var, ~exact & ~too_few)
-    # One null per distinct key (zero count, sorted doubled ranks with the
-    # zeros' 0 first); a void view makes each key row one sortable scalar.
+    ties = _tie_sum(ranks, n)
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - ties / 48.0
+    p = np.full(t.shape, np.nan)
     if exact.any():
-        keyed = np.column_stack([zeros[exact], _doubled(ranks[exact])])
-        row_keys = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel()
-        _, first, group = np.unique(row_keys, return_index=True, return_inverse=True)
         t2 = np.rint(2.0 * t[exact]).astype(int)
+        sizes, tied = n[exact], ties[exact] != 0.0
         tails = np.empty((2, len(t2)))
-        for g, key in enumerate(keyed[first].tolist()):
-            rows = group == g
-            tails[:, rows] = _exact_null(tuple(key[1 + key[0]:]))[:, t2[rows]]
+        # A tie-free row has the doubled ranks 2, 4, ..., 2n: one null per size n, the sizes
+        # taken from a set (np.unique on an int array would import numpy.ma).
+        for size in set(sizes[~tied].tolist()):
+            rows = ~tied & (sizes == size)
+            tails[:, rows] = _exact_null(tuple(range(2, 2 * size + 1, 2)))[:, t2[rows]]
+        # One null per distinct key of a tied row (zero count, sorted doubled
+        # ranks with the zeros' 0 first); a void view makes each key one sortable scalar.
+        if tied.any():
+            keyed = np.column_stack([zeros[exact][tied], _doubled(ranks[exact][tied])])
+            row_keys = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1]))).ravel()
+            _, first, group = np.unique(row_keys, return_index=True, return_inverse=True)
+            tied_rows = np.flatnonzero(tied)
+            for g, key in enumerate(keyed[first].tolist()):
+                rows = tied_rows[group == g]
+                tails[:, rows] = _exact_null(tuple(key[1 + key[0]:]))[:, t2[rows]]
         p[exact] = np.minimum(1.0, 2.0 * tails.min(axis=0))
-    return RankTestBatch(t, p, n, exact, too_few,
-                         f"{{n}} nonzero differences, need at least {min_pairs}")
+    batch = RankTestBatch(t, p, n, exact, too_few,
+                          f"{{n}} nonzero differences, need at least {min_pairs}")
+    return batch, n * (n + 1) / 4.0, var
+
+
+# signed_rank and rank_sum call these kernels directly, not through the public
+# *_rows functions, so that a traced one-row test keeps midranks as its first
+# child span (perfbench/tracer.py).
+def _signed_rank_rows(z, min_pairs: int) -> RankTestBatch:
+    return _normal_tails([_signed_rank_pending(z, min_pairs)])[0]
 
 
 def signed_rank_rows(z, min_pairs: int = 5) -> RankTestBatch:
@@ -282,7 +315,8 @@ def signed_rank(z, min_pairs: int = 5) -> RankTestResult:
     return _signed_rank_rows(np.asarray(z, dtype=float).ravel(), min_pairs).result()
 
 
-def _rank_sum_rows(x, y, min_size: int) -> RankTestBatch:
+def _rank_sum_pending(x, y, min_size: int = 5) -> tuple:
+    """The rank-sum tests of the row pairs of x and y as a pending test (see _normal_tails)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m, n = x.shape[-1], y.shape[-1]
@@ -291,9 +325,14 @@ def _rank_sum_rows(x, y, min_size: int) -> RankTestBatch:
     w = np.sum(ranks[..., :m], axis=-1)
     too_few = np.full(w.shape, m < min_size or n < min_size)
     var = m * n / 12.0 * ((big_n + 1) - _tie_sum(ranks, big_n) / max(big_n * (big_n - 1), 1))
-    p = _two_sided_normal(w, m * (big_n + 1) / 2.0, var, ~too_few)
-    return RankTestBatch(w, p, np.full(w.shape, big_n), np.zeros(w.shape, dtype=bool), too_few,
-                         f"sample sizes ({m}, {n}), need at least {min_size} each")
+    batch = RankTestBatch(w, np.full(w.shape, np.nan), np.full(w.shape, big_n),
+                          np.zeros(w.shape, dtype=bool), too_few,
+                          f"sample sizes ({m}, {n}), need at least {min_size} each")
+    return batch, m * (big_n + 1) / 2.0, var
+
+
+def _rank_sum_rows(x, y, min_size: int) -> RankTestBatch:
+    return _normal_tails([_rank_sum_pending(x, y, min_size)])[0]
 
 
 def rank_sum_rows(x, y, min_size: int = 5) -> RankTestBatch:

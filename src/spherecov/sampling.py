@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AntipodalPointError
-from .geometry import ANTIPODAL_EPS, geodesic_distances, unit_point
+from .geometry import ANTIPODAL_EPS, _norm, geodesic_distances, unit_point
 
 __all__ = [
     "RingDensity",
@@ -156,7 +156,7 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
     while their chunks fit in _ROUND_PROPOSALS (at least one), looking at no
     more than _ROUND_PROPOSALS // 64 + 1 of them, lays the chunks
     end to end in one buffer and runs the arithmetic once for all of them,
-    with |z| summed in the order np.linalg.norm sums it; so the working
+    with |z| summed as np.linalg.norm sums it (geometry._norm); so the working
     memory is about 0.1 KB per proposal of a round, not of the whole call.
     The squeeze table of (a, concentration) decides each proposal from its
     approximate cosine (z . mu) / |z|: u < lo accepts, u >= hi rejects, and
@@ -198,11 +198,7 @@ def rejection_sample_rows(params: RingDensity, n: int, rngs) -> tuple[np.ndarray
         for r, start, stop in zip(pending.tolist(), (ends - chunks).tolist(), ends.tolist()):
             rngs[r].standard_normal(out=z[start:stop])
             rngs[r].random(out=u[start:stop])
-        # |z| summed left to right, as np.linalg.norm sums it
-        norms = z[:, 0] * z[:, 0]
-        norms += z[:, 1] * z[:, 1]
-        norms += z[:, 2] * z[:, 2]
-        np.sqrt(norms, out=norms)
+        norms = _norm(z)
         # each proposal's cosine bin from its approximate cosine (z . mu) / |z|; u >= hi rejects
         bins = z @ to_bin
         bins /= norms

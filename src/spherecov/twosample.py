@@ -15,7 +15,8 @@ the two directions with a Bonferroni-corrected threshold).
 The procedures run on batches (ProjectionData with a leading axis), and one
 private block engine runs them for `test`, `scan` and observation_scan: each
 block of rows, sized by a budget of sample points, makes one projection pass
-and one batched rank-test call per statistic, and returns per-row columns.
+and one batched rank-test call per statistic, with one normal-tail pass per
+procedure, and returns per-row columns.
 paired_projections projects R sample pairs, each at its own point, and
 test_procedure_1/2 are the same code on a single point.
 
@@ -35,7 +36,9 @@ from .fields import _op_sums
 from .geometry import (
     TangentFrame, TangentVec, log_map_coords, tangent_frame, tangent_frames, unit_point, unit_points,
 )
-from .ranktests import RankTestBatch, RankTestResult, rank_sum_rows, signed_rank_rows
+from .ranktests import (
+    RankTestBatch, RankTestResult, _normal_tails, _rank_sum_pending, _signed_rank_pending,
+)
 # The one-row tests, also reachable through this module.
 from .ranktests import rank_sum, signed_rank  # noqa: F401
 from .spd import _det2, _eigensystem, _sym_comps
@@ -217,17 +220,21 @@ class ProcedureBatch(NamedTuple):
 def _rank_procedure(proj, paired: bool, alpha: float) -> ProcedureBatch:
     """Rank tests of the xi projections along each eigenvector and of the
     squared distances, for every row of proj (one point or a batch): paired
-    signed-rank tests or unpaired rank-sum tests."""
+    signed-rank tests or unpaired rank-sum tests. Each test ranks on its own;
+    the normal tails of all three come from one call."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
 
     def test(a, b):
-        return signed_rank_rows(a - b) if paired else rank_sum_rows(a, b)
+        return _signed_rank_pending(a - b) if paired else _rank_sum_pending(a, b)
 
+    *components, d_test = _normal_tails([test(proj.xi1[..., 0], proj.xi2[..., 0]),
+                                         test(proj.xi1[..., 1], proj.xi2[..., 1]),
+                                         test(proj.dsq1, proj.dsq2)])
     return ProcedureBatch(
         kind="signed_rank" if paired else "rank_sum",
-        components=tuple(test(proj.xi1[..., s], proj.xi2[..., s]) for s in range(2)),
-        d_test=test(proj.dsq1, proj.dsq2),
+        components=tuple(components),
+        d_test=d_test,
         alpha=alpha,
     )
 

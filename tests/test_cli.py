@@ -925,19 +925,31 @@ def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, capsys):
     ["scan", "--grid", "4"],
     ["profile", "--q", "0,0,1"]])
 def test_non_finite_file_points_fail_before_any_rank_test(tmp_path, monkeypatch, capsys, argv):
-    # rank_sum_rows' W is unspecified with NaNs in both samples, so none may reach it
-    from spherecov import twosample
-    monkeypatch.setattr(twosample, "rank_sum_rows", lambda *a, **k: pytest.fail("ranked"))
-    monkeypatch.setattr(twosample, "signed_rank_rows", lambda *a, **k: pytest.fail("ranked"))
-    paths = []
-    for name, bad in (("s1.csv", "nan,0,1"), ("s2.csv", "0.5,inf,0.5")):
-        paths.append(tmp_path / name)
-        paths[-1].write_text("x,y,z\n0,0,1\n0,1,0\n1,0,0\n" + bad + "\n0.5,0.5,0.7\n0.1,0.2,0.9\n")
+    # rank_sum_rows' W is unspecified with NaNs in both samples, so none may reach it. Every
+    # rank test ranks through ranktests.midranks; as a control, finite points reach it in
+    # every command but profile, which ranks nothing.
+    from spherecov import ranktests
+    calls = []
+    real = ranktests.midranks
+    monkeypatch.setattr(ranktests, "midranks", lambda x: calls.append(1) or real(x))
+
+    def run(rows1, rows2, out):
+        paths = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
+        for path, rows in zip(paths, (rows1, rows2)):
+            path.write_text("x,y,z\n" + "\n".join(rows) + "\n")
+        return main(argv + ["--sample1", str(paths[0]), "--sample2", str(paths[1]),
+                            "--seed", "0", "--out", str(out)])
+
+    points = ["0,0,1", "0,1,0", "1,0,0", "0.5,0.5,0.7", "0.1,0.2,0.9"]
     out = tmp_path / "never"
-    assert main(argv + ["--sample1", str(paths[0]), "--sample2", str(paths[1]),
-                        "--seed", "0", "--out", str(out)]) == 2
+    assert run(points + ["nan,0,1"], points + ["0.5,inf,0.5"], out) == 2
     assert capsys.readouterr().err == "usage error: cannot normalize zero or non-finite rows\n"
     assert not out.exists()
+    assert not calls
+    # no point of the control's first sample is in the second
+    assert run(points + ["0.3,0,1"], ["0.3,0.1,1", "0.2,1,0.1", "1,0.3,0.1", "0.6,0.4,0.7",
+                                      "0.1,0.3,0.8", "0.5,0.2,0.5"], tmp_path / "finite") == 0
+    assert bool(calls) == (argv[0] != "profile")
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -1280,3 +1292,31 @@ def test_start_up_leaves_numpy_random_unloaded():
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+_COMMAND_MODULES = """
+import contextlib, io, json, sys
+from spherecov.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[2:] + ["--out", sys.argv[1]])
+print(json.dumps([rc, "numpy.ma" in sys.modules, "numpy.random" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, random_unloaded", [
+    (["scan", "--a1", "0.2", "--a2", "0.3", "--m1", "20", "--grid", "50", "--seed", "1"], False),
+    (["test", "--a1", "0.2", "--a2", "0.3", "--q", "0,0,1", "--runs", "20", "--seed", "0"], False),
+    (["interp", "--problem", str(FIXTURE), "--alpha-steps", "3"], False),
+    (["interp", "--problem", str(FIXTURE), "--restarts", "1"], True),
+], ids=["scan", "test", "interp-8-starts", "interp-1-start"])
+def test_commands_leave_numpy_ma_unloaded(tmp_path, argv, random_unloaded):
+    # np.unique on an integer array imports numpy.ma; numpy.random takes about 10 ms to
+    # import, and a single-start solve draws nothing from it
+    src = str(Path(spherecov.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", _COMMAND_MODULES, str(tmp_path / "out"), *argv],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    rc, ma, random = json.loads(res.stdout)
+    assert (rc, ma) == (0, False)
+    if random_unloaded:
+        assert not random

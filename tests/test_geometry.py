@@ -27,6 +27,7 @@ from spherecov import (
     unit_point,
     unit_points,
 )
+from spherecov.geometry import _cross, _norm
 
 rng = np.random.default_rng(20240817)
 
@@ -322,3 +323,33 @@ def test_antipodal_check_reads_the_distance_not_the_inner_product():
     npt.assert_allclose(u, log_map_coords(q, p[None, :])[0], rtol=1e-15)
     with pytest.raises(AntipodalPointError):
         log_map_coords(q, np.array([[0.0, 0.0, -0.5]]))  # <q, p> = -0.5, at distance pi
+
+
+# zeros, subnormals, moderate values and values near 1e154, whose squares
+# and products reach the overflow threshold
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0]),
+    st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=5e153, max_value=1.5e154),
+    st.floats(min_value=-1.5e154, max_value=-5e153),
+)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([((3,), (3,)), ((3,), (6, 3)), ((7, 3), (7, 3)), ((4, 1, 3), (6, 3)),
+                        ((4, 1, 3), (4, 5, 3)), ((4, 5, 3), (4, 5, 3))]), st.data())
+def test_norm_and_cross_kernels_have_numpys_bits(shapes, data):
+    # a single (3,) point too: its norm is a scalar, and its cross a (3,) vector
+    a, b = (data.draw(arrays(np.float64, shape, elements=_COMPONENTS)) for shape in shapes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = np.cross(a, b)
+        _same_bits(_cross(a, b), cross)
+        for v in (a, b, cross):
+            _same_bits(_norm(v), np.linalg.norm(v, axis=-1))

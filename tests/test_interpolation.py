@@ -398,6 +398,21 @@ def test_multistart_bookkeeping():
         solve(prob, restarts=0)
 
 
+@pytest.mark.parametrize("restarts", [1, 3, 4, 8])
+def test_solve_rejects_a_negative_seed_at_every_restart_count(restarts):
+    # the message of np.random.default_rng(-1), though only starts beyond three draw from it
+    prob, _ = load_problem(FIXTURE)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        solve(prob, restarts=restarts, seed=-1)
+
+
+def test_starts_beyond_the_named_three_are_seeded_dirichlet_draws():
+    prob, _ = load_problem(FIXTURE)
+    starts = interpolation._starts(prob, 7, 11)
+    assert len(starts) == 7 and len(interpolation._starts(prob, 2, 11)) == 2
+    assert np.array_equal(starts[3:], np.random.default_rng(11).dirichlet(np.ones(prob.k), size=4))
+
+
 @pytest.mark.parametrize("setting", [dict(max_iter=-1), dict(tol=-1e-9), dict(tol=float("nan")),
                                      dict(tol=float("inf"))])
 def test_solve_rejects_impossible_stopping_settings(setting):

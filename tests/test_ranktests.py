@@ -387,3 +387,27 @@ def test_batched_exact_rows_equal_scalar_test_and_per_row_lookup(lead, n, min_pa
         if batch.exact[idx]:
             t, p = _exact_p_oracle(z[idx])
             assert (batch.statistic[idx], batch.p_value[idx]) == (t, p)
+
+
+def test_tie_free_rows_share_one_null_per_size_beside_tied_rows():
+    # tie-free rows of 12 values with 0-3 exact zeros (n = 12 down to 9, each
+    # size twice), and tied rows: each lookup is the one-row oracle's, and each
+    # distinct null is computed once
+    local = np.random.default_rng(34)
+    rows = []
+    for zeros in (0, 1, 2, 3, 0, 3):
+        free = local.permutation(np.arange(1.0, 13.0 - zeros)) * local.choice([-1.0, 1.0], 12 - zeros)
+        rows.append(local.permutation(np.concatenate([free, np.zeros(zeros)])))
+    for zeros in (0, 2, 1):
+        tied = local.choice([-2.0, -1.0, 1.0, 3.0], 12 - zeros)
+        rows.append(local.permutation(np.concatenate([tied, np.zeros(zeros)])))
+    z = np.array(rows)
+    nulls = {tuple(np.rint(2.0 * np.sort(midranks(np.abs(row[row != 0.0])))).astype(int).tolist())
+             for row in z}
+    assert len(nulls) == 4 + 3
+    ranktests._exact_null.cache_clear()
+    batch = ranktests.signed_rank_rows(z)
+    assert ranktests._exact_null.cache_info().misses == len(nulls)
+    assert batch.exact.all()
+    for row, t, p in zip(z, batch.statistic, batch.p_value):
+        assert (t, p) == _exact_p_oracle(row)

@@ -26,7 +26,7 @@ from spherecov import (
 )
 from spherecov import test_procedure_1 as procedure_1
 from spherecov import test_procedure_2 as procedure_2
-from spherecov import twosample
+from spherecov import ranktests, twosample
 from spherecov.spd import _det2, _sym_comps
 from spherecov.twosample import _block, _candidate_blocks
 
@@ -301,6 +301,37 @@ def test_batch_procedures_flag_degenerate_rows():
     s1[3, 0] = -unit_point(qs[3])
     with pytest.raises(AntipodalPointError):
         batch_procedures(s1, s2, qs)
+
+
+@pytest.mark.parametrize("m1, m2", [(4, 4), (15, 15), (20, 20), (40, 40), (30, 24)])
+def test_procedure_tests_equal_one_statistic_calls_bit_for_bit(m1, m2):
+    # a procedure's three tests take their normal tails from one call; each
+    # equals its own rank-test call. Row 1 repeats a point pair (tied paired
+    # differences) and row 2 holds identical samples (no nonzero difference).
+    # In row 3, at the pole, the first three points of sample 2 mirror those of
+    # sample 1 (x -> -x keeps their distances bit for bit): only the distance
+    # test sees those zeros or ties, so its size and variance differ from the
+    # xi tests'.
+    qs, s1, s2 = _pair_stack(6, m1, m2, m1 + 3 * m2)
+    s1[1, 1], s2[1, 1] = s1[1, 0], s2[1, 0]
+    s2[2] = s1[2, :m2]
+    qs[3] = [0.0, 0.0, 1.0]
+    s2[3, :3] = s1[3, :3] * np.array([-1.0, 1.0, 1.0])
+    proj = paired_projections(qs, s1, s2)
+    paired, unpaired = batch_procedures(s1, s2, qs)
+    assert (paired is None) == (m1 != m2)
+    stats = [(proj.xi1[..., 0], proj.xi2[..., 0]), (proj.xi1[..., 1], proj.xi2[..., 1]),
+             (proj.dsq1, proj.dsq2)]
+    for procedure, test in ((paired, lambda a, b: ranktests.signed_rank_rows(a - b)),
+                            (unpaired, ranktests.rank_sum_rows)):
+        if procedure is None:
+            continue
+        for got, (a, b) in zip(procedure.tests, stats):
+            want = test(a, b)
+            assert got.message == want.message
+            for name in ("statistic", "p_value", "n_effective", "exact", "too_few"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 @pytest.mark.parametrize("at", [0, 4, 9])
